@@ -1,8 +1,8 @@
 """Seeded inputs for the braidket benchmark.
 
 Only the standard library is imported here: the inputs must not depend on the
-code they measure.  ``ops(workload, seed)`` yields operations pass after pass,
-forever; the same seed yields the same operations.
+code they measure.  ``ops(workload, seed, passes)`` yields the operations of
+a run, pass after pass; the same seed yields the same operations.
 
 An operation is a dict::
 
@@ -15,11 +15,9 @@ is written to a file and ``--pd PATH`` appended to ``argv``), ``trace5``
 for a block of 3-strand words) or ``z_amplitude`` (``matrixrep.z_amplitude`` of
 one braid).  ``check`` tells the checker which reference applies.
 
-Each pass has a fixed composition, so a pass costs about the same whatever
-the seed.  Within a pass, operations are ordered by a golden-ratio walk over
-their cost rank, so that any prefix of a pass holds cheap and costly
-operations in the same proportion as the whole pass: a run that stops part
-way through a pass then measures the same mix as one that stops elsewhere.
+Each pass has a fixed composition, in a seeded order, and a run is a whole
+number of passes (``passes``), so every commit runs exactly the same
+operations for a given seed.
 """
 
 from __future__ import annotations
@@ -31,24 +29,38 @@ import random
 from pathlib import Path
 
 WORKLOADS = ("trace-wide", "pd-states", "small-mixed", "qsim-long", "qsim-drift")
-#: The calibration loop (see calibrate.py) whose work each workload resembles.
+#: The calibration loops (see calibrate.py) that scale each workload's times:
+#: one for ops_per_s, one for the latency percentiles.
 CALIBRATION = {
-    "trace-wide": "python",
-    "pd-states": "python",
-    "small-mixed": "python",
-    "qsim-long": "numpy",
-    "qsim-drift": "numpy",
+    "trace-wide": ("python", "gaussian"),
+    "pd-states": ("python", "python"),
+    "small-mixed": ("python", "python"),
+    "qsim-long": ("numpy", "numpy"),
+    "qsim-drift": ("numpy", "numpy"),
 }
 
 REFS_PATH = Path(__file__).with_name("refs.json")
 
+#: Seconds of scaled operation time one pass took at the seed commit.  A run of
+#: S seconds is round(S / PASS_SECONDS) passes, at least one, so the number of
+#: operations is fixed by the workload and --seconds, not by the program's speed.
+PASS_SECONDS = {
+    "trace-wide": 15.5,
+    "pd-states": 4.56,
+    "small-mixed": 16.3,
+    "qsim-long": 2.18,
+    "qsim-drift": 120.0,
+}
+
 #: Fixed seed of the trace-wide word pool; its outputs are stored in refs.json.
 POOL_SEED = 2001
-POOL_RANDOM_WORDS_PER_WIDTH = 15
-#: Pool words slower than this at the seed commit are left out of refs.json and
-#: so of the pool: one operation must stay a small share of a run, or whether
-#: a run happens to hold it swings ops_per_s.
-POOL_CAP_MS = 600.0
+#: Random pool words per strand count: a first batch, then more drawn from the
+#: same generator, so the first batch stays what it was.
+POOL_RANDOM_WORDS_PER_WIDTH = (15, 20)
+#: Pool words slower than this at the seed commit run in every pass: the
+#: costliest TL products in the range, where a pair's two words would differ
+#: by up to half a second and the seed's pick would move ops_per_s.
+HEAVY_MS = 800.0
 
 #: The five angles of acceptance criterion 07.
 TRACE5_THETAS = (math.pi / 10, -math.pi / 10, math.pi / 8, -math.pi / 8, math.pi / 6)
@@ -68,16 +80,15 @@ PD_COUNTS = {10: 6, 11: 7, 12: 5, 13: 2}
 QSIM_DRIFT_LENGTHS = (1_400_000, 2_000_000)
 QSIM_DRIFT_PER_PASS = 4
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+def passes(workload: str, seconds: float) -> int:
+    """The number of passes in a run of the given length."""
+    return max(1, round(seconds / PASS_SECONDS[workload]))
 
 
-def _spread(items: list, cost, rng: random.Random) -> list:
-    """Order items so every prefix holds each cost level in its overall share."""
+def _shuffled(items: list, rng: random.Random) -> list:
     rng.shuffle(items)
-    ranked = sorted(items, key=cost)
-    phase = rng.random()
-    order = sorted(range(len(ranked)), key=lambda r: (phase + r * _GOLDEN) % 1.0)
-    return [ranked[r] for r in order]
+    return items
 
 
 def _word_text(letters) -> str:
@@ -100,15 +111,19 @@ def trace_wide_candidates() -> list[tuple[int, tuple[int, ...]]]:
     """Braids on 6..9 strands with 16..30 letters: torus-type and random words.
 
     The torus-type words (sigma_1 ... sigma_{n-1})^k reuse the same TL diagrams
-    letter after letter; the random words do not.  The pool is the candidates
-    that refs.json holds (see POOL_CAP_MS).
+    letter after letter; the random words do not.  refs.json holds the output
+    of every candidate.
     """
     rng = random.Random(POOL_SEED)
+    first, more = POOL_RANDOM_WORDS_PER_WIDTH
     pool = []
     for n in range(6, 10):
         period = tuple(range(1, n))
         pool += [(n, period * k) for k in range(1, 31) if 16 <= len(period) * k <= 30]
-        for _ in range(POOL_RANDOM_WORDS_PER_WIDTH):
+        for _ in range(first):
+            pool.append((n, _random_word(rng, n, rng.randint(16, 30))))
+    for n in range(6, 10):
+        for _ in range(more):
             pool.append((n, _random_word(rng, n, rng.randint(16, 30))))
     return pool
 
@@ -123,25 +138,37 @@ def _flip(strands: int, letters) -> tuple[int, ...]:
     return tuple((strands - abs(g)) * (1 if g > 0 else -1) for g in letters)
 
 
-def _trace_wide_pool(rng: random.Random, refs: dict) -> list[tuple[float, str, list[str]]]:
-    """(cost, key, argv) of every pool word, each flipped on a seeded coin.
-
-    A word keeps its flip for the whole run, so that from the second pass on
-    it meets the TL diagrams it left in the caches, whatever the seed."""
+def _trace_wide_pool(rng: random.Random, refs: dict) -> tuple[list, list[tuple[list, int]]]:
+    """The heavy words, and the other words in pairs of like cost at the
+    seed commit, each pair with the seed's pick; a word is (key, strands,
+    letters), flipped on a seeded coin.  With an odd count the costliest
+    other word joins the heavy ones."""
     entries = refs["trace-wide"]["entries"]
-    pool = []
+    words = []
     for strands, letters in trace_wide_candidates():
         key = pool_key(strands, letters)
-        if key in entries:
-            word = _flip(strands, letters) if rng.random() < 0.5 else letters
-            argv = ["jones", "--strands", str(strands), "--word", _word_text(word)]
-            pool.append((entries[key]["ms"], key, argv))
-    return pool
+        word = _flip(strands, letters) if rng.random() < 0.5 else letters
+        words.append((entries[key]["ms"], key, strands, word))
+    words.sort()
+    heavy = [w[1:] for w in words if w[0] > HEAVY_MS]
+    light = [w[1:] for w in words if w[0] <= HEAVY_MS]
+    if len(light) % 2:
+        heavy.append(light.pop())
+    pairs = [light[i : i + 2] for i in range(0, len(light), 2)]
+    return heavy, [(pair, rng.randrange(2)) for pair in pairs]
 
 
-def _trace_wide_pass(rng: random.Random, pool) -> list[dict]:
-    items = [(cost, _cli(list(argv), {"ref": "trace-wide", "key": key})) for cost, key, argv in pool]
-    return [op for _, op in _spread(items, lambda item: item[0], rng)]
+def _trace_wide_pass(rng: random.Random, pool, number: int) -> list[dict]:
+    """The heavy words and one word of each pair, the seed's pick; the next
+    pass takes the other one.  So a pass repeats no word, the seed chooses
+    which words run, and every choice costs about the same."""
+    heavy, pairs = pool
+    chosen = heavy + [pair[(pick + number) % 2] for pair, pick in pairs]
+    ops = [
+        _cli(["jones", "--strands", str(strands), "--word", _word_text(word)], {"ref": "trace-wide", "key": key})
+        for key, strands, word in chosen
+    ]
+    return _shuffled(ops, rng)
 
 
 # --- pd-states --------------------------------------------------------------
@@ -245,8 +272,7 @@ def pd_op(rng: random.Random, crossings: int) -> dict:
 
 
 def _pd_states_pass(rng: random.Random) -> list[dict]:
-    items = [(n, pd_op(rng, n)) for n, count in PD_COUNTS.items() for _ in range(count)]
-    return [op for _, op in _spread(items, lambda item: item[0], rng)]
+    return _shuffled([pd_op(rng, n) for n, count in PD_COUNTS.items() for _ in range(count)], rng)
 
 
 # --- small-mixed ------------------------------------------------------------
@@ -276,7 +302,7 @@ def _small_mixed_pass(rng: random.Random) -> list[dict]:
     items = []
     for index, letters in enumerate(words):
         argv = ["bracket", "--strands", "3", "--word", _word_text(letters)]
-        items.append((0.5 + 0.4 * len(letters), _cli(argv, {"ref": "words3", "index": index})))
+        items.append(_cli(argv, {"ref": "words3", "index": index}))
     order = list(range(len(words)))
     rng.shuffle(order)
     for start in range(0, len(order), TRACE5_BLOCK):
@@ -287,11 +313,11 @@ def _small_mixed_pass(rng: random.Random) -> list[dict]:
             "thetas": list(TRACE5_THETAS),
             "check": {"ref": "words3", "indices": block},
         }
-        items.append((1.1, op))
+        items.append(op)
     for strands, letters in _seeded_braids(rng):
         argv = ["bracket", "--check", "--strands", str(strands), "--word", _word_text(letters)]
         check = {"ref": "state-sum", "strands": strands, "word": _word_text(letters)}
-        items.append((1.0 + 0.3 * strands * len(letters), _cli(argv, check)))
+        items.append(_cli(argv, check))
     for strands, letters in _seeded_braids(rng):
         op = {
             "kind": "z_amplitude",
@@ -299,13 +325,9 @@ def _small_mixed_pass(rng: random.Random) -> list[dict]:
             "word": _word_text(letters),
             "check": {"ref": "state-sum", "strands": strands, "word": _word_text(letters)},
         }
-        items.append((0.2 * 2**strands * max(1, len(letters)) / 8, op))
-    ordered = [op for _, op in _spread(items, lambda item: item[0], rng)]
-    # One verify per pass, a quarter of the way in: far from where a run of
-    # about one and a half passes stops, so every such run holds two.
-    verify = _cli(["verify", "--n", "5"], {"ref": "verify-5"})
-    quarter = len(ordered) // 4
-    return ordered[:quarter] + [verify] + ordered[quarter:]
+        items.append(op)
+    items.append(_cli(["verify", "--n", "5"], {"ref": "verify-5"}))
+    return _shuffled(items, rng)
 
 
 # --- qsim -------------------------------------------------------------------
@@ -339,8 +361,8 @@ def _qsim_long_pass(rng: random.Random) -> list[dict]:
     items = []
     for k in range(QSIM_LONG_PER_PASS):
         length = int(low * (high / low) ** ((k + rng.random()) / QSIM_LONG_PER_PASS))
-        items.append((length, qsim_op(rng, length)))
-    return [op for _, op in _spread(items, lambda item: item[0], rng)]
+        items.append(qsim_op(rng, length))
+    return _shuffled(items, rng)
 
 
 def _qsim_drift_pass(rng: random.Random) -> list[dict]:
@@ -356,16 +378,16 @@ def load_refs() -> dict:
         return json.load(handle)
 
 
-def ops(workload: str, seed: int, refs: dict | None = None):
-    """Yield the workload's operations for this seed, pass after pass."""
+def ops(workload: str, seed: int, passes: int, refs: dict | None = None):
+    """Yield the operations of a run of this many passes."""
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
     rng = random.Random(f"{workload}:{seed}")
     if workload == "trace-wide":
         pool = _trace_wide_pool(rng, refs or load_refs())
-    for number in itertools.count():
+    for number in range(passes):
         if workload == "trace-wide":
-            batch = _trace_wide_pass(rng, pool)
+            batch = _trace_wide_pass(rng, pool, number)
         elif workload == "pd-states":
             batch = _pd_states_pass(rng)
         elif workload == "small-mixed":

@@ -4,12 +4,11 @@ Run from the repository root at the commit whose outputs are the reference::
 
     python3 benchmark/make_refs.py --source "seed commit da742ef"
 
-* ``trace-wide``: ``jones`` stdout of every trace-wide candidate word that
-  runs within ``gen.POOL_CAP_MS``, and the wall time it took (``ms``, the
-  faster of two runs, used to spread costly words evenly over a pass and to
-  apply the cap; ``dropped`` lists the words over it).  No second evaluation
-  path is affordable at 6..9 strands and 16..30 letters, so the source is
-  the named commit.
+* ``trace-wide``: ``jones`` stdout of every trace-wide candidate word, and
+  the wall time it took (``ms``, the faster of two runs, which sorts the
+  words into pairs of like cost).  No
+  second evaluation path is affordable at 6..9 strands and 16..30 letters,
+  so the source is the named commit.
 * ``words3``: the bracket of every 3-strand word of at most 6 letters, from
   the state sum.  It is also required to equal the commit's ``bracket``
   stdout.  The 5461 words have few distinct brackets, so the file stores the
@@ -52,16 +51,12 @@ def main() -> int:
     parser.add_argument("--source", required=True, help="the commit the outputs come from")
     args = parser.parse_args()
 
-    entries, dropped = {}, []
+    entries = {}
     for strands, letters in gen.trace_wide_candidates():
         argv = ["jones", "--strands", str(strands), "--word", " ".join(map(str, letters))]
         text, first = stdout_of(argv)
         ms = min(first, stdout_of(argv)[1]) * 1e3
-        key = gen.pool_key(strands, letters)
-        if ms > gen.POOL_CAP_MS:
-            dropped.append(key)
-        else:
-            entries[key] = {"stdout": text, "ms": round(ms, 1)}
+        entries[gen.pool_key(strands, letters)] = {"stdout": text, "ms": round(ms, 1)}
 
     polys: list[str] = []
     index = []
@@ -77,7 +72,7 @@ def main() -> int:
 
     verify, _ = stdout_of(["verify", "--n", "5"])
     refs = {
-        "trace-wide": {"source": args.source, "entries": entries, "dropped": dropped},
+        "trace-wide": {"source": args.source, "entries": entries},
         "words3": {"source": "state-sum", "polys": polys, "index": index},
         "verify-5": {"source": args.source, "stdout": verify},
     }

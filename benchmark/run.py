@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 benchmark/run.py --workload trace-wide --seed 1 --seconds 20 --trace 0
+    python3 benchmark/run.py --workload trace-wide --seed 1 --seconds 15 --trace 0
     python3 benchmark/run.py --workload all            # every workload, one row each
     python3 benchmark/run.py --workload pd-states --trace 1   # per-layer metrics
 
@@ -41,19 +41,21 @@ SRC = ROOT / "src"
 #: the seed's unitarity check trips, and each operation takes half a minute.
 WORKLOADS = ("trace-wide", "pd-states", "small-mixed", "qsim-long")
 
-#: The tail percentile of each workload: the highest of 50/75/90/99 that leaves
-#: at least ten samples beyond it in every run of the seed commit.  It is
-#: fixed, so that op_tail_ms means the same thing on every commit.  trace-wide
-#: and qsim-long runs hold about 100 to 130 operations, so 90 would leave ten
-#: or just over, and fewer in a run that the wall-clock limit cuts short.
-TAIL_PERCENTILE = {
-    "trace-wide": 75,
-    "pd-states": 75,
-    "small-mixed": 99,
-    "qsim-long": 75,
-    "qsim-drift": 50,
-}
-SETUP_REPEATS = 7
+#: op_tail_ms is the highest of these percentiles that leaves at least ten
+#: samples beyond it.  A run's operation count is fixed by the workload and
+#: --seconds, so the percentile is too.
+TAIL_PERCENTILES = (99, 90, 75, 50)
+
+#: setup_s is measured SETUP_REPEATS times, each probe right after a
+#: reference process that imports numpy and allocates as calibrate.python_loop
+#: does.  Each probe is scaled by SETUP_REFERENCE_S over its reference's time,
+#: and setup_s is the median: the set-up time on a machine where the
+#: reference takes SETUP_REFERENCE_S.  Start-up time on a shared machine
+#: drifts by half from one minute to the next; the reference, like the probe
+#: mostly imports and then Python work, drifts with it.
+SETUP_REPEATS = 11
+SETUP_REFERENCE = "import numpy\nkept = [{(i, i + 1): (i * 12345678901234567, -i)} for i in range(30000)]"
+SETUP_REFERENCE_S = 0.2
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -79,16 +81,18 @@ def percentile(values: list[float], p: float) -> tuple[float, int]:
     return ordered[rank - 1], len(ordered) - rank
 
 
-def _worker(job: dict, timeout: float) -> tuple[dict, float]:
+def tail_percentile(count: int) -> int:
+    return next((p for p in TAIL_PERCENTILES if percentile([0.0] * count, p)[1] >= 10), 50)
+
+
+def _timed(argv: list[str], timeout: float) -> tuple[subprocess.CompletedProcess, float]:
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, str(HERE / "worker.py"), json.dumps(job)],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        cwd=ROOT,
-    )
-    elapsed = time.perf_counter() - start
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, cwd=ROOT)
+    return proc, time.perf_counter() - start
+
+
+def _worker(job: dict, timeout: float) -> tuple[dict, float]:
+    proc, elapsed = _timed([sys.executable, str(HERE / "worker.py"), json.dumps(job)], timeout)
     if proc.returncode != 0:
         raise BenchmarkError(f"worker ({job['mode']}) exited {proc.returncode}: {proc.stderr[-2000:]}")
     lines = proc.stdout.strip().splitlines()
@@ -96,61 +100,83 @@ def _worker(job: dict, timeout: float) -> tuple[dict, float]:
 
 
 class Workload:
-    def __init__(self, name: str, seed: int, seconds: float, workdir: Path, refs: dict, checker):
-        self.name, self.seed, self.seconds = name, seed, seconds
+    def __init__(self, name: str, seed: int, passes: int, workdir: Path, refs: dict, checker):
+        self.name, self.seed, self.passes = name, seed, passes
         self.workdir, self.refs, self.checker = workdir, refs, checker
         self.spans_path = ROOT / ".benchmark-out" / f"{name}.spans.jsonl"
 
-    def _job(self, mode: str, seconds: float = 0.0, trace: bool = False) -> dict:
+    def _job(self, mode: str, trace: bool = False) -> dict:
         self.workdir.mkdir(parents=True, exist_ok=True)
         return {
             "mode": mode,
             "workload": self.name,
             "seed": self.seed,
-            "seconds": seconds,
+            "passes": self.passes,
             "trace": trace,
+            "warmup": gen.warmup_op(self.name),
             "src": str(SRC),
             "workdir": str(self.workdir),
             "spans_path": str(self.spans_path),
         }
 
-    def setup_seconds(self) -> float:
-        """Median wall time of fresh interpreters that import braidket and run
-        one warm-up operation.  It is not scaled: start-up is process creation
-        and imports, which the calibration loops did not track; scaling
-        doubled its spread between runs."""
-        return statistics.median(_worker(self._job("probe"), timeout=120)[1] for _ in range(SETUP_REPEATS))
+    def setup_seconds(self) -> tuple[float, str]:
+        """Median of SETUP_REPEATS probes, each a fresh interpreter that
+        imports braidket and runs one warm-up operation, scaled by the
+        reference process run just before it."""
+        probes, scaled = [], []
+        for _ in range(SETUP_REPEATS):
+            proc, reference = _timed([sys.executable, "-c", SETUP_REFERENCE], timeout=120)
+            if proc.returncode != 0:
+                raise BenchmarkError(f"reference process exited {proc.returncode}: {proc.stderr[-2000:]}")
+            probe = _worker(self._job("probe"), timeout=120)[1]
+            probes.append(probe)
+            scaled.append(probe * SETUP_REFERENCE_S / reference)
+        note = f"median of {SETUP_REPEATS} probes: import + warm-up op; raw {statistics.median(probes):.4g}"
+        return statistics.median(scaled), note
 
-    def loop(self, seconds: float, trace: bool) -> dict:
+    def loop(self, trace: bool) -> dict:
         """Run the closed loop; each record gains its raw latency ``raw_s``
-        and its latency scaled to the nominal machine speed ``s``."""
-        summary, _ = _worker(self._job("loop", seconds, trace), timeout=2 * seconds + 90)
-        with open(self.workdir / "results.jsonl", encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle]
+        and its latency scaled to the nominal machine speed ``s``.  The
+        summed latency behind ops_per_s, ``scaled_busy_s``, is scaled by the
+        workload's other loop where it has one."""
+        summary, _ = _worker(self._job("loop", trace), timeout=900)
+        records = self.read("results.jsonl")
         with open(self.workdir / "calibration.json", encoding="utf-8") as handle:
-            calibration = json.load(handle)
-        factors = calibrate.scale_factors(
-            calibration["nominal"], calibration["points"], [(r["t0"], r["t1"]) for r in records]
-        )
-        for rec, factor in zip(records, factors):
+            points = json.load(handle)
+        intervals = [(r["t0"], r["t1"]) for r in records]
+        rate_loop, latency_loop = gen.CALIBRATION[self.name]
+        rate = calibrate.scale_factors(rate_loop, points[rate_loop], intervals)
+        latency = calibrate.scale_factors(latency_loop, points[latency_loop], intervals)
+        for rec, factor in zip(records, latency):
             rec["raw_s"] = rec["t1"] - rec["t0"]
             rec["s"] = rec["raw_s"] * factor
         summary["records"] = records
-        summary["scaled_busy_s"] = sum(r["s"] for r in records)
+        summary["scaled_busy_s"] = sum(r["raw_s"] * factor for r, factor in zip(records, rate))
         return summary
 
+    def read(self, name: str) -> list[dict]:
+        with open(self.workdir / name, encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
+
     def check(self, records: list[dict]) -> tuple[list[str], dict[str, int]]:
-        """Check every record against its reference; return failures and
-        the number of operations checked per reference source."""
-        failures, sources = [], {}
-        for op, rec in zip(gen.ops(self.name, self.seed, self.refs), records):
-            if op["id"] != rec["id"]:
-                raise BenchmarkError(f"operation {rec['id']} does not match generator id {op['id']}")
-            source, problem = self.checker.check(op, rec)
-            sources[source] = sources.get(source, 0) + 1
-            if problem is not None:
-                failures.append(f"{rec['id']} {describe(op)}: {problem}")
-        return failures, sources
+        operations = list(gen.ops(self.name, self.seed, self.passes, self.refs))
+        if len(operations) != len(records):
+            raise BenchmarkError(f"{len(records)} results for {len(operations)} operations")
+        return check_records(self.checker, operations, records)
+
+
+def check_records(checker, operations: list[dict], records: list[dict]) -> tuple[list[str], dict[str, int]]:
+    """Check every record against its operation's reference; return the
+    failures and the number of operations checked per reference source."""
+    failures, sources = [], {}
+    for op, rec in zip(operations, records):
+        if op["id"] != rec["id"]:
+            raise BenchmarkError(f"operation {rec['id']} does not match generator id {op['id']}")
+        source, problem = checker.check(op, rec)
+        sources[source] = sources.get(source, 0) + 1
+        if problem is not None:
+            failures.append(f"{rec['id']} {describe(op)}: {problem}")
+    return failures, sources
 
 
 def describe(op: dict) -> str:
@@ -162,13 +188,13 @@ def describe(op: dict) -> str:
 
 
 def end_to_end(work: Workload) -> dict:
-    setup = work.setup_seconds()
-    run = work.loop(work.seconds, trace=False)
+    setup, setup_note = work.setup_seconds()
+    run = work.loop(trace=False)
     failures, sources = work.check(run["records"])
     latencies = [rec["s"] * 1e3 for rec in run["records"]]
-    p = TAIL_PERCENTILE[work.name]
-    tail, beyond = percentile(latencies, p)
     attempted = len(latencies)
+    p = tail_percentile(attempted)
+    tail, beyond = percentile(latencies, p)
     values = {
         "setup_s": setup,
         "ops_per_s": attempted / run["scaled_busy_s"],
@@ -179,8 +205,9 @@ def end_to_end(work: Workload) -> dict:
     }
     raw = [rec["raw_s"] * 1e3 for rec in run["records"]]
     notes = {
-        "setup_s": f"median of {SETUP_REPEATS} fresh interpreters: import + warm-up op; not scaled",
-        "ops_per_s": f"{attempted} operations in {run['busy_s']:.2f} s; raw {attempted / run['busy_s']:.4g}",
+        "setup_s": setup_note,
+        "ops_per_s": f"{attempted} operations ({work.passes} passes) in {run['busy_s']:.2f} s; "
+        f"raw {attempted / run['busy_s']:.4g}",
         "op_p50_ms": f"raw {statistics.median(raw):.4g}",
         "op_tail_ms": f"p{p} of {attempted} samples, {beyond} beyond it; raw {percentile(raw, p)[0]:.4g}",
         "failed_ratio": f"{len(failures)} failed of {attempted} attempted",
@@ -196,15 +223,15 @@ def end_to_end(work: Workload) -> dict:
 
 
 def per_layer(work: Workload) -> dict:
-    half = work.seconds / 2.0
-    plain = work.loop(half, trace=False)
-    traced = work.loop(half, trace=True)
+    plain = work.loop(trace=False)
+    traced = work.loop(trace=True)
+    counted = work.read("counted.jsonl")
     failures, sources = work.check(plain["records"])
     traced_failures, _ = work.check(traced["records"])
     failures += [f"traced {line}" for line in traced_failures]
-    for a, b in zip(plain["records"], traced["records"]):
-        if (a["rc"], a["out"]) != (b["rc"], b["out"]):
-            failures.append(f"{a['id']}: traced output differs from untraced output")
+    for a, b, c in zip(plain["records"], traced["records"], counted):
+        if not (a["rc"], a["out"]) == (b["rc"], b["out"]) == (c["rc"], c["out"]):
+            failures.append(f"{a['id']}: traced or counted output differs from untraced output")
     values = dict(traced["layers"])
     values["trace.overhead_ratio"] = (traced["ops"] / traced["scaled_busy_s"]) / (
         plain["ops"] / plain["scaled_busy_s"]
@@ -213,7 +240,8 @@ def per_layer(work: Workload) -> dict:
     notes = {
         "tl.glue.hit_ratio": f"base: {hits + misses} lookups",
         "laurent.mul.coeff_products": f"total {traced['coeff_products_total']} over {traced['ops']} operations",
-        "trace.overhead_ratio": f"traced {traced['ops']} ops vs untraced {plain['ops']} ops, {half:g} s each",
+        "trace.overhead_ratio": f"traced vs untraced, {traced['ops']} ops each",
+        "uf.find.calls": "counted in a pass of their own, with no other wrapper",
     }
     return {
         "values": values,
@@ -227,7 +255,7 @@ def per_layer(work: Workload) -> dict:
 
 def print_report(name: str, seed: int, seconds: float, trace: bool, result: dict) -> None:
     mode = "traced, per-layer metrics" if trace else "untraced, end-to-end metrics"
-    print(f"workload {name}  seed {seed}  {seconds:g} s  closed loop, 1 caller, 1 thread  ({mode})")
+    print(f"workload {name}  seed {seed}  --seconds {seconds:g}  closed loop, 1 caller, 1 thread  ({mode})")
     units = dict(spans.METRICS) if trace else END_TO_END_UNITS
     for metric, unit in units.items():
         note = result["notes"].get(metric, "")
@@ -246,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=gen.WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -262,7 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     results = {}
     try:
         for name in names:
-            work = Workload(name, args.seed, args.seconds, scratch / name, refs, checker)
+            # A traced run makes two timed runs, so each has half the seconds.
+            passes = gen.passes(name, args.seconds / 2 if args.trace else args.seconds)
+            work = Workload(name, args.seed, passes, scratch / name, refs, checker)
             results[name] = per_layer(work) if args.trace else end_to_end(work)
             print_report(name, args.seed, args.seconds, bool(args.trace), results[name])
     except (BenchmarkError, subprocess.TimeoutExpired) as exc:

@@ -7,14 +7,21 @@ and so on), and ``uninstall`` puts the originals back.  The untraced worker neve
 imports this module, so it runs with no wrapper.
 
 Every call of a function in ``SPANS`` becomes a span ``[name, start, end,
-parent, op, leaf_s, size, out]`` kept in memory: ``parent`` is the index of the
-enclosing span (-1 at top level), ``op`` the index of the operation, ``size``
-the work the arguments ask for (letters, shots) and ``out`` a property of the
-result (live diagrams, exponent span, unitarity deviation).  The hottest
-calls, Laurent multiplication and union-find, would cost more to record one by
-one than they cost to run, so they are totalled per name instead and their
-time is added to ``leaf_s`` of the span they ran under.  Self time is a span's
-duration minus the durations of its child spans and ``leaf_s``.
+parent, op, leaf_s, size, out, pause_s]`` kept in memory: ``parent`` is the
+index of the enclosing span (-1 at top level), ``op`` the index of the
+operation, ``size`` the work the arguments ask for (letters, shots) and
+``out`` a property of the result (live diagrams, exponent span, unitarity
+deviation).  The time a wrapper spends on its own bookkeeping, ``size`` and
+``out`` included, is added to ``pause_s`` of every enclosing span, and a
+span's duration is ``end - start - pause_s``: the enclosing spans' clocks
+stop while the benchmark works.  Laurent multiplication is too hot to record
+call by call, so it is totalled instead and its time is added to ``leaf_s``
+of the span it ran under.  Self time is a span's duration minus the
+durations of its child spans and ``leaf_s``.
+
+The union-find calls are hotter still: a wrapper would double their cost.
+``install_counters`` counts them alone, in a pass of their own whose times
+are not reported.
 """
 
 from __future__ import annotations
@@ -136,7 +143,8 @@ class Recorder:
         spans, stack = self.spans, self.stack
 
         def wrapper(*args, **kwargs):
-            rec = [name, 0.0, 0.0, stack[-1] if stack else -1, self.op, 0.0, None, None]
+            begin = perf_counter()
+            rec = [name, 0.0, 0.0, stack[-1] if stack else -1, self.op, 0.0, None, None, 0.0]
             if size is not None:
                 rec[6] = size(args, kwargs)
             stack.append(len(spans))
@@ -149,6 +157,9 @@ class Recorder:
                 stack.pop()
             if out is not None:
                 rec[7] = out(result)
+            paused = perf_counter() - rec[2] + rec[1] - begin
+            for index in stack:
+                spans[index][8] += paused
             return result
 
         return wrapper
@@ -186,7 +197,6 @@ class Recorder:
         setattr(owner, attr, new)
 
     def install(self):
-        from braidket._uf import DisjointSet
         from braidket.laurent import LaurentPoly
 
         modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "braidket"]
@@ -202,6 +212,10 @@ class Recorder:
         self._replace(LaurentPoly, "__mul__", mul)
         self._replace(LaurentPoly, "__rmul__", mul)
         self._replace(LaurentPoly, "divexact", self._span("laurent.divexact", LaurentPoly.divexact))
+
+    def install_counters(self):
+        from braidket._uf import DisjointSet
+
         self._replace(DisjointSet, "find", self._counted("uf.find", DisjointSet.find))
         self._replace(DisjointSet, "union", self._counted("uf.union", DisjointSet.union))
 
@@ -212,7 +226,7 @@ class Recorder:
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            keys = ("name", "start", "end", "parent", "op", "leaf_s", "size", "out")
+            keys = ("name", "start", "end", "parent", "op", "leaf_s", "size", "out", "pause_s")
             for rec in self.spans:
                 handle.write(json.dumps(dict(zip(keys, rec))) + "\n")
             handle.write(json.dumps({"totals": self.totals}) + "\n")
@@ -222,14 +236,15 @@ def summarize(spans: list[list], totals: dict, ops: int, glue: tuple[int, int]) 
     """Per-layer metrics from recorded spans; ``glue`` is (hits, misses) of
     ``tl._glue`` over the traced operations.  A layer the workload does not
     reach reads 0."""
+    durations = [rec[2] - rec[1] - rec[8] for rec in spans]
     child = [0.0] * len(spans)
-    for rec in spans:
+    for rec, duration in zip(spans, durations):
         if rec[3] >= 0:
-            child[rec[3]] += rec[2] - rec[1]
+            child[rec[3]] += duration
     per: dict[str, dict] = {}
     for index, rec in enumerate(spans):
         entry = per.setdefault(rec[0], {"calls": 0, "incl": 0.0, "self": 0.0, "size": 0, "out": []})
-        duration = rec[2] - rec[1]
+        duration = durations[index]
         entry["calls"] += 1
         entry["incl"] += duration
         entry["self"] += duration - child[index] - rec[5]

@@ -30,12 +30,11 @@ def execute(ops, workdir: Path):
 
 
 def first(workload, count, seed=5):
-    return list(itertools.islice(gen.ops(workload, seed), count))
+    return list(itertools.islice(gen.ops(workload, seed, 1), count))
 
 
 def check_records(name, refs, records, seed=5):
-    work = run.Workload(name, seed, 1.0, Path("."), refs, check.Checker(refs))
-    return work.check(records)
+    return run.check_records(check.Checker(refs), first(name, len(records), seed), records)
 
 
 @pytest.mark.parametrize("workload, count", [("small-mixed", 60), ("pd-states", 2), ("trace-wide", 3)])
@@ -88,16 +87,41 @@ def test_traced_and_untraced_outputs_agree(tmp_path):
     layers = spans.summarize(recorder.spans, recorder.totals, len(ops), (1, 1))
     assert set(layers) | {"trace.overhead_ratio"} == {name for name, _ in spans.METRICS}
     assert layers["unitary3.rho_unitary.calls_per_op"] > 0
+    assert layers["uf.find.calls"] == 0
 
 
-def test_self_time_subtracts_children():
+def test_counters_count_union_find_alone(tmp_path):
+    from braidket._uf import DisjointSet
+
+    original, main = DisjointSet.find, braidket.cli.main
+    counter = spans.Recorder()
+    counter.install_counters()
+    try:
+        assert DisjointSet.find is not original and braidket.cli.main is main
+        execute(first("pd-states", 1), tmp_path)
+    finally:
+        counter.uninstall()
+    assert DisjointSet.find is original
+    assert counter.spans == [] and counter.totals["uf.find"][0] > counter.totals["uf.union"][0] > 0
+
+
+def test_self_time_subtracts_children_and_pauses():
     spans_ = [
-        ["cli.main", 0.0, 10.0, -1, 0, 1.0, None, None],
-        ["braid.rho_tl", 2.0, 6.0, 0, 0, 0.5, 4, None],
+        ["cli.main", 0.0, 10.0, -1, 0, 1.0, None, None, 0.5],
+        ["braid.rho_tl", 2.0, 6.0, 0, 0, 0.5, 4, None, 0.0],
     ]
     layers = spans.summarize(spans_, {}, 1, (0, 0))
-    assert layers["cli.self_ms"] == pytest.approx((10.0 - 4.0 - 1.0) * 1e3)
+    assert layers["cli.self_ms"] == pytest.approx((10.0 - 0.5 - 4.0 - 1.0) * 1e3)
     assert layers["braid.rho_tl.us_per_letter"] == pytest.approx(1e6)
+
+
+def test_wrapper_bookkeeping_pauses_enclosing_spans():
+    recorder = spans.Recorder()
+    inner = recorder._span("tl.markov_trace", lambda: 1, out=lambda result: sum(range(200_000)))
+    outer = recorder._span("cli.main", inner)
+    outer()
+    (_, start, end, *_, pause), _ = recorder.spans
+    assert end - start - pause < pause
 
 
 @pytest.mark.parametrize("text", ["0", "1", "-A^5 - A^-3 + A^-7", "2*A^4 - 3 + A^-2", "-2"])
@@ -131,3 +155,19 @@ def test_argparse_exit_is_a_failed_operation(refs, tmp_path):
     assert rc == 2 and "--theta" in err
     failures, _ = check_records("qsim-long", refs, [{"id": op["id"], "rc": rc, "out": "", "err": err}])
     assert failures
+
+
+def test_calibration_samples_every_named_loop_once(tmp_path):
+    import json
+
+    import calibrate
+
+    samples = calibrate.Samples(("python", "gaussian", "python"))
+    samples.sample()
+    samples.write(tmp_path / "calibration.json")
+    points = json.loads((tmp_path / "calibration.json").read_text())
+    assert sorted(points) == ["gaussian", "python"] and all(len(p) == 2 for p in points.values())
+    t = points["python"][1][0]
+    nominal = calibrate.LOOPS["python"][1]
+    expected = nominal / ((points["python"][0][1] + points["python"][1][1]) / 2)
+    assert calibrate.scale_factors("python", points["python"], [(t, t)]) == [pytest.approx(expected)]

@@ -14,7 +14,7 @@ WORKLOADS = ("trace-wide", "pd-states", "small-mixed", "qsim-long", "qsim-drift"
 
 
 def first_ops(workload, seed, count):
-    return json.dumps(list(itertools.islice(gen.ops(workload, seed), count)), sort_keys=True)
+    return json.dumps(list(itertools.islice(gen.ops(workload, seed, 2), count)), sort_keys=True)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -44,7 +44,7 @@ def test_generating_loads_no_braidket_module():
     code = (
         "import itertools, sys, gen\n"
         "for w in gen.WORKLOADS:\n"
-        "    list(itertools.islice(gen.ops(w, 1), 50 if w != 'qsim-drift' else 1))\n"
+        "    list(itertools.islice(gen.ops(w, 1, 1), 50 if w != 'qsim-drift' else 1))\n"
         "    gen.warmup_op(w)\n"
         "assert not [m for m in sys.modules if m.startswith('braidket')]\n"
     )
@@ -54,7 +54,27 @@ def test_generating_loads_no_braidket_module():
 def test_pass_composition_is_fixed():
     """Two seeds give passes of the same size and mix of crossing counts."""
     def first_pass(seed):
-        ops = list(itertools.takewhile(lambda op: op["id"].startswith("0."), gen.ops("pd-states", seed)))
-        return sorted(len(op["pd"]["crossings"]) for op in ops)
+        return sorted(len(op["pd"]["crossings"]) for op in gen.ops("pd-states", seed, 1))
 
     assert first_pass(1) == first_pass(2)
+
+
+def test_run_length_is_a_fixed_number_of_passes():
+    assert gen.passes("pd-states", 15) == 3 and gen.passes("small-mixed", 15) == 1
+    ids = [op["id"] for op in gen.ops("qsim-long", 3, gen.passes("qsim-long", 15))]
+    assert len(ids) == gen.passes("qsim-long", 15) * gen.QSIM_LONG_PER_PASS
+    assert len(set(ids)) == len(ids)
+
+
+def test_trace_wide_passes_repeat_only_the_heavy_words():
+    refs = gen.load_refs()
+    entries = refs["trace-wide"]["entries"]
+    assert set(entries) == {gen.pool_key(n, w) for n, w in gen.trace_wide_candidates()}
+    keys = [op["check"]["key"] for op in gen.ops("trace-wide", 3, 2, refs)]
+    first, second = keys[: len(keys) // 2], keys[len(keys) // 2 :]
+    assert len(set(first)) == len(first) and len(set(second)) == len(second)
+    heavy = {k for k in entries if entries[k]["ms"] > gen.HEAVY_MS}
+    assert heavy <= set(first) & set(second) and len(set(first) & set(second)) <= len(heavy) + 1
+    assert set(keys) == set(entries)
+    other = [op["check"]["key"] for op in gen.ops("trace-wide", 4, 1, refs)]
+    assert len(other) == len(first) and set(other) != set(first)

@@ -1,21 +1,23 @@
 """One workload's closed loop, in a process of its own.
 
 Usage: ``python3 worker.py JOB_JSON``, where the job names the workload,
-seed, seconds, mode and directories; see ``run.py``.  Modes:
+seed, number of passes, mode and directories; see ``run.py``.  Modes:
 
-* ``probe``: import braidket, run the workload's warm-up operation, exit.
-  The caller times the whole process to get the set-up time.
-* ``loop``: run the warm-up operation, then operations one after another
-  (one caller, one thread: the next starts when the previous returns) until
-  their summed latency, scaled to the nominal machine speed of
-  ``calibrate.py``, reaches the job's seconds; the calibration loop is timed
-  every few tens of milliseconds in between.  Each
-  result is appended to
+* ``probe``: import braidket, run the warm-up operation given in the job,
+  exit.  The caller times the whole process to get the set-up time, so this
+  mode imports no other module of the benchmark.
+* ``loop``: run the warm-up operation, then the run's operations one after
+  another (one caller, one thread: the next starts when the previous
+  returns).  The workload's calibration loops of ``calibrate.py`` are timed
+  every few tens of milliseconds in between.  Each result is appended to
   ``results.jsonl`` in the job's directory outside the timed region, so the
   process's peak memory does not grow with the number of outputs; the
-  calibration samples go to ``calibration.json``.  With
-  ``trace`` set, timing wrappers are installed after the warm-up and the
-  spans are written to ``spans_path``.  A summary is printed as one JSON line.
+  calibration samples go to ``calibration.json``.  With ``trace`` set,
+  timing wrappers are installed after the warm-up and the spans are written
+  to ``spans_path``; then the operations run once more with only the
+  union-find counters installed, whose cost would distort the timed spans,
+  and their outputs go to ``counted.jsonl``.  A summary is printed as one
+  JSON line.
 """
 
 from __future__ import annotations
@@ -98,38 +100,11 @@ def run_op(call):
         return "raised", "", traceback.format_exc(limit=3)
 
 
-def main() -> int:
-    job = json.loads(sys.argv[1])
-    braidket = _import_braidket(job["src"])
-    import calibrate
-    import gen
-
-    workdir = Path(job["workdir"])
-    warm = gen.warmup_op(job["workload"])
-    rc, _, err = run_op(prepare(braidket, warm, workdir))
-    if job["mode"] == "probe":
-        if rc != 0:
-            print(f"warm-up operation failed with {rc}: {err}", file=sys.stderr)
-        return 0 if rc == 0 else 1
-
-    recorder = None
-    glue_before = braidket.tl._glue.cache_info()
-    if job["trace"]:
-        import spans
-
-        recorder = spans.Recorder()
-        recorder.install()
-
-    seconds = job["seconds"]
-    # Scaled time runs behind the wall clock on a machine slower than nominal.
-    wall_limit = time.monotonic() + 1.25 * seconds
-    busy = scaled = 0.0
-    count = 0
-    samples = calibrate.Samples(gen.CALIBRATION[job["workload"]])
-    operations = gen.ops(job["workload"], job["seed"])
+def timed_loop(braidket, operations, workdir: Path, samples, recorder=None) -> tuple[int, float]:
+    """Run the operations; return how many ran and their summed latency."""
+    count, busy = 0, 0.0
     with open(workdir / "results.jsonl", "w", encoding="utf-8") as results:
-        while scaled < seconds and time.monotonic() < wall_limit:
-            op = next(operations)
+        for op in operations:
             call = prepare(braidket, op, workdir)
             samples.maybe_sample()
             if recorder is not None:
@@ -138,11 +113,58 @@ def main() -> int:
             rc, out, err = run_op(call)
             end = time.perf_counter()
             busy += end - start
-            scaled += (end - start) * samples.recent_factor()
             count += 1
             record = {"id": op["id"], "rc": rc, "out": out, "err": err, "t0": start, "t1": end}
             results.write(json.dumps(record) + "\n")
-        samples.sample()
+    samples.sample()
+    return count, busy
+
+
+def counted_loop(braidket, operations, workdir: Path) -> dict:
+    """Run the operations again with only the counters installed."""
+    import spans
+
+    counter = spans.Recorder()
+    counter.install_counters()
+    try:
+        with open(workdir / "counted.jsonl", "w", encoding="utf-8") as results:
+            for op in operations:
+                rc, out, _ = run_op(prepare(braidket, op, workdir))
+                results.write(json.dumps({"id": op["id"], "rc": rc, "out": out}) + "\n")
+    finally:
+        counter.uninstall()
+    return counter.totals
+
+
+def main() -> int:
+    job = json.loads(sys.argv[1])
+    braidket = _import_braidket(job["src"])
+    workdir = Path(job["workdir"])
+    rc, _, err = run_op(prepare(braidket, job["warmup"], workdir))
+    if job["mode"] == "probe":
+        if rc != 0:
+            print(f"warm-up operation failed with {rc}: {err}", file=sys.stderr)
+        return 0 if rc == 0 else 1
+
+    import calibrate
+    import gen
+
+    def operations():
+        return gen.ops(job["workload"], job["seed"], job["passes"])
+
+    recorder = None
+    glue_before = braidket.tl._glue.cache_info()
+    if job["trace"]:
+        import spans
+
+        recorder = spans.Recorder()
+        recorder.install()
+    samples = calibrate.Samples(gen.CALIBRATION[job["workload"]])
+    try:
+        count, busy = timed_loop(braidket, operations(), workdir, samples, recorder)
+    finally:
+        if recorder is not None:
+            recorder.uninstall()
     samples.write(workdir / "calibration.json")
 
     summary = {
@@ -151,13 +173,13 @@ def main() -> int:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if recorder is not None:
-        recorder.uninstall()
         glue_after = braidket.tl._glue.cache_info()
         glue = (glue_after.hits - glue_before.hits, glue_after.misses - glue_before.misses)
         recorder.write(job["spans_path"])
-        summary["layers"] = spans.summarize(recorder.spans, recorder.totals, count, glue)
+        totals = dict(recorder.totals, **counted_loop(braidket, operations(), workdir))
+        summary["layers"] = spans.summarize(recorder.spans, totals, count, glue)
         summary["glue"] = glue
-        summary["coeff_products_total"] = recorder.totals.get("laurent.mul", [0, 0, 0])[2]
+        summary["coeff_products_total"] = totals.get("laurent.mul", [0, 0, 0])[2]
     print(json.dumps(summary))
     return 0
 
