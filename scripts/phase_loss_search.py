@@ -9,11 +9,10 @@ computer cannot distinguish even though their bracket values differ.
 
 import argparse
 import math
-from itertools import product
 
 import numpy as np
 
-from braidket import BraidWord, bracket_via_trace, rho_unitary, unitary_generators
+from braidket import short_word_table, unitary_generators
 
 
 def main():
@@ -26,17 +25,8 @@ def main():
     args = parser.parse_args()
 
     setup = unitary_generators(args.theta)
-    words = [
-        BraidWord(3, letters)
-        for length in range(1, args.max_length + 1)
-        for letters in product((1, -1, 2, -2), repeat=length)
-    ]
+    words, moduli, values = short_word_table(setup, args.max_length)
     print(f"theta = {args.theta}, delta = {setup.delta:.6f}, {len(words)} words")
-
-    moduli = np.array(
-        [(np.abs(rho_unitary(w, setup)) ** 2).reshape(-1) for w in words]
-    )
-    values = np.array([bracket_via_trace(w).evaluate(setup.a) for w in words])
 
     # Bucket by rounded moduli, then split buckets by bracket value.
     digits = max(0, round(-math.log10(args.moduli_tol)) - 2)

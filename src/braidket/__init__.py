@@ -44,8 +44,8 @@ from .laurent import (
     ONE,
     ZERO,
     GaussianInt,
+    JonesPoly,
     LaurentPoly,
-    QuarterLaurent,
     to_jones_variable,
 )
 from .matrixrep import (
@@ -67,6 +67,7 @@ from .qsim import (
     evolve,
     find_phase_loss_witness,
     sample_shots,
+    short_word_table,
 )
 from .tl import (
     TLDiagram,

@@ -16,7 +16,7 @@ identity itself acts as a runtime check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 from ._uf import DisjointSet
 from .diagram import Crossing, LinkDiagram
@@ -28,6 +28,8 @@ __all__ = [
     "BraidWord",
     "parse_braid",
     "exponent_sum",
+    "represent",
+    "exact_factor",
     "rho_tl",
     "bracket_via_trace",
     "closure_to_diagram",
@@ -79,26 +81,37 @@ def exponent_sum(b: BraidWord) -> int:
     return sum(1 if g > 0 else -1 for g in b.letters)
 
 
-@lru_cache(maxsize=None)
-def _generator_element(n: int, i: int) -> TLElement:
-    return TLElement.from_diagram(generator_diagram(n, i))
+def represent(letters: tuple[int, ...], one, factor, mul):
+    """The product one * factor(g_1) * ... * factor(g_k), left to right.
+
+    Every representation of a braid word is this fold; ``mul`` is the
+    representation's product.  Each distinct letter's factor is built once
+    per call.
+    """
+    factors = {g: factor(g) for g in set(letters)}
+    return reduce(mul, (factors[g] for g in letters), one)
+
+
+def exact_factor(identity, u, g: int):
+    """Exact image of one letter: A*1 + A^-1*U for g > 0, A^-1*1 + A*U for g < 0.
+
+    ``identity`` and ``u`` are 1 and U_|g| of any exact representation whose
+    elements have ``scale`` and ``+``.
+    """
+    a, a_inv = (A, A_INV) if g > 0 else (A_INV, A)
+    return identity.scale(a) + u.scale(a_inv)
 
 
 @lru_cache(maxsize=None)
 def _letter_factor(n: int, g: int) -> TLElement:
-    identity = TLElement.identity(n)
-    u = _generator_element(n, abs(g))
-    if g > 0:
-        return identity.scaled(A) + u.scaled(A_INV)
-    return identity.scaled(A_INV) + u.scaled(A)
+    u = TLElement.from_diagram(generator_diagram(n, abs(g)))
+    return exact_factor(TLElement.identity(n), u, g)
 
 
 def rho_tl(b: BraidWord) -> TLElement:
     """Image of the braid word in TL_n."""
-    elem = TLElement.identity(b.strands)
-    for g in b.letters:
-        elem = multiply(elem, _letter_factor(b.strands, g))
-    return elem
+    n = b.strands
+    return represent(b.letters, TLElement.identity(n), partial(_letter_factor, n), multiply)
 
 
 def bracket_via_trace(b: BraidWord) -> LaurentPoly:

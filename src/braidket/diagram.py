@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
-from .laurent import (
-    DELTA,
-    GaussianInt,
-    LaurentPoly,
-    QuarterLaurent,
-    to_jones_variable,
-)
+from .laurent import DELTA, GaussianInt, JonesPoly, LaurentPoly, to_jones_variable
 
 __all__ = [
     "Crossing",
@@ -149,7 +143,7 @@ def writhe_factor(w: int) -> LaurentPoly:
     return LaurentPoly.monomial(-3 * w, -1 if w % 2 else 1)
 
 
-def normalize(diagram: LinkDiagram) -> tuple[LaurentPoly, QuarterLaurent]:
+def normalize(diagram: LinkDiagram) -> tuple[LaurentPoly, JonesPoly]:
     """Writhe-normalized invariant f and its Jones-variable form V."""
     f = writhe_factor(writhe(diagram)) * bracket_state_sum(diagram)
     return f, to_jones_variable(f)

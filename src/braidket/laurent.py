@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import ExactDivisionError
 
@@ -251,33 +251,17 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A real constant equals the int it holds (see __eq__), so it must
+        # hash like that int.
+        if self._terms.keys() <= {0} and self.coefficient(0).im == 0:
+            return hash(self.coefficient(0).re)
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for exp, coeff in self.terms():
-            if coeff.im == 0:
-                sign = "-" if coeff.re < 0 else "+"
-                mag = abs(coeff.re)
-                if exp == 0:
-                    body = str(mag)
-                elif mag == 1:
-                    body = f"A^{exp}"
-                else:
-                    body = f"{mag}*A^{exp}"
-            else:
-                sign = "+"
-                body = str(coeff) if exp == 0 else f"{coeff}*A^{exp}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return _render_terms(self.terms(), lambda exp: f"A^{exp}")
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
+        return f"{type(self).__name__}({self})"
 
     def to_json(self) -> list[list[int]]:
         return [[e, c.re, c.im] for e, c in self.terms()]
@@ -297,87 +281,69 @@ A_INV = LaurentPoly.monomial(-1)
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-class QuarterLaurent:
-    """Polynomial in t^(1/4); integer keys count quarter powers of t.
+def _render_terms(terms: list[tuple[int, GaussianInt]], power: Callable[[int], str]) -> str:
+    """Canonical text of ``(exponent, coefficient)`` terms in the given order.
 
-    The Jones variable t enters through the substitution A = t^(-1/4), so a
-    term c*A^e becomes c*t^(-e/4), stored under the integer key -e.  Rendered
-    in ascending t-order, with whole powers written ``t^k`` (``t`` for k=1)
-    and fractional ones ``t^(p/q)``.
+    ``power(exp)`` writes the variable raised to a nonzero exponent.  A
+    coefficient of 1 is elided, the exponent 0 leaves the bare coefficient,
+    and properly complex coefficients render ``(x+yi)``.
+    """
+    parts: list[str] = []
+    for exp, coeff in terms:
+        if coeff.im == 0:
+            sign, scalar = ("-" if coeff.re < 0 else "+"), str(abs(coeff.re))
+        else:
+            sign, scalar = "+", str(coeff)
+        if exp == 0:
+            body = scalar
+        elif scalar == "1":
+            body = power(exp)
+        else:
+            body = f"{scalar}*{power(exp)}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts) or "0"
+
+
+def _t_power(quarters: int) -> str:
+    if quarters % 4:
+        return f"t^({Fraction(quarters, 4)})"
+    k = quarters // 4
+    return "t" if k == 1 else f"t^{k}"
+
+
+class JonesPoly(LaurentPoly):
+    """The Jones form V(t): exponent k stands for t^(k/4).
+
+    ``evaluate`` takes t.  Equality and hashing are those of LaurentPoly on
+    the quarter exponents, so V equals the LaurentPoly in t^(1/4) with the
+    same terms, and arithmetic returns a plain LaurentPoly.  Text lists the
+    terms in ascending t-order, whole powers written ``t^k`` (``t`` for
+    k = 1) and fractional ones ``t^(p/q)``.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        canonical: dict[int, GaussianInt] = {}
-        if terms:
-            for quarters, coeff in terms.items():
-                g = _coerce(coeff)
-                if g:
-                    canonical[quarters] = g
-        self._terms = canonical
-
-    def terms(self) -> list[tuple[int, GaussianInt]]:
-        """Terms in ascending t-exponent order."""
-        return sorted(self._terms.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    __slots__ = ()
 
     def evaluate(self, t: complex) -> complex:
         """Numeric value using the principal branch of t^(1/4)."""
         if t == 0:
             raise ValueError("cannot evaluate at t = 0")
-        quarter = complex(t) ** 0.25
-        return sum((complex(c) * quarter**k for k, c in self._terms.items()), 0j)
+        return super().evaluate(complex(t) ** 0.25)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuarterLaurent):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    def terms(self) -> list[tuple[int, GaussianInt]]:
+        """Terms in ascending t-exponent order."""
+        return sorted(self._terms.items())
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for quarters, coeff in self.terms():
-            if coeff.im == 0:
-                sign = "-" if coeff.re < 0 else "+"
-                mag = abs(coeff.re)
-                coeff_text = "" if mag == 1 else f"{mag}*"
-            else:
-                sign = "+"
-                coeff_text = f"{coeff}*"
-            if quarters == 0:
-                body = str(abs(coeff.re)) if coeff.im == 0 else str(coeff)
-            else:
-                if quarters % 4 == 0:
-                    k = quarters // 4
-                    var = "t" if k == 1 else f"t^{k}"
-                else:
-                    var = f"t^({Fraction(quarters, 4)})"
-                body = f"{coeff_text}{var}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QuarterLaurent({self})"
-
-    def to_json(self) -> list[list[int]]:
-        return [[q, c.re, c.im] for q, c in self.terms()]
+        return _render_terms(self.terms(), _t_power)
 
 
-def to_jones_variable(f: LaurentPoly) -> QuarterLaurent:
+def to_jones_variable(f: LaurentPoly) -> JonesPoly:
     """Rewrite a normalized invariant f(A) in the Jones variable t = A^-4.
 
-    Termwise exponent map c*A^e -> c*t^(-e/4), kept exact by storing quarter
-    powers of t.
+    Termwise exponent map c*A^e -> c*t^(-e/4), kept exact by counting quarter
+    powers of t: the result is f.invert_variable(), rendered in t.
     """
-    return QuarterLaurent({-e: c for e, c in f.terms()})
+    return JonesPoly({-e: c for e, c in f.terms()})

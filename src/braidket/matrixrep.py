@@ -18,11 +18,12 @@ order.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from operator import mul
+from typing import Callable, NamedTuple
 
-from .braid import BraidWord
+from .braid import BraidWord, exact_factor, represent
 from .errors import SizeLimitError
-from .laurent import A, A_INV, GaussianInt, LaurentPoly, ONE, ZERO
+from .laurent import GaussianInt, LaurentPoly, ONE, ZERO
 from .tl import TLDiagram, TLElement
 
 __all__ = [
@@ -194,7 +195,7 @@ def elementary_tensors() -> ElementaryTensors:
     crossing matrix R^{ab}_{cd} = A M^{ab} M_{cd} + A^-1 delta^a_c delta^b_d."""
     m = _cup_cap_matrix()
     eta = m * m.transpose()
-    r = _u_block().scale(A) + SymbolicMatrix.identity(4).scale(A_INV)
+    r = exact_factor(SymbolicMatrix.identity(4), _u_block(), -1)
     return ElementaryTensors(m, eta, r)
 
 
@@ -209,23 +210,23 @@ def u_tensor(n: int, i: int) -> SymbolicMatrix:
     return out.kron(SymbolicMatrix.identity(2 ** (n - i - 1)))
 
 
+def _symbolic_rho(
+    b: BraidWord, dim: int, generator: Callable[[int], SymbolicMatrix]
+) -> SymbolicMatrix:
+    """Fold of the letter factors A*I + A^-1*generator(i) over the word."""
+    identity = SymbolicMatrix.identity(dim)
+    return represent(
+        b.letters, identity, lambda g: exact_factor(identity, generator(abs(g)), g), mul
+    )
+
+
 def rho_matrix(b: BraidWord) -> SymbolicMatrix:
     """Tensor image of a braid word: per-letter factors A*I + A^-1*U_i."""
     if b.strands > MAX_TENSOR_STRANDS:
         raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
     if len(b.letters) > MAX_TENSOR_WORD:
         raise SizeLimitError(f"tensor word length guarded to {MAX_TENSOR_WORD}")
-    dim = 2**b.strands
-    result = SymbolicMatrix.identity(dim)
-    identity = SymbolicMatrix.identity(dim)
-    for g in b.letters:
-        u = u_tensor(b.strands, abs(g))
-        if g > 0:
-            factor = identity.scale(A) + u.scale(A_INV)
-        else:
-            factor = identity.scale(A_INV) + u.scale(A)
-        result = result * factor
-    return result
+    return _symbolic_rho(b, 2**b.strands, lambda i: u_tensor(b.strands, i))
 
 
 def z_amplitude(b: BraidWord) -> LaurentPoly:
@@ -256,17 +257,7 @@ def burau_generator(n: int, k: int) -> SymbolicMatrix:
 
 def burau_rho(b: BraidWord) -> SymbolicMatrix:
     """Projector-representation image: per-letter factors A*I_n + A^-1*U_k."""
-    n = b.strands
-    result = SymbolicMatrix.identity(n)
-    identity = SymbolicMatrix.identity(n)
-    for g in b.letters:
-        u = burau_generator(n, abs(g))
-        if g > 0:
-            factor = identity.scale(A) + u.scale(A_INV)
-        else:
-            factor = identity.scale(A_INV) + u.scale(A)
-        result = result * factor
-    return result
+    return _symbolic_rho(b, b.strands, lambda k: burau_generator(b.strands, k))
 
 
 def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:

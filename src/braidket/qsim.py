@@ -36,6 +36,7 @@ __all__ = [
     "evolve",
     "sample_shots",
     "estimate_matrix_moduli",
+    "short_word_table",
     "PhaseLossWitness",
     "find_phase_loss_witness",
 ]
@@ -124,6 +125,8 @@ def sample_shots(state: QState, shots: int, seed: int, first_shot: int = 0) -> S
     """
     if shots < 1:
         raise ValueError("need at least one shot")
+    if first_shot < 0 or first_shot + shots > 2**64:
+        raise ValueError(f"shots {first_shot}..{first_shot + shots - 1} leave the range 0..2^64-1")
     cumulative = np.cumsum(state.probabilities())
     draws = _uniforms(seed, first_shot, shots)
     indices = np.minimum(
@@ -155,6 +158,26 @@ def estimate_matrix_moduli(
     ]
 
 
+_LETTERS = (1, -1, 2, -2)
+
+
+def short_word_table(
+    setup: UnitarySetup, max_length: int
+) -> tuple[list[BraidWord], np.ndarray, np.ndarray]:
+    """Every 3-braid word of 1..max_length letters, in length then
+    lexicographic order over (1, -1, 2, -2), with its flattened
+    |<i|rho(b)|j>|^2 row and its exact bracket evaluated at A = setup.a.
+    """
+    words = [
+        BraidWord(3, letters)
+        for length in range(1, max_length + 1)
+        for letters in product(_LETTERS, repeat=length)
+    ]
+    moduli = np.array([np.abs(rho_unitary(w, setup)) ** 2 for w in words]).reshape(-1, 4)
+    values = np.array([bracket_via_trace(w).evaluate(setup.a) for w in words], dtype=complex)
+    return words, moduli, values
+
+
 @dataclass(frozen=True)
 class PhaseLossWitness:
     """Two braid words the sampler cannot tell apart but the bracket can."""
@@ -179,17 +202,7 @@ def find_phase_loss_witness(
     Such a pair shows that estimating the |<i|rho(b)|j>|^2 alone loses the
     phase information the bracket polynomial depends on.
     """
-    words: list[BraidWord] = []
-    for length in range(1, max_length + 1):
-        for letters in product((1, -1, 2, -2), repeat=length):
-            words.append(BraidWord(3, letters))
-
-    moduli = np.empty((len(words), 4))
-    values = np.empty(len(words), dtype=complex)
-    for idx, word in enumerate(words):
-        moduli[idx] = (np.abs(rho_unitary(word, setup)) ** 2).reshape(-1)
-        values[idx] = bracket_via_trace(word).evaluate(setup.a)
-
+    words, moduli, values = short_word_table(setup, max_length)
     for i in range(len(words)):
         mod_gap = np.max(np.abs(moduli[i + 1 :] - moduli[i]), axis=1)
         val_gap = np.abs(values[i + 1 :] - values[i])

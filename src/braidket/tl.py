@@ -83,6 +83,9 @@ def identity_diagram(n: int) -> TLDiagram:
     return TLDiagram(n, tuple(pairing))
 
 
+# Cached so that letters i and -i share one U_i object: _glue's cache then
+# finds its keys by identity instead of comparing equal diagrams.
+@lru_cache(maxsize=None)
 def generator_diagram(n: int, i: int) -> TLDiagram:
     """The multiplicative generator U_i of TL_n (i = 0 gives the identity).
 
@@ -192,7 +195,7 @@ class TLElement:
         coeff = coeff if isinstance(coeff, LaurentPoly) else LaurentPoly({0: coeff})
         return cls(diagram.n, {diagram: coeff})
 
-    def scaled(self, factor: LaurentPoly | int) -> "TLElement":
+    def scale(self, factor: LaurentPoly | int) -> "TLElement":
         return TLElement(self.n, {d: c * factor for d, c in self.combo.items()})
 
     def __add__(self, other: "TLElement") -> "TLElement":
@@ -204,7 +207,7 @@ class TLElement:
         return TLElement(self.n, out)
 
     def __neg__(self) -> "TLElement":
-        return self.scaled(-1)
+        return self.scale(-1)
 
     def __sub__(self, other: "TLElement") -> "TLElement":
         return self + (-other)
@@ -212,10 +215,10 @@ class TLElement:
     def __mul__(self, other):
         if isinstance(other, TLElement):
             return multiply(self, other)
-        return self.scaled(other)
+        return self.scale(other)
 
     def __rmul__(self, other):
-        return self.scaled(other)
+        return self.scale(other)
 
     def to_json(self) -> list[dict]:
         entries = sorted(self.combo.items(), key=lambda kv: kv[0].pairing)

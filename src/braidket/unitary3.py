@@ -20,10 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import matmul
 
 import numpy as np
 
-from .braid import BraidWord, exponent_sum
+from .braid import BraidWord, exponent_sum, represent
 from .errors import InvalidAngleError
 
 __all__ = ["UnitarySetup", "unitary_generators", "rho_unitary", "bracket_from_trace"]
@@ -66,16 +67,14 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
     if b.strands != 3:
         raise ValueError(f"unitary representation needs 3 strands, got {b.strands}")
     identity = np.eye(2, dtype=complex)
-    result = identity.copy()
-    generators = {1: setup.u1, 2: setup.u2}
-    for g in b.letters:
-        u = generators[abs(g)]
+
+    def factor(g: int) -> np.ndarray:
+        u = setup.u1 if abs(g) == 1 else setup.u2
         if g > 0:
-            factor = setup.a * identity + u / setup.a
-        else:
-            factor = identity / setup.a + setup.a * u
-        result = result @ factor
-    return result
+            return setup.a * identity + u / setup.a
+        return identity / setup.a + setup.a * u
+
+    return represent(b.letters, identity, factor, matmul)
 
 
 def bracket_from_trace(b: BraidWord, setup: UnitarySetup) -> complex:

@@ -53,7 +53,7 @@ def suite_tl_relations(n: int) -> SuiteResult:
     for m in range(2, n + 1):
         for i in range(1, m):
             u_i = _tl_gen(m, i)
-            if multiply(u_i, u_i) != u_i.scaled(DELTA):
+            if multiply(u_i, u_i) != u_i.scale(DELTA):
                 return SuiteResult("tl-relations", False, f"U_{i}^2 != delta U_{i} in TL_{m}")
             for j in range(1, m):
                 u_j = _tl_gen(m, j)

@@ -61,9 +61,9 @@ class TestExponentSum:
 
 class TestTLRepresentation:
     def test_single_generator(self):
-        expected = TLElement.identity(2).scaled(A) + TLElement.from_diagram(
+        expected = TLElement.identity(2).scale(A) + TLElement.from_diagram(
             generator_diagram(2, 1)
-        ).scaled(A_INV)
+        ).scale(A_INV)
         assert rho_tl(BraidWord(2, (1,))) == expected
 
     def test_inverse_pair(self):
@@ -71,7 +71,7 @@ class TestTLRepresentation:
 
     def test_squared_generator(self):
         u = TLElement.from_diagram(generator_diagram(2, 1))
-        expected = TLElement.identity(2).scaled(LaurentPoly.monomial(2)) + u.scaled(
+        expected = TLElement.identity(2).scale(LaurentPoly.monomial(2)) + u.scale(
             LaurentPoly({0: 1, -4: -1})
         )
         assert rho_tl(BraidWord(2, (1, 1))) == expected

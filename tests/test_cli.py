@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from braidket import evolve, parse_braid, rho_unitary, sample_shots, unitary_generators
 from braidket.cli import main
 
 
@@ -146,6 +147,21 @@ class TestQsimCommand:
     def test_determinism(self, capsys):
         argv = ["qsim", "--theta", "0.2", "--word", "1 2", "--shots", "500", "--seed", "7"]
         assert run_cli(capsys, argv) == run_cli(capsys, argv)
+
+    def test_counts_are_the_prepared_column(self, capsys):
+        argv = ["qsim", "--theta", "0.2", "--word", "2 -1 2", "--prepare", "1"]
+        argv += ["--shots", "800", "--seed", "5"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        rho = rho_unitary(parse_braid("2 -1 2", 3), unitary_generators(0.2))
+        record = sample_shots(evolve(1, rho), 800, 5 + 1)
+        assert json.loads(out)["counts"] == list(record.counts)
+
+    def test_negative_theta_in_scientific_notation(self, capsys):
+        argv = ["qsim", "--theta=-4.5e-05", "--word", "1 2 -1", "--shots", "100", "--seed", "3"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["theta"] == -4.5e-05
 
 
 class TestVerifyCommand:

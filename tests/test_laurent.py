@@ -11,7 +11,6 @@ from braidket import (
     ONE,
     GaussianInt,
     LaurentPoly,
-    QuarterLaurent,
     to_jones_variable,
 )
 from braidket.errors import ExactDivisionError
@@ -97,10 +96,10 @@ class TestEvaluate:
 
 class TestJonesVariable:
     def test_one(self):
-        assert to_jones_variable(ONE) == QuarterLaurent({0: 1})
+        assert to_jones_variable(ONE) == LaurentPoly({0: 1})
 
     def test_exponent_map(self):
-        assert to_jones_variable(LaurentPoly.monomial(-4)) == QuarterLaurent({4: 1})
+        assert to_jones_variable(LaurentPoly.monomial(-4)) == LaurentPoly({4: 1})
 
     def test_trefoil_invariant(self):
         f = LaurentPoly({-4: 1, -12: 1, -16: -1})
@@ -109,6 +108,18 @@ class TestJonesVariable:
     def test_fractional_powers(self):
         f = LaurentPoly({-2: -1, -10: -1})
         assert str(to_jones_variable(f)) == "-t^(1/2) - t^(5/2)"
+
+    def test_json_ascending(self):
+        f = LaurentPoly({-4: 1, -12: 1, -16: -1, 2: GaussianInt(2, -3)})
+        assert to_jones_variable(f).to_json() == [[-2, 2, -3], [4, 1, 0], [12, 1, 0], [16, -1, 0]]
+        assert str(to_jones_variable(f)) == "(2-3i)*t^(-1/2) + t + t^3 - t^4"
+
+    def test_evaluate_takes_t(self):
+        trefoil = to_jones_variable(LaurentPoly({-4: 1, -12: 1, -16: -1}))
+        assert trefoil.evaluate(2) == pytest.approx(2 + 8 - 16)
+        assert to_jones_variable(LaurentPoly({-2: -1})).evaluate(4) == pytest.approx(-2)
+        with pytest.raises(ValueError):
+            to_jones_variable(ONE).evaluate(0)
 
 
 class TestRendering:
@@ -131,6 +142,11 @@ class TestRendering:
     def test_json_descending(self):
         poly = LaurentPoly({5: -1, -3: -1, -7: 1})
         assert poly.to_json() == [[5, -1, 0], [-3, -1, 0], [-7, 1, 0]]
+
+    def test_constants_hash_like_ints(self):
+        assert LaurentPoly.one() == 1 and hash(LaurentPoly.one()) == hash(1)
+        assert len({LaurentPoly.one(), 1}) == 1
+        assert len({LaurentPoly.zero(), 0, LaurentPoly({0: -7}), -7}) == 2
 
     def test_invert_variable(self):
         poly = LaurentPoly({5: -1, -3: 2})

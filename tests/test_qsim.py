@@ -7,11 +7,13 @@ from braidket import (
     BraidWord,
     QState,
     ShotRecord,
+    bracket_via_trace,
     estimate_matrix_moduli,
     evolve,
     find_phase_loss_witness,
     rho_unitary,
     sample_shots,
+    short_word_table,
     unitary_generators,
 )
 
@@ -77,6 +79,15 @@ class TestSampling:
         )
         assert merged == whole
 
+    @pytest.mark.parametrize("first_shot, shots", [(-3, 10), (2**64 - 5, 6), (2**64, 1)])
+    def test_rejects_shots_outside_the_counter_range(self, first_shot, shots):
+        with pytest.raises(ValueError, match="range"):
+            sample_shots(HALF, shots, 1, first_shot=first_shot)
+
+    def test_last_counter_value_accepted(self):
+        record = sample_shots(HALF, 5, 1, first_shot=2**64 - 5)
+        assert sum(record.counts) == 5
+
     def test_merge_rejects_mismatched_seeds(self):
         with pytest.raises(ValueError):
             sample_shots(HALF, 10, 1).merge(sample_shots(HALF, 10, 2))
@@ -124,6 +135,16 @@ class TestMatrixModuli:
         for j in range(2):
             assert sum(pairs[i][j][0] for i in range(2)) == pytest.approx(1.0)
             assert sum(pairs[i][j][1] for i in range(2)) == pytest.approx(1.0)
+
+
+class TestShortWordTable:
+    def test_matches_per_word_products(self):
+        words, moduli, values = short_word_table(SETUP, 3)
+        assert len(words) == 4 + 16 + 64
+        assert [w.letters for w in words[:5]] == [(1,), (-1,), (2,), (-2,), (1, 1)]
+        for word, row, value in zip(words, moduli, values):
+            assert np.array_equal(row, (np.abs(rho_unitary(word, SETUP)) ** 2).reshape(-1))
+            assert value == bracket_via_trace(word).evaluate(SETUP.a)
 
 
 class TestPhaseLoss:

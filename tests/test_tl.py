@@ -62,7 +62,7 @@ class TestDiagramValidation:
 class TestMultiplication:
     def test_u_squared(self):
         u = U(2, 1)
-        assert multiply(u, u) == u.scaled(DELTA)
+        assert multiply(u, u) == u.scale(DELTA)
 
     def test_jaw_relation(self):
         u1, u2 = U(3, 1), U(3, 2)
@@ -82,7 +82,7 @@ class TestMultiplication:
         for n in range(2, 7):
             for i in range(1, n):
                 u_i = U(n, i)
-                assert multiply(u_i, u_i) == u_i.scaled(DELTA)
+                assert multiply(u_i, u_i) == u_i.scale(DELTA)
                 for j in range(1, n):
                     u_j = U(n, j)
                     if abs(i - j) == 1:
@@ -96,8 +96,8 @@ class TestMultiplication:
         delta_sq = DELTA * DELTA
         for n in (3, 4):
             for i in range(1, n - 1):
-                lhs = multiply(multiply(U(n, i), U(n, i + 1)), U(n, i)).scaled(delta_sq)
-                assert lhs == U(n, i).scaled(delta_sq)
+                lhs = multiply(multiply(U(n, i), U(n, i + 1)), U(n, i)).scale(delta_sq)
+                assert lhs == U(n, i).scale(delta_sq)
 
     def test_associativity_on_random_basis_triples(self, rng):
         for n in (3, 4, 5):
@@ -127,7 +127,7 @@ class TestClosureAndTrace:
     def test_trace_linearity(self):
         a_sq = LaurentPoly.monomial(2)
         coeff = LaurentPoly({0: 1, -4: -1})
-        elem = TLElement.identity(2).scaled(a_sq) + U(2, 1).scaled(coeff)
+        elem = TLElement.identity(2).scale(a_sq) + U(2, 1).scale(coeff)
         assert markov_trace(elem) == a_sq * DELTA * DELTA + coeff * DELTA
 
     def test_trace_property_random_pairs(self, rng):

@@ -106,6 +106,21 @@ class TestRepresentation:
             rho = rho_unitary(BraidWord(3, letters), setup)
             assert np.max(np.abs(rho @ rho.conj().T - np.eye(2))) < 1e-12
 
+    def test_bit_identical_to_per_letter_loop(self, rng):
+        # qsim prints these matrices' moduli, so the fold must not change a bit.
+        for theta in (math.pi / 10, -0.37, math.pi + 0.2):
+            setup = unitary_generators(theta)
+            letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(500))
+            expected = np.eye(2, dtype=complex)
+            for g in letters:
+                u = setup.u1 if abs(g) == 1 else setup.u2
+                if g > 0:
+                    factor = setup.a * np.eye(2) + u / setup.a
+                else:
+                    factor = np.eye(2) / setup.a + setup.a * u
+                expected = expected @ factor
+            assert np.array_equal(rho_unitary(BraidWord(3, letters), setup), expected)
+
 
 class TestBracketFromTrace:
     def test_empty_word_gives_unlink_value(self):
