@@ -16,15 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
-from .braid import BraidWord, bracket_via_trace, closure_to_diagram, exponent_sum, parse_braid
+from .braid import bracket_via_trace, closure_to_diagram, exponent_sum, parse_braid
 from .diagram import (
     LinkDiagram,
     bracket_state_sum,
     diagram_from_json,
-    normalize,
+    normalize_bracket,
     writhe,
-    writhe_factor,
 )
 from .errors import (
     ExactDivisionError,
@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     SizeLimitError,
 )
-from .laurent import to_jones_variable
+from .laurent import LaurentPoly
 from .qsim import estimate_matrix_moduli
 from .unitary3 import unitary_generators
 from .verify import run_all
@@ -47,6 +47,8 @@ EXIT_ANGLE = 4
 EXIT_VERIFY = 5
 
 
+# Built once per process: main may be called many times in one interpreter.
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="braidket")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,51 +79,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(args) -> tuple[BraidWord | None, LinkDiagram | None]:
-    has_word = args.word is not None
-    has_pd = args.pd is not None
-    if has_word == has_pd:
-        raise ParseError("provide exactly one input source: --word (with --strands) or --pd")
-    if has_word:
-        if args.strands is None:
-            raise ParseError("--word requires --strands")
-        return parse_braid(args.word, args.strands), None
+def _read_diagram(path: str) -> LinkDiagram:
     try:
-        with open(args.pd, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read PD file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"PD file is not valid JSON: {exc}") from exc
-    return None, diagram_from_json(data)
+    return diagram_from_json(data)
+
+
+def _bracket_and_writhe(args) -> tuple[LaurentPoly, int]:
+    """Bracket and writhe of the one input source: a braid word or a PD file."""
+    has_word = args.word is not None
+    if has_word == (args.pd is not None):
+        raise ParseError("provide exactly one input source: --word (with --strands) or --pd")
+    if not has_word:
+        diagram = _read_diagram(args.pd)
+        return bracket_state_sum(diagram), writhe(diagram)
+    if args.strands is None:
+        raise ParseError("--word requires --strands")
+    word = parse_braid(args.word, args.strands)
+    bracket = bracket_via_trace(word)
+    if args.check:
+        via_states = bracket_state_sum(closure_to_diagram(word))
+        if via_states != bracket:
+            raise MismatchError(f"state sum {via_states} disagrees with trace bracket {bracket}")
+    return bracket, exponent_sum(word)
 
 
 def _invariants(args) -> dict:
-    word, diagram = _load_input(args)
-    if word is not None:
-        bracket = bracket_via_trace(word)
-        if args.check:
-            via_states = bracket_state_sum(closure_to_diagram(word))
-            if via_states != bracket:
-                raise MismatchError(
-                    f"state sum {via_states} disagrees with trace bracket {bracket}"
-                )
-        w = exponent_sum(word)
-        f = writhe_factor(w) * bracket
-        v = to_jones_variable(f)
-    else:
-        bracket = bracket_state_sum(diagram)
-        w = writhe(diagram)
-        f, v = normalize(diagram)
+    bracket, w = _bracket_and_writhe(args)
+    f, v = normalize_bracket(bracket, w)
     return {"bracket": bracket, "writhe": w, "f": f, "V": v}
 
 
 def cmd_bracket(args) -> int:
-    data = _invariants(args)
+    bracket, _ = _bracket_and_writhe(args)
     if args.json:
-        print(json.dumps({"bracket": data["bracket"].to_json()}))
+        print(json.dumps({"bracket": bracket.to_json()}))
     else:
-        print(data["bracket"])
+        print(bracket)
     return EXIT_OK
 
 

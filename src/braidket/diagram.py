@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
-from .laurent import DELTA, GaussianInt, JonesPoly, LaurentPoly, to_jones_variable
+from .laurent import DELTA, JonesPoly, LaurentPoly, to_jones_variable
 
 __all__ = [
     "Crossing",
@@ -31,6 +31,7 @@ __all__ = [
     "bracket_state_sum",
     "writhe",
     "normalize",
+    "normalize_bracket",
     "add_curl",
     "mirror_diagram",
     "diagram_to_json",
@@ -116,21 +117,12 @@ def bracket_state_sum(diagram: LinkDiagram) -> LaurentPoly:
     """Bracket polynomial by brute-force summation over all states."""
     if diagram.is_empty:
         raise ValueError("the empty diagram has no bracket")
-    delta_powers = [LaurentPoly.one()]
-    acc: dict[int, GaussianInt] = {}
-    for state in enumerate_states(diagram):
-        k = state.loops - 1
-        while len(delta_powers) <= k:
-            delta_powers.append(delta_powers[-1] * DELTA)
-        shift = state.a_count - state.b_count
-        for exp, coeff in delta_powers[k].terms():
-            key = exp + shift
-            total = acc.get(key, GaussianInt(0)) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-    return LaurentPoly(acc)
+    # States with the same A-power and loop count contribute the same term.
+    tally = Counter((s.a_count - s.b_count, s.loops) for s in enumerate_states(diagram))
+    total = LaurentPoly.zero()
+    for (shift, loops), k in tally.items():
+        total = total + LaurentPoly.monomial(shift, k) * DELTA ** (loops - 1)
+    return total
 
 
 def writhe(diagram: LinkDiagram) -> int:
@@ -145,7 +137,12 @@ def writhe_factor(w: int) -> LaurentPoly:
 
 def normalize(diagram: LinkDiagram) -> tuple[LaurentPoly, JonesPoly]:
     """Writhe-normalized invariant f and its Jones-variable form V."""
-    f = writhe_factor(writhe(diagram)) * bracket_state_sum(diagram)
+    return normalize_bracket(bracket_state_sum(diagram), writhe(diagram))
+
+
+def normalize_bracket(bracket: LaurentPoly, w: int) -> tuple[LaurentPoly, JonesPoly]:
+    """f = (-A^3)^(-w) * bracket and V, for a bracket of a diagram of writhe w."""
+    f = writhe_factor(w) * bracket
     return f, to_jones_variable(f)
 
 
@@ -217,7 +214,9 @@ def diagram_from_json(data: dict) -> LinkDiagram:
             Crossing(tuple(int(s) for s in entry["slots"]), int(entry["sign"]))
             for entry in data["crossings"]
         )
-        free_loops = int(data.get("free_loops", 0))
-        return LinkDiagram(crossings, free_loops)
+        diagram = LinkDiagram(crossings, int(data.get("free_loops", 0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed diagram JSON: {exc}") from exc
+    if diagram.is_empty:
+        raise ParseError("the diagram is empty: no crossings and no free loops")
+    return diagram

@@ -107,62 +107,33 @@ def generator_diagram(n: int, i: int) -> TLDiagram:
 @lru_cache(maxsize=None)
 def _glue(top: TLDiagram, bottom: TLDiagram) -> tuple[TLDiagram, int]:
     """Stack ``top`` over ``bottom``; return the glued diagram and loop count."""
+    # Top keeps its points 0..2n-1 and bottom's move to n..3n-1, so the shared
+    # middle row is n..2n-1.  Each middle point has one partner above (in top)
+    # and one below (in bottom); a path through the middle alternates them.
     n = top.n
-    pair_t, pair_b = top.pairing, bottom.pairing
-    result: dict[int, int] = {}
-    crossed: set[int] = set()  # interface positions traversed by a through-path
+    above = top.pairing
+    below = (None,) * n + tuple(q + n for q in bottom.pairing)
+    middle = set(range(n, 2 * n))
 
-    def walk(side: str, p: int) -> tuple[str, int]:
-        # Follow arcs across the interface until an external point is reached.
-        while True:
-            if side == "t":
-                q = pair_t[p]
-                if q < n:
-                    return ("t", q)
-                crossed.add(q - n)
-                side, p = "b", q - n
-            else:
-                q = pair_b[p]
-                if q >= n:
-                    return ("b", q - n)
-                crossed.add(q)
-                side, p = "t", n + q
+    def walk(q: int, down: bool) -> int:
+        # Remove the middle points met from q on; return the first other point.
+        while q in middle:
+            middle.remove(q)
+            q = below[q] if down else above[q]
+            down = not down
+        return q
 
-    def record(a: int, b: int) -> None:
-        result[a] = b
-        result[b] = a
-
-    for t in range(n):
-        if t in result:
-            continue
-        kind, q = walk("t", t)
-        record(t, q if kind == "t" else n + q)
-    for b in range(n):
-        if n + b in result:
-            continue
-        kind, q = walk("b", n + b)
-        # A walk from an external bottom point can only end at another one:
-        # paths reaching the top row were already recorded above.
-        record(n + b, n + q)
-
+    ends: list[int | None] = [None] * (3 * n)
+    for p in (*range(n), *range(2 * n, 3 * n)):
+        if ends[p] is None:
+            q = walk(above[p], True) if p < n else walk(below[p], False)
+            ends[p], ends[q] = q, p
+    # Every middle point still left lies on a closed loop.
     loops = 0
-    for start in range(n):
-        if start in crossed:
-            continue
+    while middle:
+        walk(next(iter(middle)), True)
         loops += 1
-        side, p = "b", start
-        while True:
-            crossed.add(p if side == "b" else p - n)
-            if side == "b":
-                q = pair_b[p]
-                side, p = "t", n + q
-            else:
-                q = pair_t[p]
-                side, p = "b", q - n
-            if side == "b" and p == start:
-                break
-
-    pairing = tuple(result[p] for p in range(2 * n))
+    pairing = tuple(q if q < n else q - n for q in ends[:n] + ends[2 * n :])
     return TLDiagram(n, pairing), loops
 
 
@@ -233,7 +204,9 @@ def multiply(x: TLElement, y: TLElement) -> TLElement:
     for dx, cx in x.combo.items():
         for dy, cy in y.combo.items():
             glued, loops = _glue(dx, dy)
-            coeff = cx * cy * DELTA**loops
+            coeff = cx * cy
+            if loops:
+                coeff = coeff * DELTA**loops
             out[glued] = out.get(glued, LaurentPoly.zero()) + coeff
     return TLElement(x.n, out)
 

@@ -19,6 +19,7 @@ from .errors import SizeLimitError
 from .laurent import DELTA
 from .matrixrep import (
     SymbolicMatrix,
+    burau_generator,
     burau_rho,
     elementary_tensors,
     rho_matrix,
@@ -26,7 +27,7 @@ from .matrixrep import (
     u_tensor,
     z_amplitude,
 )
-from .tl import TLElement, generator_diagram, multiply
+from .tl import TLElement, generator_diagram
 from .unitary3 import rho_unitary, unitary_generators
 
 __all__ = ["SuiteResult", "run_all", "MAX_VERIFY_STRANDS"]
@@ -48,68 +49,31 @@ def _tl_gen(n: int, i: int) -> TLElement:
     return TLElement.from_diagram(generator_diagram(n, i))
 
 
-def suite_tl_relations(n: int) -> SuiteResult:
-    """U_i^2 = delta U_i, U_i U_{i+-1} U_i = U_i, distant commutation."""
-    for m in range(2, n + 1):
+def suite_tl_relations(n: int, which: str = "tl") -> SuiteResult:
+    """U_i^2 = delta U_i and U_i U_{i+-1} U_i = U_i under one representation.
+
+    For |i-j| > 1 the generators commute, except in the projector form,
+    where U_i U_j = 0.
+    """
+    name = "tl-relations" if which == "tl" else f"tl-relations-{which}"
+    gen = {"tl": _tl_gen, "tensor": u_tensor, "projector": burau_generator}[which]
+    top = n if which != "tensor" else min(n, MAX_TENSOR_SUITE_STRANDS)
+    for m in range(2, top + 1):
+        u = {i: gen(m, i) for i in range(1, m)}
         for i in range(1, m):
-            u_i = _tl_gen(m, i)
-            if multiply(u_i, u_i) != u_i.scale(DELTA):
-                return SuiteResult("tl-relations", False, f"U_{i}^2 != delta U_{i} in TL_{m}")
+            if u[i] * u[i] != u[i].scale(DELTA):
+                return SuiteResult(name, False, f"U_{i}^2 != delta U_{i} in n={m}")
             for j in range(1, m):
-                u_j = _tl_gen(m, j)
-                prod = multiply(multiply(u_i, u_j), u_i)
-                if abs(i - j) == 1 and prod != u_i:
-                    return SuiteResult(
-                        "tl-relations", False, f"U_{i}U_{j}U_{i} != U_{i} in TL_{m}"
-                    )
-                if abs(i - j) > 1 and multiply(u_i, u_j) != multiply(u_j, u_i):
-                    return SuiteResult(
-                        "tl-relations", False, f"U_{i}U_{j} != U_{j}U_{i} in TL_{m}"
-                    )
-    return SuiteResult("tl-relations", True)
-
-
-def suite_tl_relations_tensor(n: int) -> SuiteResult:
-    """The same relations for the tensor matrices."""
-    for m in range(2, min(n, MAX_TENSOR_SUITE_STRANDS) + 1):
-        for i in range(1, m):
-            u_i = u_tensor(m, i)
-            if u_i * u_i != u_i.scale(DELTA):
-                return SuiteResult("tl-relations-tensor", False, f"U_{i}^2 in n={m}")
-            for j in range(1, m):
-                u_j = u_tensor(m, j)
-                if abs(i - j) == 1 and u_i * u_j * u_i != u_i:
-                    return SuiteResult(
-                        "tl-relations-tensor", False, f"U_{i}U_{j}U_{i} in n={m}"
-                    )
-                if abs(i - j) > 1 and u_i * u_j != u_j * u_i:
-                    return SuiteResult(
-                        "tl-relations-tensor", False, f"commutation {i},{j} in n={m}"
-                    )
-    return SuiteResult("tl-relations-tensor", True)
-
-
-def suite_tl_relations_projector(n: int) -> SuiteResult:
-    """Projector form: adds U_k U_l = 0 for |k-l| > 1."""
-    from .matrixrep import burau_generator
-
-    for m in range(2, n + 1):
-        zero = SymbolicMatrix.zeros(m)
-        for k in range(1, m):
-            u_k = burau_generator(m, k)
-            if u_k * u_k != u_k.scale(DELTA):
-                return SuiteResult("tl-relations-projector", False, f"U_{k}^2 in n={m}")
-            for l in range(1, m):
-                u_l = burau_generator(m, l)
-                if abs(k - l) == 1 and u_k * u_l * u_k != u_k:
-                    return SuiteResult(
-                        "tl-relations-projector", False, f"U_{k}U_{l}U_{k} in n={m}"
-                    )
-                if abs(k - l) > 1 and u_k * u_l != zero:
-                    return SuiteResult(
-                        "tl-relations-projector", False, f"U_{k}U_{l} != 0 in n={m}"
-                    )
-    return SuiteResult("tl-relations-projector", True)
+                if abs(i - j) == 1 and u[i] * u[j] * u[i] != u[i]:
+                    return SuiteResult(name, False, f"U_{i}U_{j}U_{i} != U_{i} in n={m}")
+                if abs(i - j) > 1:
+                    if which == "projector":
+                        want, text = SymbolicMatrix.zeros(m), "0"
+                    else:
+                        want, text = u[j] * u[i], f"U_{j}U_{i}"
+                    if u[i] * u[j] != want:
+                        return SuiteResult(name, False, f"U_{i}U_{j} != {text} in n={m}")
+    return SuiteResult(name, True)
 
 
 def _braid_relation_words(n: int):
@@ -218,9 +182,9 @@ def run_all(n: int, samples: int = 20) -> list[SuiteResult]:
     if n < 2:
         raise ValueError("verification needs at least 2 strands")
     return [
-        suite_tl_relations(n),
-        suite_tl_relations_tensor(n),
-        suite_tl_relations_projector(n),
+        suite_tl_relations(n, "tl"),
+        suite_tl_relations(n, "tensor"),
+        suite_tl_relations(n, "projector"),
         suite_braid_relations(n, "tl"),
         suite_braid_relations(n, "tensor"),
         suite_braid_relations(n, "projector"),

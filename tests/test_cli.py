@@ -2,8 +2,18 @@ import json
 
 import pytest
 
+import braidket.diagram
 from braidket import evolve, parse_braid, rho_unitary, sample_shots, unitary_generators
 from braidket.cli import main
+
+TREFOIL_PD = {
+    "crossings": [
+        {"slots": [1, 4, 2, 5], "sign": -1},
+        {"slots": [3, 6, 4, 1], "sign": -1},
+        {"slots": [5, 2, 6, 3], "sign": -1},
+    ],
+    "free_loops": 0,
+}
 
 
 def run_cli(capsys, argv):
@@ -47,19 +57,52 @@ class TestBracketCommand:
         assert "input source" in err
 
     def test_pd_file_input(self, capsys, tmp_path):
-        pd = {
-            "crossings": [
-                {"slots": [1, 4, 2, 5], "sign": -1},
-                {"slots": [3, 6, 4, 1], "sign": -1},
-                {"slots": [5, 2, 6, 3], "sign": -1},
-            ],
-            "free_loops": 0,
-        }
         path = tmp_path / "trefoil.json"
-        path.write_text(json.dumps(pd))
+        path.write_text(json.dumps(TREFOIL_PD))
         code, out, _ = run_cli(capsys, ["bracket", "--pd", str(path)])
         assert code == 0
         assert out == "A^7 - A^3 - A^-5\n"
+
+    @pytest.mark.parametrize("verb", ["bracket", "jones"])
+    def test_pd_input_enumerates_states_once(self, capsys, tmp_path, monkeypatch, verb):
+        calls = []
+        original = braidket.diagram.enumerate_states
+
+        def counted(diagram):
+            calls.append(diagram)
+            return original(diagram)
+
+        monkeypatch.setattr(braidket.diagram, "enumerate_states", counted)
+        path = tmp_path / "trefoil.json"
+        path.write_text(json.dumps(TREFOIL_PD))
+        code, _, _ = run_cli(capsys, [verb, "--pd", str(path)])
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_empty_pd_diagram_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"crossings": []}))
+        for verb in ("bracket", "jones"):
+            code, out, err = run_cli(capsys, [verb, "--pd", str(path)])
+            assert (code, out) == (1, "")
+            assert "empty" in err
+
+    def test_successive_calls_keep_their_own_flags(self, capsys, tmp_path):
+        path = tmp_path / "trefoil.json"
+        path.write_text(json.dumps(TREFOIL_PD))
+        trefoil = ["--strands", "2", "--word", "1 1 1"]
+        code, out, _ = run_cli(capsys, ["bracket", *trefoil, "--json"])
+        assert (code, json.loads(out)) == (0, {"bracket": [[5, -1, 0], [-3, -1, 0], [-7, 1, 0]]})
+        code, out, _ = run_cli(capsys, ["bracket", *trefoil])
+        assert (code, out) == (0, "-A^5 - A^-3 + A^-7\n")
+        code, out, _ = run_cli(capsys, ["jones", "--pd", str(path)])
+        assert code == 0
+        assert out.splitlines() == [
+            "bracket: A^7 - A^3 - A^-5",
+            "writhe: -3",
+            "f: -A^16 + A^12 + A^4",
+            "V: -t^-4 + t^-3 + t^-1",
+        ]
 
     def test_size_guard_exit_code(self, capsys):
         word = " ".join(["1"] * 29)
@@ -171,6 +214,22 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 10
         assert all(line.endswith(": pass") for line in lines)
+
+    def test_n5_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--n", "5"])
+        assert code == 0
+        assert out == (
+            "tl-relations: pass\n"
+            "tl-relations-tensor: pass\n"
+            "tl-relations-projector: pass\n"
+            "braid-relations-tl: pass\n"
+            "braid-relations-tensor: pass\n"
+            "braid-relations-projector: pass\n"
+            "braid-relations-unitary: pass\n"
+            "yang-baxter: pass\n"
+            "trace-identities: pass\n"
+            "cross-representation: pass\n"
+        )
 
     def test_default_n(self, capsys):
         code, out, _ = run_cli(capsys, ["verify"])

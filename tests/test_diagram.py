@@ -87,6 +87,16 @@ class TestDiagramValidation:
         with pytest.raises(ParseError):
             diagram_from_json({"crossings": [{"slots": [1, 2]}]})
 
+    def test_empty_json_diagram_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="empty"):
+            diagram_from_json({"crossings": []})
+        with pytest.raises(ParseError, match="empty"):
+            diagram_from_json({"crossings": [], "free_loops": 0})
+
+    def test_free_loops_alone_load(self):
+        for k in (1, 2):
+            assert diagram_from_json({"crossings": [], "free_loops": k}) == LinkDiagram((), k)
+
 
 class TestEnumerateStates:
     def test_bare_unknot(self):

@@ -16,7 +16,9 @@ from braidket import (
     markov_trace,
     multiply,
 )
+from braidket._uf import DisjointSet
 from braidket.errors import SizeLimitError
+from braidket.tl import _glue
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -105,6 +107,38 @@ class TestMultiplication:
             for _ in range(15):
                 x, y, z = (TLElement.from_diagram(rng.choice(basis)) for _ in range(3))
                 assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+
+
+def glue_oracle(top, bottom):
+    """Union-find gluing: top on points 0..2n-1, bottom on n..3n-1."""
+    n = top.n
+    ds = DisjointSet(3 * n)
+    for p, q in enumerate(top.pairing):
+        ds.union(p, q)
+    for p, q in enumerate(bottom.pairing):
+        ds.union(p + n, q + n)
+    outer = [*range(n), *range(2 * n, 3 * n)]
+    pairing = [0] * (2 * n)
+    for i, p in enumerate(outer):
+        for j, q in enumerate(outer):
+            if p != q and ds.find(p) == ds.find(q):
+                pairing[i] = j
+    outer_roots = {ds.find(p) for p in outer}
+    loops = len({ds.find(p) for p in range(n, 2 * n)} - outer_roots)
+    return TLDiagram(n, tuple(pairing)), loops
+
+
+class TestGlue:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_union_find_oracle_on_all_basis_pairs(self, n):
+        basis = enumerate_basis(n)
+        for top in basis:
+            for bottom in basis:
+                assert _glue(top, bottom) == glue_oracle(top, bottom)
+
+    def test_cache_is_kept(self):
+        _glue(identity_diagram(2), generator_diagram(2, 1))
+        assert _glue.cache_info().currsize > 0
 
 
 class TestClosureAndTrace:
