@@ -16,13 +16,13 @@ identity itself acts as a runtime check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 
 from ._uf import DisjointSet
 from .diagram import Crossing, LinkDiagram
-from .errors import InvariantError, ParseError
+from .errors import InvariantError, ParseError, SizeLimitError
 from .laurent import A, A_INV, DELTA, LaurentPoly
-from .tl import TLElement, generator_diagram, markov_trace, multiply
+from .tl import TLElement, diagram_table
 
 __all__ = [
     "BraidWord",
@@ -34,6 +34,14 @@ __all__ = [
     "bracket_via_trace",
     "closure_to_diagram",
 ]
+
+#: Cost guard of the TL fold, in machine words, checked before each letter on
+#: the largest state the letter can make: twice the live diagrams (a letter
+#: at most doubles them), each holding 2n boundary points and a packed
+#: coefficient of 3L+1 digits.  The 6-9 strand, 16-30 letter words of the
+#: benchmark's trace-wide workload reach at most 470,896 (a 9-strand,
+#: 30-letter word), under a tenth of this.
+MAX_TL_COST = 5_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,16 +110,111 @@ def exact_factor(identity, u, g: int):
     return identity.scale(a) + u.scale(a_inv)
 
 
-@lru_cache(maxsize=None)
-def _letter_factor(n: int, g: int) -> TLElement:
-    u = TLElement.from_diagram(generator_diagram(n, abs(g)))
-    return exact_factor(TLElement.identity(n), u, g)
+#: Digit width, beyond the n bits the trace needs, first tried for a word
+#: whose proven width is wider.
+_TRIAL_BITS = 64
+
+
+def _fold(b: BraidWord):
+    """A^(3L) rho(b) for the L letters of b, packed: ``(table, state, bits)``.
+
+    ``state`` maps ids of the diagram table of TL_n to coefficients that are
+    polynomials in B = A^2 with nonnegative exponents, each stored as its
+    value at B = 2^bits; diagrams whose coefficient cancels to 0 are dropped.
+    Shifts and adds keep that value exact whatever the digits do, so only
+    the polynomials that are unpacked need digits below 2^(bits-1) in
+    absolute value.  Each letter at most doubles the sum of the
+    coefficients' absolute values: d·U_i is either another diagram, or
+    delta d when d caps the points U_i caps, where d's two terms combine to
+    (A + A^-1 delta) d = -A^-3 d.  So the state sums to at most 2^L, and the
+    trace of ``bracket_via_trace``, which multiplies by delta^m for m <= n,
+    to at most 2^n 2^L: L + n + 2 bits are always enough.  Real coefficients
+    are often far smaller (those of 2-strand words grow linearly), so for a
+    word of more than about 64 letters a narrower width is tried first and
+    checked as the fold goes (``_room``); when it runs out of room the fold
+    starts again at twice the width.
+    """
+    n, length = b.strands, len(b.letters)
+    table = diagram_table(n)
+    proven = length + n + 2
+    bits = min(proven, n + _TRIAL_BITS)
+    while (state := _fold_at(b, table, bits, bits < proven)) is None:
+        bits = min(2 * bits, proven)
+    return table, state, bits
+
+
+def _fold_at(b: BraidWord, table, bits: int, checked: bool) -> dict[int, int] | None:
+    """The packed state of ``_fold`` at this digit width, or None if a
+    ``checked`` width, one not proven for the whole word, ran out of room."""
+    n, length = b.strands, len(b.letters)
+    window = 3 * length + 1
+    size = 2 * n + bits * window // 64
+    done = safe = 0
+
+    def factor(g: int):
+        # A^3 rho(sigma_i) = B^2*1 + B*U_i, A^3 rho(sigma_i^-1) = B*1 + B^2*U_i;
+        # a closed loop multiplies the U_i term by delta = -(B + B^-1).
+        i = abs(g)
+        shifts = (2 * bits, bits, 2 * bits, 0) if g > 0 else (bits, 2 * bits, 3 * bits, bits)
+        return (table.actions[i], partial(table.act, i), *shifts)
+
+    def step(state: dict[int, int] | None, letter) -> dict[int, int] | None:
+        nonlocal done, safe
+        if state is None:
+            return None
+        action, fill, keep, through, loop_high, loop_low = letter
+        if 2 * len(state) * size > MAX_TL_COST:
+            raise SizeLimitError(
+                f"TL product of {length} letters on {n} strands exceeds the "
+                f"{MAX_TL_COST} cost guard at {len(state)} live diagrams"
+            )
+        if checked:
+            if done == safe:
+                room = _room(state, bits, n, window)
+                if not room:
+                    return None
+                safe = done + room
+            done += 1
+        out = {d: x << keep for d, x in state.items()}
+        for d, x in state.items():
+            code = action.get(d)
+            if code is None:
+                code = fill(d)
+            if code & 1:
+                x = -((x << loop_high) + (x << loop_low))
+            else:
+                x <<= through
+            e = code >> 1
+            out[e] = out.get(e, 0) + x
+        return {d: x for d, x in out.items() if x}
+
+    return represent(b.letters, {table.identity: 1}, factor, step)
+
+
+def _room(state: dict[int, int], bits: int, n: int, window: int) -> int:
+    """How many more letters keep the digits of ``state`` and of the trace
+    exact, given that they are exact now; 0 if none.
+
+    Adding 2^t to every one of the ``window`` digits carries into no digit
+    and sets no bit above t (a negative sum sets them all) exactly when
+    every digit lies in [-2^t, 2^t).  The absolute values then sum to below
+    live * window * 2^t, which each letter at most doubles and the trace
+    multiplies by at most 2^n.
+    """
+    t = bits // 2
+    ones = ((1 << bits * window) - 1) // ((1 << bits) - 1)
+    offset, high = ones << t, ones * ((1 << bits) - (2 << t))
+    if any((x + offset) & high for x in state.values()):
+        return 0
+    return max(0, bits - 1 - t - n - (len(state) * window).bit_length())
 
 
 def rho_tl(b: BraidWord) -> TLElement:
     """Image of the braid word in TL_n."""
-    n = b.strands
-    return represent(b.letters, TLElement.identity(n), partial(_letter_factor, n), multiply)
+    table, state, bits = _fold(b)
+    low = -3 * len(b.letters)
+    combo = {table.diagrams[d]: LaurentPoly.unpack(x, bits, low) for d, x in state.items()}
+    return TLElement(b.strands, combo)
 
 
 def bracket_via_trace(b: BraidWord) -> LaurentPoly:
@@ -120,7 +223,19 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     TR(rho(b)) is always divisible by delta; the quotient is the bracket.
     A remainder or a nonzero imaginary coefficient signals a bug.
     """
-    trace = markov_trace(rho_tl(b))
+    n = b.strands
+    table, state, bits = _fold(b)
+    # TR = sum over m of S_m delta^m, S_m the sum of the coefficients of the
+    # diagrams whose closure has m loops.  With delta = -B^-1 (B^2 + 1),
+    # Horner's rule gives B^n TR in packed form: each step multiplies by
+    # -(B^2 + 1) and adds B^(n-m) S_m.
+    by_loops = [0] * (n + 1)
+    for d, x in state.items():
+        by_loops[table.closure_loops(d)] += x
+    packed = 0
+    for m in range(n, -1, -1):
+        packed = (by_loops[m] << (n - m) * bits) - (packed << 2 * bits) - packed
+    trace = LaurentPoly.unpack(packed, bits, -3 * len(b.letters) - 2 * n)
     bracket = trace.divexact(DELTA)
     if not bracket.is_real:
         raise InvariantError(f"bracket has nonzero imaginary part: {bracket}")

@@ -30,6 +30,8 @@ __all__ = [
     "closure_loop_count",
     "markov_trace",
     "enumerate_basis",
+    "DiagramTable",
+    "diagram_table",
 ]
 
 
@@ -209,6 +211,51 @@ def multiply(x: TLElement, y: TLElement) -> TLElement:
                 coeff = coeff * DELTA**loops
             out[glued] = out.get(glued, LaurentPoly.zero()) + coeff
     return TLElement(x.n, out)
+
+
+class DiagramTable:
+    """The TL_n diagrams met so far, each with a small int id, and the right
+    action of the generators on them, both filled in on first use.
+
+    ``actions[i][d]`` is ``2 * e + loops``, where e is the id of d·U_i and
+    ``loops`` (0 or 1) the closed loops the stacking made.  The table holds
+    only ints; a miss glues the two diagrams once, past ``_glue``'s cache.
+    """
+
+    __slots__ = ("n", "diagrams", "_ids", "actions", "_closure", "identity")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.diagrams: list[TLDiagram] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self.actions: list[dict[int, int]] = [{} for _ in range(n)]
+        self._closure: dict[int, int] = {}
+        self.identity = self.intern(identity_diagram(n))
+
+    def intern(self, d: TLDiagram) -> int:
+        """The id of d, assigned on first sight."""
+        if d.pairing not in self._ids:
+            self._ids[d.pairing] = len(self.diagrams)
+            self.diagrams.append(d)
+        return self._ids[d.pairing]
+
+    def act(self, i: int, d: int) -> int:
+        """Fill and return ``actions[i][d]``."""
+        glued, loops = _glue.__wrapped__(self.diagrams[d], generator_diagram(self.n, i))
+        code = self.actions[i][d] = 2 * self.intern(glued) + loops
+        return code
+
+    def closure_loops(self, d: int) -> int:
+        """``closure_loop_count`` of diagram d, cached."""
+        if d not in self._closure:
+            self._closure[d] = closure_loop_count(self.diagrams[d])
+        return self._closure[d]
+
+
+@lru_cache(maxsize=None)
+def diagram_table(n: int) -> DiagramTable:
+    """The one DiagramTable of TL_n in this process."""
+    return DiagramTable(n)
 
 
 def closure_loop_count(d: TLDiagram) -> int:

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings
 
+import braidket.braid
 from braidket import (
     A,
     A_INV,
+    DELTA,
     BraidWord,
     LaurentPoly,
     TLElement,
@@ -11,13 +13,27 @@ from braidket import (
     closure_to_diagram,
     exponent_sum,
     generator_diagram,
+    markov_trace,
+    multiply,
     parse_braid,
     rho_tl,
 )
-from braidket.errors import ParseError
+from braidket.braid import exact_factor, represent
+from braidket.errors import ParseError, SizeLimitError
 from conftest import braid_words, random_words
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
+
+
+def reference_rho(word: BraidWord) -> TLElement:
+    """rho(b) as a fold of TLElement products, one multiply per letter."""
+    n = word.strands
+
+    def factor(g):
+        u = TLElement.from_diagram(generator_diagram(n, abs(g)))
+        return exact_factor(TLElement.identity(n), u, g)
+
+    return represent(word.letters, TLElement.identity(n), factor, multiply)
 
 
 class TestParsing:
@@ -86,6 +102,92 @@ class TestTLRepresentation:
                 for j in range(i + 2, n):
                     assert rho_tl(BraidWord(n, (i, j))) == rho_tl(BraidWord(n, (j, i)))
                 assert rho_tl(BraidWord(n, (i, -i))) == TLElement.identity(n)
+
+
+class TestPackedFold:
+    """The packed integer fold against the TLElement reference fold."""
+
+    @given(braid_words(max_strands=6, max_length=12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_fold(self, word):
+        expected = reference_rho(word)
+        assert rho_tl(word) == expected
+        assert bracket_via_trace(word) == markov_trace(expected).divexact(DELTA)
+        state = braidket.braid._fold(word)[1]
+        assert len(state) == len(expected.combo)
+        assert all(state.values())
+
+    def test_cancelled_diagrams_are_dropped(self):
+        # After 1 -1 the U_1 coefficient is 0; it must not stay live.
+        # The word is 1, so its packed state is A^24 = B^12 on the identity.
+        word = BraidWord(8, (1, -1, 3, -3, 5, -5, 7, -7))
+        table, state, bits = braidket.braid._fold(word)
+        assert state == {table.identity: 1 << 12 * bits}
+
+    def test_coefficients_past_a_machine_word(self):
+        word = BraidWord(3, (1, -2) * 56)
+        expected = reference_rho(word)
+        largest = max(abs(c.re) for coeff in expected.combo.values() for _, c in coeff)
+        assert largest > 2**64
+        # The trial width runs out of room, and the fold starts again wider.
+        assert braidket.braid._fold(word)[2] > 3 + braidket.braid._TRIAL_BITS
+        assert rho_tl(word) == expected
+        assert bracket_via_trace(word) == markov_trace(expected).divexact(DELTA)
+
+    def test_long_two_strand_word_keeps_its_trial_width(self):
+        word = BraidWord(2, (1, 1, -1, 1) * 50)
+        assert braidket.braid._fold(word)[2] == 2 + braidket.braid._TRIAL_BITS
+        expected = reference_rho(word)
+        assert rho_tl(word) == expected
+        assert bracket_via_trace(word) == markov_trace(expected).divexact(DELTA)
+
+    @pytest.mark.parametrize("trial_bits", [1, 6, 20])
+    def test_narrow_trial_widths_restart_exactly(self, monkeypatch, trial_bits):
+        monkeypatch.setattr(braidket.braid, "_TRIAL_BITS", trial_bits)
+        words = random_words(8, 40, max_strands=6, max_length=12) + [BraidWord(3, (1, -2) * 20)]
+        for word in words:
+            expected = reference_rho(word)
+            assert rho_tl(word) == expected
+            assert bracket_via_trace(word) == markov_trace(expected).divexact(DELTA)
+
+
+def pack(digits, bits):
+    return sum(c << bits * j for j, c in enumerate(digits))
+
+
+class TestRoom:
+    BITS, N, WINDOW = 40, 3, 10
+
+    def test_room_covers_the_largest_state_it_accepts(self):
+        t = self.BITS // 2
+        digits = [2**t - 1, -(2**t)] * (self.WINDOW // 2)
+        state = {d: pack(digits, self.BITS) for d in range(4)}
+        room = braidket.braid._room(state, self.BITS, self.N, self.WINDOW)
+        total = len(state) * sum(abs(c) for c in digits)
+        # room more letters at most double the total each, the trace 2^n.
+        assert room >= 1
+        assert total << (room + self.N) < 1 << (self.BITS - 1)
+
+    @pytest.mark.parametrize("digit", [2**20, -(2**20) - 1, 2**38, 2**39 - 2**20, -(2**39) + 1])
+    def test_digit_beyond_half_the_width_leaves_no_room(self, digit):
+        for position in (0, 4, 9):
+            digits = [0] * self.WINDOW
+            digits[position] = digit
+            assert braidket.braid._room({0: pack(digits, self.BITS)}, self.BITS, self.N, self.WINDOW) == 0
+
+
+class TestCostGuard:
+    def test_guard_raises_size_limit(self, monkeypatch):
+        monkeypatch.setattr(braidket.braid, "MAX_TL_COST", 1_000)
+        with pytest.raises(SizeLimitError, match="cost guard"):
+            bracket_via_trace(BraidWord(7, (1, 3, 5, 2, 4, 6)))
+
+    def test_widest_torus_word_fits_ten_times_over(self, monkeypatch):
+        # (sigma_1 ... sigma_8)^3 ends with 3,281 live diagrams, the most of
+        # any 6-9 strand, 16-30 letter word the benchmark draws.
+        monkeypatch.setattr(braidket.braid, "MAX_TL_COST", braidket.braid.MAX_TL_COST // 10)
+        word = BraidWord(9, tuple(range(1, 9)) * 3)
+        assert len(rho_tl(word).combo) == 3281
 
 
 class TestBracketViaTrace:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import braidket
 import braidket.diagram
-from braidket import evolve, parse_braid, rho_unitary, sample_shots, unitary_generators
+from braidket import DELTA, evolve, parse_braid, rho_unitary, sample_shots, unitary_generators
 from braidket.cli import main
 
 TREFOIL_PD = {
@@ -109,6 +115,27 @@ class TestBracketCommand:
         code, _, err = run_cli(capsys, ["bracket", "--strands", "2", "--word", word, "--check"])
         assert code == 2
         assert "crossing" in err
+
+    def test_cancelling_wide_word_stays_small(self, capsys):
+        # 1 -1 3 -3 ... 39 -39 closes to the 40-component unlink; the
+        # diagrams whose coefficients cancel must not count against the guard.
+        word = " ".join(f"{i} -{i}" for i in range(1, 40, 2))
+        code, out, _ = run_cli(capsys, ["bracket", "--strands", "40", "--word", word])
+        assert code == 0
+        assert out == f"{DELTA**39}\n"
+
+    def test_wide_tl_product_exits_at_the_cost_guard(self):
+        # 20 commuting letters would double the live TL diagrams 20 times.
+        word = " ".join(str(i) for i in range(1, 40, 2))
+        src = str(Path(braidket.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "braidket.cli", "bracket", "--strands", "40", "--word", word]
+        start = time.perf_counter()
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 5
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "cost guard" in done.stderr
 
 
 class TestJonesCommand:

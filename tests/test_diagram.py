@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidket import (
     A,
@@ -18,13 +20,15 @@ from braidket import (
     diagram_from_json,
     diagram_to_json,
     enumerate_states,
+    exponent_sum,
     mirror_diagram,
     normalize,
     to_jones_variable,
     writhe,
 )
+from braidket.diagram import normalize_bracket
 from braidket.errors import ParseError, SizeLimitError
-from conftest import random_words
+from conftest import braid_words, random_words
 
 UNKNOT = LinkDiagram((), 1)
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
@@ -230,6 +234,43 @@ class TestCrossRepresentation:
     def test_state_sum_equals_trace_bracket(self):
         for word in random_words(29, 60, max_strands=4, max_length=8):
             assert bracket_state_sum(closure_to_diagram(word)) == bracket_via_trace(word)
+
+    @given(
+        braid_words(max_strands=4, max_length=7),
+        st.lists(st.sampled_from(["rotate", "relabel", "curl+", "curl-", "mirror"]), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_diagram_moves_keep_f_and_the_trace_bracket(self, word, moves, rnd):
+        """Closure of a braid, then moves: the state sum follows the trace bracket."""
+        diagram = closure_to_diagram(word)
+        bracket = bracket_via_trace(word)
+        f, _ = normalize_bracket(bracket, exponent_sum(word))
+        for move in moves:
+            if move == "rotate":
+                # Two slots on keeps the under-strand on slots 0 and 2.
+                crossings = [
+                    Crossing(c.slots[2:] + c.slots[:2], c.sign) if rnd.random() < 0.5 else c
+                    for c in diagram.crossings
+                ]
+                rnd.shuffle(crossings)
+                diagram = LinkDiagram(tuple(crossings), diagram.free_loops)
+            elif move == "relabel":
+                labels = diagram.arc_labels()
+                new = dict(zip(labels, rnd.sample(range(10 * len(labels) + 1), len(labels))))
+                crossings = tuple(
+                    Crossing(tuple(new[s] for s in c.slots), c.sign) for c in diagram.crossings
+                )
+                diagram = LinkDiagram(crossings, diagram.free_loops)
+            elif move == "mirror":
+                diagram = mirror_diagram(diagram)
+                bracket, f = bracket.invert_variable(), f.invert_variable()
+            else:
+                sign = 1 if move == "curl+" else -1
+                diagram = add_curl(diagram, sign)
+                bracket = LaurentPoly.monomial(3 * sign, -1) * bracket
+        assert bracket_state_sum(diagram) == bracket
+        assert normalize(diagram)[0] == f
 
     def test_two_letter_unknot_closure(self):
         diagram = closure_to_diagram(BraidWord(3, (1, 2)))

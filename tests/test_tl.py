@@ -18,7 +18,7 @@ from braidket import (
 )
 from braidket._uf import DisjointSet
 from braidket.errors import SizeLimitError
-from braidket.tl import _glue
+from braidket.tl import _glue, diagram_table
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -139,6 +139,29 @@ class TestGlue:
     def test_cache_is_kept(self):
         _glue(identity_diagram(2), generator_diagram(2, 1))
         assert _glue.cache_info().currsize > 0
+
+
+class TestDiagramTable:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_actions_match_glue_on_the_basis(self, n):
+        table = diagram_table(n)
+        for d in enumerate_basis(n):
+            ident = table.intern(d)
+            assert table.diagrams[ident] == d and table.intern(d) == ident
+            assert table.closure_loops(ident) == closure_loop_count(d)
+            for i in range(1, n):
+                code = table.actions[i].get(ident)
+                if code is None:
+                    code = table.act(i, ident)
+                glued, loops = _glue(d, generator_diagram(n, i))
+                assert (table.diagrams[code >> 1], code & 1) == (glued, loops)
+                # The packed fold's digit bound rests on this: a loop
+                # leaves the diagram as it was.
+                assert not loops or glued == d
+
+    def test_tables_are_kept_per_strand_count(self):
+        assert diagram_table(3) is diagram_table(3)
+        assert diagram_table(3).identity == diagram_table(3).intern(identity_diagram(3))
 
 
 class TestClosureAndTrace:
