@@ -7,6 +7,11 @@ class DisjointSet:
     def __init__(self, size: int):
         self.parent = list(range(size))
 
+    def copy(self) -> "DisjointSet":
+        out = DisjointSet(0)
+        out.parent = self.parent[:]
+        return out
+
     def find(self, x: int) -> int:
         parent = self.parent
         root = x

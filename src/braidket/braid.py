@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial, reduce
 
-from ._uf import DisjointSet
 from .diagram import Crossing, LinkDiagram
 from .errors import InvariantError, ParseError, SizeLimitError
 from .laurent import A, A_INV, DELTA, LaurentPoly
@@ -271,11 +270,11 @@ def closure_to_diagram(b: BraidWord) -> LinkDiagram:
         current[i - 1], current[i] = left_out, right_out
 
     # Close up: the final arc at each strand position is the initial one.
-    ds = DisjointSet(next_label)
-    for k in range(n):
-        ds.union(k, current[k])
+    # current[k] is k or a label that occurs nowhere else, so renaming it
+    # to k joins the two.
+    closing = {current[k]: k for k in range(n)}
     crossings = tuple(
-        Crossing(tuple(ds.find(s) for s in slots), sign) for slots, sign in raw
+        Crossing(tuple(closing.get(s, s) for s in slots), sign) for slots, sign in raw
     )
     free_loops = sum(1 for k in range(n) if current[k] == k)
     return LinkDiagram(crossings, free_loops)

@@ -65,6 +65,9 @@ class LinkDiagram:
         bad = [label for label, k in counts.items() if k != 2]
         if bad:
             raise ValueError(f"arc labels must occur exactly twice; bad: {sorted(bad)}")
+        faces, components = _faces_and_components(self.crossings)
+        if faces != len(self.crossings) + 2 * components:
+            raise ValueError(f"the PD code is not planar ({faces} faces, {components} components)")
 
     @property
     def is_empty(self) -> bool:
@@ -72,6 +75,44 @@ class LinkDiagram:
 
     def arc_labels(self) -> list[int]:
         return sorted({s for c in self.crossings for s in c.slots})
+
+
+def _other_ends(crossings: tuple[Crossing, ...]) -> list[int]:
+    """For each slot position 4*c + s, the position at the other end of its arc."""
+    other = [0] * (4 * len(crossings))
+    first_end: dict[int, int] = {}
+    for p, label in enumerate(s for c in crossings for s in c.slots):
+        q = first_end.pop(label, None)
+        if q is None:
+            first_end[label] = p
+        else:
+            other[p], other[q] = q, p
+    return other
+
+
+def _faces_and_components(crossings: tuple[Crossing, ...]) -> tuple[int, int]:
+    """Faces and connected components of the 4-valent graph of a PD code.
+
+    A face is a cycle of "follow the arc to its other end, then step to the
+    next slot counterclockwise".  By Euler's formula (N vertices, 2N edges) a
+    planar code has N + 2 faces per component.
+    """
+    other = _other_ends(crossings)
+    joined = DisjointSet(len(crossings))
+    for p, q in enumerate(other):
+        joined.union(p // 4, q // 4)
+    faces = 0
+    seen = [False] * len(other)
+    for start in range(len(other)):
+        if seen[start]:
+            continue
+        faces += 1
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            q = other[p]
+            p = q - q % 4 + (q + 1) % 4
+    return faces, joined.component_count()
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,17 +128,14 @@ def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
     if n > MAX_CROSSINGS:
         raise SizeLimitError(f"{n} crossings exceeds the {MAX_CROSSINGS}-crossing guard")
     # Endpoint c*4+s for slot s of crossing c; each arc joins its two slots.
-    occurrences: dict[int, list[int]] = {}
-    for c, crossing in enumerate(diagram.crossings):
-        for s, label in enumerate(crossing.slots):
-            occurrences.setdefault(label, []).append(4 * c + s)
-    arc_joins = [tuple(points) for points in occurrences.values()]
+    arcs = DisjointSet(4 * n)
+    for p, q in enumerate(_other_ends(diagram.crossings)):
+        if p < q:
+            arcs.union(p, q)
 
     states = []
     for mask in range(1 << n):
-        ds = DisjointSet(4 * n)
-        for p, q in arc_joins:
-            ds.union(p, q)
+        ds = arcs.copy()
         a_count = 0
         for c in range(n):
             base = 4 * c

@@ -18,6 +18,7 @@ order.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -43,95 +44,81 @@ MAX_TENSOR_WORD = 12
 
 
 class SymbolicMatrix:
-    """Dense square matrix with LaurentPoly entries."""
+    """Square matrix with LaurentPoly entries, stored as its nonzero entries.
 
-    __slots__ = ("dim", "rows")
+    ``entries`` maps (row, column) to a nonzero polynomial; the constructor
+    drops zero entries, so equal matrices have equal ``entries``.  No method
+    changes a matrix in place.
+    """
 
-    def __init__(self, rows: list[list[LaurentPoly]]):
-        dim = len(rows)
-        for row in rows:
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, dim: int, entries: dict[tuple[int, int], LaurentPoly]):
         self.dim = dim
-        self.rows = rows
+        self.entries = {index: e for index, e in entries.items() if not e.is_zero}
 
     @classmethod
     def zeros(cls, dim: int) -> "SymbolicMatrix":
-        return cls([[ZERO for _ in range(dim)] for _ in range(dim)])
+        return cls(dim, {})
 
     @classmethod
     def identity(cls, dim: int) -> "SymbolicMatrix":
-        out = cls.zeros(dim)
-        for i in range(dim):
-            out.rows[i][i] = ONE
-        return out
+        return cls(dim, {(i, i): ONE for i in range(dim)})
+
+    @property
+    def rows(self) -> list[list[LaurentPoly]]:
+        """Dense view: a fresh list of rows, zeros included."""
+        return [[self[i, j] for j in range(self.dim)] for i in range(self.dim)]
 
     def __getitem__(self, index: tuple[int, int]) -> LaurentPoly:
-        i, j = index
-        return self.rows[i][j]
+        return self.entries.get(index, ZERO)
 
     def __mul__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
         if not isinstance(other, SymbolicMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("matrix dimensions differ")
-        dim = self.dim
-        out = SymbolicMatrix.zeros(dim)
-        for i in range(dim):
-            row_i = self.rows[i]
-            out_i = out.rows[i]
-            for k in range(dim):
-                a = row_i[k]
-                if a.is_zero:
-                    continue
-                other_k = other.rows[k]
-                for j in range(dim):
-                    b = other_k[j]
-                    if not b.is_zero:
-                        out_i[j] = out_i[j] + a * b
-        return out
+        by_row: dict[int, list[tuple[int, LaurentPoly]]] = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
+        out: dict[tuple[int, int], LaurentPoly] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                out[i, j] = out.get((i, j), ZERO) + a * b
+        return SymbolicMatrix(self.dim, out)
 
     def __add__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
         if self.dim != other.dim:
             raise ValueError("matrix dimensions differ")
-        return SymbolicMatrix(
-            [
-                [a + b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.rows, other.rows)
-            ]
-        )
+        out = dict(self.entries)
+        for index, b in other.entries.items():
+            out[index] = out.get(index, ZERO) + b
+        return SymbolicMatrix(self.dim, out)
 
     def scale(self, factor: LaurentPoly | int) -> "SymbolicMatrix":
-        return SymbolicMatrix([[entry * factor for entry in row] for row in self.rows])
+        return SymbolicMatrix(self.dim, {index: e * factor for index, e in self.entries.items()})
 
     def transpose(self) -> "SymbolicMatrix":
-        return SymbolicMatrix([list(col) for col in zip(*self.rows)])
+        return SymbolicMatrix(self.dim, {(j, i): e for (i, j), e in self.entries.items()})
 
     def trace(self) -> LaurentPoly:
-        total = ZERO
-        for i in range(self.dim):
-            total = total + self.rows[i][i]
-        return total
+        return sum((e for (i, j), e in self.entries.items() if i == j), ZERO)
 
     def kron(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
-        d1, d2 = self.dim, other.dim
-        out = SymbolicMatrix.zeros(d1 * d2)
-        for i1 in range(d1):
-            for j1 in range(d1):
-                a = self.rows[i1][j1]
-                if a.is_zero:
-                    continue
-                for i2 in range(d2):
-                    for j2 in range(d2):
-                        b = other.rows[i2][j2]
-                        if not b.is_zero:
-                            out.rows[i1 * d2 + i2][j1 * d2 + j2] = a * b
-        return out
+        d2 = other.dim
+        return SymbolicMatrix(
+            self.dim * d2,
+            {
+                (i1 * d2 + i2, j1 * d2 + j2): a * b
+                for (i1, j1), a in self.entries.items()
+                for (i2, j2), b in other.entries.items()
+            },
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolicMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and self.entries == other.entries
 
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
@@ -145,43 +132,27 @@ def trace_product(x: SymbolicMatrix, y: SymbolicMatrix) -> LaurentPoly:
     """Trace(x*y) without forming the product matrix."""
     if x.dim != y.dim:
         raise ValueError("matrix dimensions differ")
-    total = ZERO
-    for i in range(x.dim):
-        row = x.rows[i]
-        for j in range(x.dim):
-            a = row[j]
-            if not a.is_zero:
-                b = y.rows[j][i]
-                if not b.is_zero:
-                    total = total + a * b
-    return total
+    ys = y.entries
+    return sum((a * ys[j, i] for (i, j), a in x.entries.items() if (j, i) in ys), ZERO)
 
 
 #: The 2x2 cup/cap matrix, used with both upper and lower indices.
-_M_ENTRIES = [
-    [ZERO, LaurentPoly.monomial(1, GaussianInt(0, 1))],
-    [LaurentPoly.monomial(-1, GaussianInt(0, -1)), ZERO],
-]
+_M = SymbolicMatrix(
+    2,
+    {
+        (0, 1): LaurentPoly.monomial(1, GaussianInt(0, 1)),
+        (1, 0): LaurentPoly.monomial(-1, GaussianInt(0, -1)),
+    },
+)
 
 
-def _cup_cap_matrix() -> SymbolicMatrix:
-    return SymbolicMatrix([list(row) for row in _M_ENTRIES])
+def _outer(dim: int, v: dict[int, LaurentPoly]) -> SymbolicMatrix:
+    """|v><v| on C^dim (formal transpose, no conjugation) for v = {index: entry}."""
+    return SymbolicMatrix(dim, {(i, j): a * b for i, a in v.items() for j, b in v.items()})
 
 
-def _u_block() -> SymbolicMatrix:
-    """The 4x4 cup-over-cap block U^{ab}_{cd} = M^{ab} M_{cd}."""
-    out = SymbolicMatrix.zeros(4)
-    for a in range(2):
-        for b in range(2):
-            upper = _M_ENTRIES[a][b]
-            if upper.is_zero:
-                continue
-            for c in range(2):
-                for d in range(2):
-                    lower = _M_ENTRIES[c][d]
-                    if not lower.is_zero:
-                        out.rows[2 * a + b][2 * c + d] = upper * lower
-    return out
+#: The 4x4 cup-over-cap block U^{ab}_{cd} = M^{ab} M_{cd}.
+_U_BLOCK = _outer(4, {2 * a + b: m for (a, b), m in _M.entries.items()})
 
 
 class ElementaryTensors(NamedTuple):
@@ -193,10 +164,9 @@ class ElementaryTensors(NamedTuple):
 def elementary_tensors() -> ElementaryTensors:
     """The cup/cap matrix M, the strand closer eta = M M^t, and the 4x4
     crossing matrix R^{ab}_{cd} = A M^{ab} M_{cd} + A^-1 delta^a_c delta^b_d."""
-    m = _cup_cap_matrix()
-    eta = m * m.transpose()
-    r = exact_factor(SymbolicMatrix.identity(4), _u_block(), -1)
-    return ElementaryTensors(m, eta, r)
+    eta = _M * _M.transpose()
+    r = exact_factor(SymbolicMatrix.identity(4), _U_BLOCK, -1)
+    return ElementaryTensors(SymbolicMatrix(2, _M.entries), eta, r)
 
 
 def u_tensor(n: int, i: int) -> SymbolicMatrix:
@@ -205,8 +175,7 @@ def u_tensor(n: int, i: int) -> SymbolicMatrix:
         raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
     if n < 2 or not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} invalid for {n} strands")
-    out = SymbolicMatrix.identity(2 ** (i - 1))
-    out = out.kron(_u_block())
+    out = SymbolicMatrix.identity(2 ** (i - 1)).kron(_U_BLOCK)
     return out.kron(SymbolicMatrix.identity(2 ** (n - i - 1)))
 
 
@@ -232,27 +201,16 @@ def rho_matrix(b: BraidWord) -> SymbolicMatrix:
 def z_amplitude(b: BraidWord) -> LaurentPoly:
     """Trace(eta^(tensor n) * rho(b)) = delta * <closure(b)>."""
     _, eta, _ = elementary_tensors()
-    eta_n = SymbolicMatrix.identity(1)
-    for _ in range(b.strands):
-        eta_n = eta_n.kron(eta)
+    eta_n = reduce(SymbolicMatrix.kron, [eta] * b.strands, SymbolicMatrix.identity(1))
     return trace_product(eta_n, rho_matrix(b))
 
 
 def burau_generator(n: int, k: int) -> SymbolicMatrix:
-    """Projector form of U_k on C^n: |v_k><v_k| with v_k = iA W_k - iA^-1 W_{k+1}."""
+    """Projector form of U_k on C^n: |v_k><v_k| with
+    v_k = M^{01} W_k + M^{10} W_{k+1} = iA W_k - iA^-1 W_{k+1}."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} invalid for {n} strands")
-    v = [ZERO] * n
-    v[k - 1] = LaurentPoly.monomial(1, GaussianInt(0, 1))
-    v[k] = LaurentPoly.monomial(-1, GaussianInt(0, -1))
-    out = SymbolicMatrix.zeros(n)
-    for i in range(n):
-        if v[i].is_zero:
-            continue
-        for j in range(n):
-            if not v[j].is_zero:
-                out.rows[i][j] = v[i] * v[j]
-    return out
+    return _outer(n, {k - 1: _M[0, 1], k: _M[1, 0]})
 
 
 def burau_rho(b: BraidWord) -> SymbolicMatrix:
@@ -279,7 +237,7 @@ def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
         else:
             throughs.append((p, q - n))
     dim = 2**n
-    out = SymbolicMatrix.zeros(dim)
+    entries = {}
     for row in range(dim):
         abits = [(row >> (n - 1 - p)) & 1 for p in range(n)]
         for col in range(dim):
@@ -288,24 +246,16 @@ def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
                 continue
             entry = ONE
             for p, q in top_arcs:
-                entry = entry * _M_ENTRIES[abits[p]][abits[q]]
-                if entry.is_zero:
-                    break
-            else:
-                for p, q in bottom_arcs:
-                    entry = entry * _M_ENTRIES[bbits[p]][bbits[q]]
-                    if entry.is_zero:
-                        break
-                else:
-                    out.rows[row][col] = entry
-    return out
+                entry = entry * _M[abits[p], abits[q]]
+            for p, q in bottom_arcs:
+                entry = entry * _M[bbits[p], bbits[q]]
+            entries[row, col] = entry
+    return SymbolicMatrix(dim, entries)
 
 
 def tl_tensor_image(element: TLElement) -> SymbolicMatrix:
     """Tensor image of a TL element (linear extension over its diagrams)."""
     if element.n > MAX_TENSOR_STRANDS:
         raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
-    out = SymbolicMatrix.zeros(2**element.n)
-    for diagram, coeff in element.combo.items():
-        out = out + _diagram_tensor_image(diagram).scale(coeff)
-    return out
+    images = (_diagram_tensor_image(d).scale(coeff) for d, coeff in element.combo.items())
+    return sum(images, SymbolicMatrix.zeros(2**element.n))

@@ -35,6 +35,7 @@ __all__ = ["SuiteResult", "run_all", "MAX_VERIFY_STRANDS"]
 MAX_VERIFY_STRANDS = 5
 MAX_TENSOR_SUITE_STRANDS = 4
 
+_TOL = 1e-12  # tolerance of the numeric suites
 _THETAS = [0.0, math.pi / 10, -math.pi / 10, math.pi / 8, -math.pi / 8, math.pi / 6]
 
 
@@ -101,19 +102,19 @@ def suite_braid_relations(n: int, which: str) -> SuiteResult:
     return SuiteResult(name, True)
 
 
-def suite_braid_relations_unitary(tol: float = 1e-12) -> SuiteResult:
+def suite_braid_relations_unitary() -> SuiteResult:
     """Numeric braid relations and unitarity for the 2x2 representation."""
     rng = random.Random(7)
     for theta in _THETAS:
         setup = unitary_generators(theta)
         lhs = rho_unitary(BraidWord(3, (1, 2, 1)), setup)
         rhs = rho_unitary(BraidWord(3, (2, 1, 2)), setup)
-        if np.max(np.abs(lhs - rhs)) > tol:
+        if np.max(np.abs(lhs - rhs)) > _TOL:
             return SuiteResult("braid-relations-unitary", False, f"theta={theta}")
         for _ in range(5):
             letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(12))
             rho = rho_unitary(BraidWord(3, letters), setup)
-            if np.max(np.abs(rho @ rho.conj().T - np.eye(2))) > tol:
+            if np.max(np.abs(rho @ rho.conj().T - np.eye(2))) > _TOL:
                 return SuiteResult(
                     "braid-relations-unitary", False, f"not unitary at theta={theta}"
                 )
@@ -132,7 +133,7 @@ def suite_yang_baxter() -> SuiteResult:
     return SuiteResult("yang-baxter", True)
 
 
-def suite_trace_identities(tol: float = 1e-12) -> SuiteResult:
+def suite_trace_identities() -> SuiteResult:
     """trace(U_1) = trace(U_2) = delta and trace(U_1 U_2) = 1 numerically."""
     for theta in _THETAS:
         setup = unitary_generators(theta)
@@ -143,14 +144,14 @@ def suite_trace_identities(tol: float = 1e-12) -> SuiteResult:
             (np.trace(setup.u2 @ setup.u1), 1.0),
         ]
         for got, want in checks:
-            if abs(got - want) > tol:
+            if abs(got - want) > _TOL:
                 return SuiteResult(
                     "trace-identities", False, f"theta={theta}: {got} != {want}"
                 )
     return SuiteResult("trace-identities", True)
 
 
-def random_braid(rng: random.Random, max_strands: int = 4, max_length: int = 8) -> BraidWord:
+def random_braid(rng: random.Random, max_strands: int, max_length: int) -> BraidWord:
     n = rng.randint(2, max_strands)
     length = rng.randint(0, max_length)
     letters = tuple(
@@ -159,10 +160,10 @@ def random_braid(rng: random.Random, max_strands: int = 4, max_length: int = 8) 
     return BraidWord(n, letters)
 
 
-def suite_cross_representation(n: int, samples: int = 20, seed: int = 11) -> SuiteResult:
-    """State sum, Markov trace, and tensor trace agree on random closures."""
-    rng = random.Random(seed)
-    for _ in range(samples):
+def suite_cross_representation(n: int) -> SuiteResult:
+    """State sum, Markov trace, and tensor trace agree on 20 random closures."""
+    rng = random.Random(11)
+    for _ in range(20):
         word = random_braid(rng, max_strands=min(n, 4), max_length=6)
         via_trace = bracket_via_trace(word)
         via_states = bracket_state_sum(closure_to_diagram(word))
@@ -175,7 +176,7 @@ def suite_cross_representation(n: int, samples: int = 20, seed: int = 11) -> Sui
     return SuiteResult("cross-representation", True)
 
 
-def run_all(n: int, samples: int = 20) -> list[SuiteResult]:
+def run_all(n: int) -> list[SuiteResult]:
     """Run every suite at strand bound n (2 <= n <= 5)."""
     if n > MAX_VERIFY_STRANDS:
         raise SizeLimitError(f"verification guarded to n <= {MAX_VERIFY_STRANDS}, got {n}")
@@ -191,5 +192,5 @@ def run_all(n: int, samples: int = 20) -> list[SuiteResult]:
         suite_braid_relations_unitary(),
         suite_yang_baxter(),
         suite_trace_identities(),
-        suite_cross_representation(n, samples=samples),
+        suite_cross_representation(n),
     ]

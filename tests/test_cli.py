@@ -93,6 +93,14 @@ class TestBracketCommand:
             assert (code, out) == (1, "")
             assert "empty" in err
 
+    def test_non_planar_pd_code_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "non_planar.json"
+        path.write_text(json.dumps({"crossings": [{"slots": [1, 2, 1, 2], "sign": 1}]}))
+        for verb in ("bracket", "jones"):
+            code, out, err = run_cli(capsys, [verb, "--pd", str(path)])
+            assert (code, out) == (1, "")
+            assert "not planar" in err
+
     def test_successive_calls_keep_their_own_flags(self, capsys, tmp_path):
         path = tmp_path / "trefoil.json"
         path.write_text(json.dumps(TREFOIL_PD))

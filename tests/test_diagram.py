@@ -101,6 +101,36 @@ class TestDiagramValidation:
         for k in (1, 2):
             assert diagram_from_json({"crossings": [], "free_loops": k}) == LinkDiagram((), k)
 
+    @pytest.mark.parametrize(
+        "slots",
+        [
+            [(1, 2, 1, 2)],
+            # the table trefoil with two slots of one crossing swapped
+            [(4, 1, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)],
+            # a planar kink beside a non-planar component
+            [(1, 2, 1, 2), (3, 3, 4, 4)],
+        ],
+    )
+    def test_non_planar_codes_rejected(self, slots):
+        with pytest.raises(ValueError, match="not planar"):
+            LinkDiagram(tuple(Crossing(s, 1) for s in slots))
+        with pytest.raises(ParseError, match="not planar"):
+            diagram_from_json({"crossings": [{"slots": list(s), "sign": 1} for s in slots]})
+
+    @given(
+        braid_words(max_strands=5, max_length=10),
+        st.lists(st.sampled_from(["curl+", "curl-", "mirror"]), max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_closures_curls_and_mirrors_load(self, word, moves):
+        diagram = closure_to_diagram(word)
+        for move in moves:
+            if move == "mirror":
+                diagram = mirror_diagram(diagram)
+            else:
+                diagram = add_curl(diagram, 1 if move == "curl+" else -1)
+        assert diagram_from_json(json.loads(json.dumps(diagram_to_json(diagram)))) == diagram
+
 
 class TestEnumerateStates:
     def test_bare_unknot(self):

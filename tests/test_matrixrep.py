@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidket import (
     A,
@@ -19,7 +21,94 @@ from braidket import (
     z_amplitude,
 )
 from braidket.errors import SizeLimitError
+from braidket.matrixrep import trace_product
 from conftest import random_words
+
+# Entries whose sums and products cancel: A + (-A) = 0, A*A + (iA)*(iA) = 0.
+_ENTRIES = [
+    LaurentPoly.zero(),
+    LaurentPoly.one(),
+    -LaurentPoly.one(),
+    A,
+    -A,
+    A_INV,
+    LaurentPoly.monomial(1, GaussianInt(0, 1)),
+    LaurentPoly.monomial(-1, GaussianInt(0, -1)),
+]
+
+
+def dense_matrices(dim):
+    row = st.lists(st.sampled_from(_ENTRIES), min_size=dim, max_size=dim)
+    return st.lists(row, min_size=dim, max_size=dim)
+
+
+def sparse(rows) -> SymbolicMatrix:
+    return SymbolicMatrix(
+        len(rows), {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)}
+    )
+
+
+# Dense reference: plain lists of rows, zeros included.
+def dense_mul(x, y):
+    d = len(x)
+    zero = LaurentPoly.zero()
+    return [[sum((x[i][k] * y[k][j] for k in range(d)), zero) for j in range(d)] for i in range(d)]
+
+
+def dense_add(x, y):
+    return [[a + b for a, b in zip(row_x, row_y)] for row_x, row_y in zip(x, y)]
+
+
+def dense_kron(x, y):
+    d2 = len(y)
+    return [
+        [x[i // d2][j // d2] * y[i % d2][j % d2] for j in range(len(x) * d2)]
+        for i in range(len(x) * d2)
+    ]
+
+
+def dense_trace(x):
+    return sum((x[i][i] for i in range(len(x))), LaurentPoly.zero())
+
+
+class TestSparseStorage:
+    @given(
+        st.integers(1, 4).flatmap(lambda d: st.tuples(dense_matrices(d), dense_matrices(d))),
+        st.integers(1, 2).flatmap(dense_matrices),
+        st.sampled_from(_ENTRIES + [0, 2, -3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match_the_dense_reference(self, pair, other, factor):
+        a, b = pair
+        x, y, z = sparse(a), sparse(b), sparse(other)
+        results = [
+            (x * y, dense_mul(a, b)),
+            (x + y, dense_add(a, b)),
+            (x.scale(factor), [[e * factor for e in row] for row in a]),
+            (x.transpose(), [list(col) for col in zip(*a)]),
+            (x.kron(z), dense_kron(a, other)),
+            (z.kron(y), dense_kron(other, b)),
+        ]
+        for got, want in results:
+            assert got.rows == want
+            assert got == sparse(want)
+            assert not any(e.is_zero for e in got.entries.values())
+        assert x.trace() == dense_trace(a)
+        assert trace_product(x, y) == dense_trace(dense_mul(a, b))
+
+    def test_cancelled_entries_are_dropped(self):
+        identity = {(i, i): LaurentPoly.one() for i in range(4)}
+        assert rho_matrix(BraidWord(2, (1, -1))).entries == identity
+        assert burau_rho(BraidWord(3, (2, -2))).entries == {
+            (i, i): LaurentPoly.one() for i in range(3)
+        }
+        assert SymbolicMatrix(2, {(0, 1): LaurentPoly.zero()}).entries == {}
+
+    def test_dense_view(self):
+        u = burau_generator(3, 2)
+        assert len(u.entries) == 4
+        assert u.rows[0] == [LaurentPoly.zero()] * 3
+        assert u.rows[1][2] == u[1, 2] == LaurentPoly.one()
 
 
 class TestElementaryTensors:
