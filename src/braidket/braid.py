@@ -21,7 +21,7 @@ from functools import partial, reduce
 from .diagram import Crossing, LinkDiagram
 from .errors import InvariantError, ParseError, SizeLimitError
 from .laurent import A, A_INV, DELTA, LaurentPoly
-from .tl import TLElement, diagram_table
+from .tl import TLDiagram, TLElement, diagram_table, discard_table
 
 __all__ = [
     "BraidWord",
@@ -137,8 +137,14 @@ def _fold(b: BraidWord):
     table = diagram_table(n)
     proven = length + n + 2
     bits = min(proven, n + _TRIAL_BITS)
-    while (state := _fold_at(b, table, bits, bits < proven)) is None:
-        bits = min(2 * bits, proven)
+    try:
+        while (state := _fold_at(b, table, bits, bits < proven)) is None:
+            bits = min(2 * bits, proven)
+    except SizeLimitError:
+        # A guarded fold interned up to MAX_TL_COST's worth of diagrams that
+        # no later word may need; dropping the table frees them.
+        discard_table(n)
+        raise
     return table, state, bits
 
 
@@ -210,10 +216,13 @@ def _room(state: dict[int, int], bits: int, n: int, window: int) -> int:
 
 def rho_tl(b: BraidWord) -> TLElement:
     """Image of the braid word in TL_n."""
+    n = b.strands
     table, state, bits = _fold(b)
     low = -3 * len(b.letters)
-    combo = {table.diagrams[d]: LaurentPoly.unpack(x, bits, low) for d, x in state.items()}
-    return TLElement(b.strands, combo)
+    combo = {
+        TLDiagram(n, table.pairings[d]): LaurentPoly.unpack(x, bits, low) for d, x in state.items()
+    }
+    return TLElement(n, combo)
 
 
 def bracket_via_trace(b: BraidWord) -> LaurentPoly:

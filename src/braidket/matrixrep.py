@@ -18,9 +18,9 @@ order.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, partial, reduce
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .braid import BraidWord, exact_factor, represent
 from .errors import SizeLimitError
@@ -179,14 +179,12 @@ def u_tensor(n: int, i: int) -> SymbolicMatrix:
     return out.kron(SymbolicMatrix.identity(2 ** (n - i - 1)))
 
 
-def _symbolic_rho(
-    b: BraidWord, dim: int, generator: Callable[[int], SymbolicMatrix]
-) -> SymbolicMatrix:
-    """Fold of the letter factors A*I + A^-1*generator(i) over the word."""
-    identity = SymbolicMatrix.identity(dim)
-    return represent(
-        b.letters, identity, lambda g: exact_factor(identity, generator(abs(g)), g), mul
-    )
+# At most 2 * (1 + ... + 5) factors under MAX_TENSOR_STRANDS; no method
+# changes a SymbolicMatrix, so every call may share them.
+@lru_cache(maxsize=None)
+def _tensor_factor(n: int, g: int) -> SymbolicMatrix:
+    """The letter g's factor A*I + A^-1*U_|g| (A^-1*I + A*U_|g| for g < 0)."""
+    return exact_factor(SymbolicMatrix.identity(2**n), u_tensor(n, abs(g)), g)
 
 
 def rho_matrix(b: BraidWord) -> SymbolicMatrix:
@@ -195,14 +193,21 @@ def rho_matrix(b: BraidWord) -> SymbolicMatrix:
         raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
     if len(b.letters) > MAX_TENSOR_WORD:
         raise SizeLimitError(f"tensor word length guarded to {MAX_TENSOR_WORD}")
-    return _symbolic_rho(b, 2**b.strands, lambda i: u_tensor(b.strands, i))
+    identity = SymbolicMatrix.identity(2**b.strands)
+    return represent(b.letters, identity, partial(_tensor_factor, b.strands), mul)
+
+
+@lru_cache(maxsize=None)
+def _strand_closer(n: int) -> SymbolicMatrix:
+    """eta^(tensor n), for n within MAX_TENSOR_STRANDS."""
+    _, eta, _ = elementary_tensors()
+    return reduce(SymbolicMatrix.kron, [eta] * n, SymbolicMatrix.identity(1))
 
 
 def z_amplitude(b: BraidWord) -> LaurentPoly:
     """Trace(eta^(tensor n) * rho(b)) = delta * <closure(b)>."""
-    _, eta, _ = elementary_tensors()
-    eta_n = reduce(SymbolicMatrix.kron, [eta] * b.strands, SymbolicMatrix.identity(1))
-    return trace_product(eta_n, rho_matrix(b))
+    rho = rho_matrix(b)  # first, so its guards bound _strand_closer's cache
+    return trace_product(_strand_closer(b.strands), rho)
 
 
 def burau_generator(n: int, k: int) -> SymbolicMatrix:
@@ -215,7 +220,20 @@ def burau_generator(n: int, k: int) -> SymbolicMatrix:
 
 def burau_rho(b: BraidWord) -> SymbolicMatrix:
     """Projector-representation image: per-letter factors A*I_n + A^-1*U_k."""
-    return _symbolic_rho(b, b.strands, lambda k: burau_generator(b.strands, k))
+    identity = SymbolicMatrix.identity(b.strands)
+    return represent(
+        b.letters,
+        identity,
+        lambda g: exact_factor(identity, burau_generator(b.strands, abs(g)), g),
+        mul,
+    )
+
+
+#: The bit pairs an arc between points p < q may carry, each with its factor:
+#: a cap or cup carries 01 or 10, weighted by M, and a through strand equal
+#: bits, weighted 1.
+_ARC_LABELS = tuple((a, b, m) for (a, b), m in _M.entries.items())
+_THROUGH_LABELS = ((0, 0, ONE), (1, 1, ONE))
 
 
 def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
@@ -223,34 +241,26 @@ def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
 
     Each arc between two top points (left point p, right point q) contributes
     M^{a_p a_q}; an arc between bottom points contributes M_{b_p b_q}; a
-    through strand forces its two bit labels equal.
+    through strand forces its two bit labels equal.  Each arc takes one of
+    two labellings, so the image has exactly 2^n nonzero entries, built arc
+    by arc.
     """
     n = diagram.n
-    top_arcs: list[tuple[int, int]] = []
-    bottom_arcs: list[tuple[int, int]] = []
-    throughs: list[tuple[int, int]] = []
+
+    def place(p: int, bit: int) -> tuple[int, int]:
+        # Top point p is row bit n-1-p, bottom point n+k column bit n-1-k.
+        return (bit << (n - 1 - p), 0) if p < n else (0, bit << (2 * n - 1 - p))
+
+    entries = {(0, 0): ONE}
     for p, q in diagram.arcs():
-        if q < n:
-            top_arcs.append((p, q))
-        elif p >= n:
-            bottom_arcs.append((p - n, q - n))
-        else:
-            throughs.append((p, q - n))
-    dim = 2**n
-    entries = {}
-    for row in range(dim):
-        abits = [(row >> (n - 1 - p)) & 1 for p in range(n)]
-        for col in range(dim):
-            bbits = [(col >> (n - 1 - p)) & 1 for p in range(n)]
-            if any(abits[p] != bbits[q] for p, q in throughs):
-                continue
-            entry = ONE
-            for p, q in top_arcs:
-                entry = entry * _M[abits[p], abits[q]]
-            for p, q in bottom_arcs:
-                entry = entry * _M[bbits[p], bbits[q]]
-            entries[row, col] = entry
-    return SymbolicMatrix(dim, entries)
+        labels = _THROUGH_LABELS if p < n <= q else _ARC_LABELS
+        grown = {}
+        for (row, col), entry in entries.items():
+            for a, b, factor in labels:
+                (r1, c1), (r2, c2) = place(p, a), place(q, b)
+                grown[row | r1 | r2, col | c1 | c2] = entry * factor
+        entries = grown
+    return SymbolicMatrix(2**n, entries)
 
 
 def tl_tensor_image(element: TLElement) -> SymbolicMatrix:

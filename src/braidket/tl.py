@@ -10,6 +10,15 @@ Multiplication stacks the left factor above the right factor, gluing the
 bottom row of the first onto the top row of the second.  Every closed loop
 produced by the gluing contributes one factor of the loop value
 delta = -A^2 - A^-2.
+
+The braid fold works on bare pairing tuples in a ``DiagramTable``, which
+multiplies by a generator in closed form: with x = n+i-1, y = n+i, a = p[x]
+and b = p[y], d·U_i is d with one loop when a == y, and otherwise pairs a
+with b and x with y.  The Markov closure counts its loops with a walk that
+alternates pairing edges and the k <-> n+k closure edges.  ``TLDiagram``
+checks a pairing (an involution, planar) only where it comes from outside,
+a caller's ``TLDiagram(...)``, and where ``braid.rho_tl`` turns table ids
+back into diagrams; the table builds none.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._uf import DisjointSet
 from .errors import SizeLimitError
 from .laurent import DELTA, LaurentPoly, ONE
 
@@ -32,6 +40,7 @@ __all__ = [
     "enumerate_basis",
     "DiagramTable",
     "diagram_table",
+    "discard_table",
 ]
 
 
@@ -214,59 +223,101 @@ def multiply(x: TLElement, y: TLElement) -> TLElement:
 
 
 class DiagramTable:
-    """The TL_n diagrams met so far, each with a small int id, and the right
-    action of the generators on them, both filled in on first use.
+    """The TL_n diagrams met so far, as pairing tuples with small int ids, and
+    the right action of the generators on them, both filled in on first use.
 
     ``actions[i][d]`` is ``2 * e + loops``, where e is the id of d·U_i and
-    ``loops`` (0 or 1) the closed loops the stacking made.  The table holds
-    only ints; a miss glues the two diagrams once, past ``_glue``'s cache.
+    ``loops`` (0 or 1) the closed loops the stacking made.  It needs no
+    gluing walk: with x = n+i-1 and y = n+i the bottom points U_i caps, and
+    a = p[x], b = p[y] their partners in d's pairing p, the cap of U_i joins
+    the path a-x-y-b.  If a == y, d already caps x and y: the path closes
+    into one loop and d·U_i = d.  Otherwise a is paired with b, and the cup
+    of U_i pairs x with y.  Stacking planar diagrams keeps them planar, so
+    the table checks no pairing: ``TLDiagram`` validates where diagrams come
+    from outside, and where ``braid.rho_tl`` turns ids back into diagrams.
     """
 
-    __slots__ = ("n", "diagrams", "_ids", "actions", "_closure", "identity")
+    __slots__ = ("n", "pairings", "_ids", "actions", "_closure", "identity")
 
     def __init__(self, n: int):
         self.n = n
-        self.diagrams: list[TLDiagram] = []
+        self.pairings: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self.actions: list[dict[int, int]] = [{} for _ in range(n)]
         self._closure: dict[int, int] = {}
-        self.identity = self.intern(identity_diagram(n))
+        self.identity = self.intern((*range(n, 2 * n), *range(n)))
 
-    def intern(self, d: TLDiagram) -> int:
-        """The id of d, assigned on first sight."""
-        if d.pairing not in self._ids:
-            self._ids[d.pairing] = len(self.diagrams)
-            self.diagrams.append(d)
-        return self._ids[d.pairing]
+    def intern(self, pairing: tuple[int, ...]) -> int:
+        """The id of a pairing, assigned on first sight."""
+        ident = self._ids.get(pairing)
+        if ident is None:
+            ident = self._ids[pairing] = len(self.pairings)
+            self.pairings.append(pairing)
+        return ident
 
     def act(self, i: int, d: int) -> int:
-        """Fill and return ``actions[i][d]``."""
-        glued, loops = _glue.__wrapped__(self.diagrams[d], generator_diagram(self.n, i))
-        code = self.actions[i][d] = 2 * self.intern(glued) + loops
+        """Fill and return ``actions[i][d]`` by the closed form."""
+        p = self.pairings[d]
+        x = self.n + i - 1
+        y = x + 1
+        a, b = p[x], p[y]
+        if a == y:
+            code = 2 * d + 1
+        else:
+            q = list(p)
+            q[a], q[b], q[x], q[y] = b, a, y, x
+            code = 2 * self.intern(tuple(q))
+        self.actions[i][d] = code
         return code
 
     def closure_loops(self, d: int) -> int:
         """``closure_loop_count`` of diagram d, cached."""
-        if d not in self._closure:
-            self._closure[d] = closure_loop_count(self.diagrams[d])
-        return self._closure[d]
+        loops = self._closure.get(d)
+        if loops is None:
+            loops = self._closure[d] = _closure_loops(self.pairings[d])
+        return loops
 
 
-@lru_cache(maxsize=None)
+_tables: dict[int, DiagramTable] = {}
+
+
 def diagram_table(n: int) -> DiagramTable:
     """The one DiagramTable of TL_n in this process."""
-    return DiagramTable(n)
+    table = _tables.get(n)
+    if table is None:
+        table = _tables[n] = DiagramTable(n)
+    return table
+
+
+def discard_table(n: int) -> None:
+    """Drop TL_n's table, freeing its diagrams; the next use starts afresh."""
+    _tables.pop(n, None)
+
+
+def _closure_loops(pairing: tuple[int, ...]) -> int:
+    """Loops of a pairing closed by joining top k to bottom n+k.
+
+    Every point lies on one pairing edge and one closure edge, so each loop
+    alternates the two; every loop meets a top point.
+    """
+    n = len(pairing) // 2
+    seen = bytearray(2 * n)
+    loops = 0
+    for k in range(n):
+        if seen[k]:
+            continue
+        loops += 1
+        p = k
+        while not seen[p]:
+            q = pairing[p]
+            seen[p] = seen[q] = 1
+            p = q + n if q < n else q - n
+    return loops
 
 
 def closure_loop_count(d: TLDiagram) -> int:
     """Number of loops after joining top k to bottom k for every strand."""
-    n = d.n
-    ds = DisjointSet(2 * n)
-    for p, q in enumerate(d.pairing):
-        ds.union(p, q)
-    for k in range(n):
-        ds.union(k, n + k)
-    return ds.component_count()
+    return _closure_loops(d.pairing)
 
 
 def markov_trace(x: TLElement) -> LaurentPoly:

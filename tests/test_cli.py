@@ -11,6 +11,7 @@ import braidket
 import braidket.diagram
 from braidket import DELTA, evolve, parse_braid, rho_unitary, sample_shots, unitary_generators
 from braidket.cli import main
+from braidket.tl import diagram_table
 
 TREFOIL_PD = {
     "crossings": [
@@ -144,6 +145,15 @@ class TestBracketCommand:
         assert done.returncode == 2
         assert done.stdout == ""
         assert "cost guard" in done.stderr
+
+    def test_guarded_fold_leaves_no_diagrams_behind(self, capsys):
+        word = " ".join(str(i) for i in range(1, 40, 2))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["bracket", "--strands", "40", "--word", word])
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "") and "cost guard" in err
+        table = diagram_table(40)
+        assert table.pairings == [table.pairings[table.identity]]
 
 
 class TestJonesCommand:

@@ -14,6 +14,7 @@ from braidket import (
     burau_generator,
     burau_rho,
     elementary_tensors,
+    enumerate_basis,
     rho_matrix,
     rho_tl,
     tl_tensor_image,
@@ -21,7 +22,7 @@ from braidket import (
     z_amplitude,
 )
 from braidket.errors import SizeLimitError
-from braidket.matrixrep import trace_product
+from braidket.matrixrep import _diagram_tensor_image, trace_product
 from conftest import random_words
 
 # Entries whose sums and products cancel: A + (-A) = 0, A*A + (iA)*(iA) = 0.
@@ -183,6 +184,43 @@ class TestRhoMatrix:
     def test_word_length_guard(self):
         with pytest.raises(SizeLimitError):
             rho_matrix(BraidWord(2, (1,) * 13))
+
+
+def tensor_image_oracle(diagram):
+    """Every (row, column) pair scanned; M factors of the arcs multiplied in."""
+    n = diagram.n
+    top, bottom, through = [], [], []
+    for p, q in diagram.arcs():
+        if q < n:
+            top.append((p, q))
+        elif p >= n:
+            bottom.append((p - n, q - n))
+        else:
+            through.append((p, q - n))
+    m, _, _ = elementary_tensors()
+    entries = {}
+    for row in range(2**n):
+        a = [(row >> (n - 1 - p)) & 1 for p in range(n)]
+        for col in range(2**n):
+            b = [(col >> (n - 1 - p)) & 1 for p in range(n)]
+            if any(a[p] != b[q] for p, q in through):
+                continue
+            entry = LaurentPoly.one()
+            for p, q in top:
+                entry = entry * m[a[p], a[q]]
+            for p, q in bottom:
+                entry = entry * m[b[p], b[q]]
+            entries[row, col] = entry
+    return SymbolicMatrix(2**n, entries)
+
+
+class TestDiagramTensorImage:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_the_full_scan_on_the_basis(self, n):
+        for diagram in enumerate_basis(n):
+            image = _diagram_tensor_image(diagram)
+            assert image == tensor_image_oracle(diagram)
+            assert len(image.entries) == 2**n
 
 
 class TestZAmplitude:

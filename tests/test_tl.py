@@ -9,6 +9,7 @@ from braidket import (
     LaurentPoly,
     TLDiagram,
     TLElement,
+    bracket_via_trace,
     closure_loop_count,
     enumerate_basis,
     generator_diagram,
@@ -19,6 +20,7 @@ from braidket import (
 from braidket._uf import DisjointSet
 from braidket.errors import SizeLimitError
 from braidket.tl import _glue, diagram_table
+from conftest import braid_words
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -141,30 +143,57 @@ class TestGlue:
         assert _glue.cache_info().currsize > 0
 
 
+def closure_oracle(d):
+    """Union-find closure count: pairing edges and top k -- bottom n+k."""
+    n = d.n
+    ds = DisjointSet(2 * n)
+    for p, q in enumerate(d.pairing):
+        ds.union(p, q)
+    for k in range(n):
+        ds.union(k, n + k)
+    return ds.component_count()
+
+
 class TestDiagramTable:
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_actions_match_glue_on_the_basis(self, n):
         table = diagram_table(n)
         for d in enumerate_basis(n):
-            ident = table.intern(d)
-            assert table.diagrams[ident] == d and table.intern(d) == ident
+            ident = table.intern(d.pairing)
+            assert table.pairings[ident] == d.pairing and table.intern(d.pairing) == ident
             assert table.closure_loops(ident) == closure_loop_count(d)
             for i in range(1, n):
                 code = table.actions[i].get(ident)
                 if code is None:
                     code = table.act(i, ident)
                 glued, loops = _glue(d, generator_diagram(n, i))
-                assert (table.diagrams[code >> 1], code & 1) == (glued, loops)
+                assert (table.pairings[code >> 1], code & 1) == (glued.pairing, loops)
                 # The packed fold's digit bound rests on this: a loop
                 # leaves the diagram as it was.
                 assert not loops or glued == d
 
     def test_tables_are_kept_per_strand_count(self):
         assert diagram_table(3) is diagram_table(3)
-        assert diagram_table(3).identity == diagram_table(3).intern(identity_diagram(3))
+        assert diagram_table(3).identity == diagram_table(3).intern(identity_diagram(3).pairing)
+
+    @given(braid_words(max_strands=9, max_length=14))
+    @settings(max_examples=40, deadline=None)
+    def test_folds_intern_only_valid_pairings(self, word):
+        # The table validates nothing, so every pairing a fold reaches must
+        # still be an involution without crossing arcs.
+        table = diagram_table(word.strands)
+        before = len(table.pairings)
+        bracket_via_trace(word)
+        for pairing in table.pairings[before:]:
+            TLDiagram(word.strands, pairing)
 
 
 class TestClosureAndTrace:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_matches_union_find_oracle(self, n):
+        for d in enumerate_basis(n):
+            assert closure_loop_count(d) == closure_oracle(d)
+
     def test_identity_closure(self):
         assert closure_loop_count(identity_diagram(3)) == 3
 
