@@ -157,17 +157,18 @@ def _fold_at(b: BraidWord, table, bits: int, checked: bool) -> dict[int, int] | 
     done = safe = 0
 
     def factor(g: int):
-        # A^3 rho(sigma_i) = B^2*1 + B*U_i, A^3 rho(sigma_i^-1) = B*1 + B^2*U_i;
-        # a closed loop multiplies the U_i term by delta = -(B + B^-1).
+        # A^3 rho(sigma_i) = B^2*1 + B*U_i, A^3 rho(sigma_i^-1) = B*1 + B^2*U_i.
+        # When d caps the points U_i caps, d·U_i = delta d and the two terms
+        # are one: (B^2 - B^2 - 1) d = -d, or (B - B^3 - B) d = -B^3 d.
         i = abs(g)
-        shifts = (2 * bits, bits, 2 * bits, 0) if g > 0 else (bits, 2 * bits, 3 * bits, bits)
+        shifts = (2 * bits, bits, 0) if g > 0 else (bits, 2 * bits, 3 * bits)
         return (table.actions[i], partial(table.act, i), *shifts)
 
     def step(state: dict[int, int] | None, letter) -> dict[int, int] | None:
         nonlocal done, safe
         if state is None:
             return None
-        action, fill, keep, through, loop_high, loop_low = letter
+        action, fill, keep, through, loop = letter
         if 2 * len(state) * size > MAX_TL_COST:
             raise SizeLimitError(
                 f"TL product of {length} letters on {n} strands exceeds the "
@@ -180,17 +181,17 @@ def _fold_at(b: BraidWord, table, bits: int, checked: bool) -> dict[int, int] | 
                     return None
                 safe = done + room
             done += 1
-        out = {d: x << keep for d, x in state.items()}
+        out: dict[int, int] = {}
         for d, x in state.items():
             code = action.get(d)
             if code is None:
                 code = fill(d)
             if code & 1:
-                x = -((x << loop_high) + (x << loop_low))
+                out[d] = out.get(d, 0) - (x << loop)
             else:
-                x <<= through
-            e = code >> 1
-            out[e] = out.get(e, 0) + x
+                out[d] = out.get(d, 0) + (x << keep)
+                e = code >> 1
+                out[e] = out.get(e, 0) + (x << through)
         return {d: x for d, x in out.items() if x}
 
     return represent(b.letters, {table.identity: 1}, factor, step)
@@ -214,14 +215,47 @@ def _room(state: dict[int, int], bits: int, n: int, window: int) -> int:
     return max(0, bits - 1 - t - n - (len(state) * window).bit_length())
 
 
+def _unpack(packed: int, bits: int, low: int) -> LaurentPoly:
+    """Decode a Kronecker-packed integer polynomial in A^2.
+
+    ``packed = sum c_j 2^(bits*j)`` with signed digits
+    ``|c_j| < 2^(bits-1)``; the result is ``sum c_j A^(low + 2j)``.
+    Long integers are halved until a part holds at most 16 digits, so
+    no digit is taken off more than a short part.  Because every digit
+    is below half the base, the low half read as a signed number is
+    exactly the sum of its digits.
+    """
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    terms = {}
+
+    def split(value: int, first: int, count: int) -> None:
+        # value = the digits first .. first+count-1, shifted down to 0.
+        if count > 16:
+            width = bits * (count // 2)
+            part = value & ((1 << width) - 1)
+            if part >> (width - 1):
+                part -= 1 << width
+            split(part, first, count // 2)
+            split((value - part) >> width, first + count // 2, count - count // 2)
+            return
+        while value:
+            digit = value & mask
+            if digit >= half:
+                digit -= 1 << bits
+            terms[low + 2 * first] = digit
+            value = (value - digit) >> bits
+            first += 1
+
+    split(packed, 0, packed.bit_length() // bits + 1)
+    return LaurentPoly(terms)
+
+
 def rho_tl(b: BraidWord) -> TLElement:
     """Image of the braid word in TL_n."""
     n = b.strands
     table, state, bits = _fold(b)
     low = -3 * len(b.letters)
-    combo = {
-        TLDiagram(n, table.pairings[d]): LaurentPoly.unpack(x, bits, low) for d, x in state.items()
-    }
+    combo = {TLDiagram(n, table.pairings[d]): _unpack(x, bits, low) for d, x in state.items()}
     return TLElement(n, combo)
 
 
@@ -243,7 +277,7 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     packed = 0
     for m in range(n, -1, -1):
         packed = (by_loops[m] << (n - m) * bits) - (packed << 2 * bits) - packed
-    trace = LaurentPoly.unpack(packed, bits, -3 * len(b.letters) - 2 * n)
+    trace = _unpack(packed, bits, -3 * len(b.letters) - 2 * n)
     bracket = trace.divexact(DELTA)
     if not bracket.is_real:
         raise InvariantError(f"bracket has nonzero imaginary part: {bracket}")

@@ -109,12 +109,6 @@ def _bracket_and_writhe(args) -> tuple[LaurentPoly, int]:
     return bracket, exponent_sum(word)
 
 
-def _invariants(args) -> dict:
-    bracket, w = _bracket_and_writhe(args)
-    f, v = normalize_bracket(bracket, w)
-    return {"bracket": bracket, "writhe": w, "f": f, "V": v}
-
-
 def cmd_bracket(args) -> int:
     bracket, _ = _bracket_and_writhe(args)
     if args.json:
@@ -125,23 +119,13 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    data = _invariants(args)
+    bracket, w = _bracket_and_writhe(args)
+    f, v = normalize_bracket(bracket, w)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "bracket": data["bracket"].to_json(),
-                    "writhe": data["writhe"],
-                    "f": data["f"].to_json(),
-                    "V": data["V"].to_json(),
-                }
-            )
-        )
+        data = {"bracket": bracket.to_json(), "writhe": w, "f": f.to_json(), "V": v.to_json()}
+        print(json.dumps(data))
     else:
-        print(f"bracket: {data['bracket']}")
-        print(f"writhe: {data['writhe']}")
-        print(f"f: {data['f']}")
-        print(f"V: {data['V']}")
+        print(f"bracket: {bracket}\nwrithe: {w}\nf: {f}\nV: {v}")
     return EXIT_OK
 
 

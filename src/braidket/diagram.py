@@ -246,13 +246,21 @@ def diagram_to_json(diagram: LinkDiagram) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """``value`` itself if it is a JSON integer; a float, bool or string is
+    rejected, not rounded (bool is an int subclass, so the type is compared)."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not a JSON integer")
+    return value
+
+
 def diagram_from_json(data: dict) -> LinkDiagram:
     try:
         crossings = tuple(
-            Crossing(tuple(int(s) for s in entry["slots"]), int(entry["sign"]))
+            Crossing(tuple(map(_json_int, entry["slots"])), _json_int(entry["sign"]))
             for entry in data["crossings"]
         )
-        diagram = LinkDiagram(crossings, int(data.get("free_loops", 0)))
+        diagram = LinkDiagram(crossings, _json_int(data.get("free_loops", 0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed diagram JSON: {exc}") from exc
     if diagram.is_empty:

@@ -110,41 +110,6 @@ class LaurentPoly:
     def monomial(cls, exp: int, coeff: Coeff = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 
-    @classmethod
-    def unpack(cls, packed: int, bits: int, low: int) -> "LaurentPoly":
-        """Decode a Kronecker-packed integer polynomial in A^2.
-
-        ``packed = sum c_j 2^(bits*j)`` with signed digits
-        ``|c_j| < 2^(bits-1)``; the result is ``sum c_j A^(low + 2j)``.
-        Long integers are halved until a part holds at most 16 digits, so
-        no digit is taken off more than a short part.  Because every digit
-        is below half the base, the low half read as a signed number is
-        exactly the sum of its digits.
-        """
-        mask, half = (1 << bits) - 1, 1 << (bits - 1)
-        terms = {}
-
-        def split(value: int, first: int, count: int) -> None:
-            # value = the digits first .. first+count-1, shifted down to 0.
-            if count > 16:
-                width = bits * (count // 2)
-                part = value & ((1 << width) - 1)
-                if part >> (width - 1):
-                    part -= 1 << width
-                split(part, first, count // 2)
-                split((value - part) >> width, first + count // 2, count - count // 2)
-                return
-            while value:
-                digit = value & mask
-                if digit >= half:
-                    digit -= 1 << bits
-                terms[low + 2 * first] = digit
-                value = (value - digit) >> bits
-                first += 1
-
-        split(packed, 0, packed.bit_length() // bits + 1)
-        return cls(terms)
-
     # -- inspection ----------------------------------------------------
 
     @property

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .braid import BraidWord, exact_factor, represent
 from .errors import SizeLimitError
 from .laurent import GaussianInt, LaurentPoly, ONE, ZERO
-from .tl import TLDiagram, TLElement
+from .tl import TLDiagram, TLElement, generator_diagram
 
 __all__ = [
     "SymbolicMatrix",
@@ -124,9 +124,6 @@ class SymbolicMatrix:
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
         return f"SymbolicMatrix({body})"
 
-    def to_json(self) -> list[list[list[list[int]]]]:
-        return [[entry.to_json() for entry in row] for row in self.rows]
-
 
 def trace_product(x: SymbolicMatrix, y: SymbolicMatrix) -> LaurentPoly:
     """Trace(x*y) without forming the product matrix."""
@@ -146,15 +143,6 @@ _M = SymbolicMatrix(
 )
 
 
-def _outer(dim: int, v: dict[int, LaurentPoly]) -> SymbolicMatrix:
-    """|v><v| on C^dim (formal transpose, no conjugation) for v = {index: entry}."""
-    return SymbolicMatrix(dim, {(i, j): a * b for i, a in v.items() for j, b in v.items()})
-
-
-#: The 4x4 cup-over-cap block U^{ab}_{cd} = M^{ab} M_{cd}.
-_U_BLOCK = _outer(4, {2 * a + b: m for (a, b), m in _M.entries.items()})
-
-
 class ElementaryTensors(NamedTuple):
     M: SymbolicMatrix
     eta: SymbolicMatrix
@@ -165,18 +153,18 @@ def elementary_tensors() -> ElementaryTensors:
     """The cup/cap matrix M, the strand closer eta = M M^t, and the 4x4
     crossing matrix R^{ab}_{cd} = A M^{ab} M_{cd} + A^-1 delta^a_c delta^b_d."""
     eta = _M * _M.transpose()
-    r = exact_factor(SymbolicMatrix.identity(4), _U_BLOCK, -1)
+    r = exact_factor(SymbolicMatrix.identity(4), u_tensor(2, 1), -1)
     return ElementaryTensors(SymbolicMatrix(2, _M.entries), eta, r)
 
 
 def u_tensor(n: int, i: int) -> SymbolicMatrix:
-    """TL generator U_i on (C^2)^(tensor n): identities with one U block."""
+    """TL generator U_i on (C^2)^(tensor n): the image of its diagram, so
+    identities with one cup-over-cap block U^{ab}_{cd} = M^{ab} M_{cd}."""
     if n > MAX_TENSOR_STRANDS:
         raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
     if n < 2 or not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} invalid for {n} strands")
-    out = SymbolicMatrix.identity(2 ** (i - 1)).kron(_U_BLOCK)
-    return out.kron(SymbolicMatrix.identity(2 ** (n - i - 1)))
+    return _diagram_tensor_image(generator_diagram(n, i))
 
 
 # At most 2 * (1 + ... + 5) factors under MAX_TENSOR_STRANDS; no method
@@ -215,7 +203,8 @@ def burau_generator(n: int, k: int) -> SymbolicMatrix:
     v_k = M^{01} W_k + M^{10} W_{k+1} = iA W_k - iA^-1 W_{k+1}."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} invalid for {n} strands")
-    return _outer(n, {k - 1: _M[0, 1], k: _M[1, 0]})
+    v = {k - 1: _M[0, 1], k: _M[1, 0]}
+    return SymbolicMatrix(n, {(i, j): a * b for i, a in v.items() for j, b in v.items()})
 
 
 def burau_rho(b: BraidWord) -> SymbolicMatrix:
@@ -231,9 +220,9 @@ def burau_rho(b: BraidWord) -> SymbolicMatrix:
 
 #: The bit pairs an arc between points p < q may carry, each with its factor:
 #: a cap or cup carries 01 or 10, weighted by M, and a through strand equal
-#: bits, weighted 1.
+#: bits, weighted 1 (None: the entry is kept, not multiplied).
 _ARC_LABELS = tuple((a, b, m) for (a, b), m in _M.entries.items())
-_THROUGH_LABELS = ((0, 0, ONE), (1, 1, ONE))
+_THROUGH_LABELS = ((0, 0, None), (1, 1, None))
 
 
 def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
@@ -258,7 +247,7 @@ def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
         for (row, col), entry in entries.items():
             for a, b, factor in labels:
                 (r1, c1), (r2, c2) = place(p, a), place(q, b)
-                grown[row | r1 | r2, col | c1 | c2] = entry * factor
+                grown[row | r1 | r2, col | c1 | c2] = entry if factor is None else entry * factor
         entries = grown
     return SymbolicMatrix(2**n, entries)
 

@@ -59,7 +59,7 @@ class QState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm^2 = {norm_sq} deviates from 1")
 
     @property
@@ -96,7 +96,7 @@ def evolve(j: int, unitary: np.ndarray) -> QState:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operator must be a square matrix")
     deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if deviation > _NORM_TOL:
+    if not deviation <= _NORM_TOL:  # NaN fails too
         raise ValueError(f"operator is not unitary: max |U*U - I| = {deviation:.3e}")
     if not 0 <= j < u.shape[0]:
         raise ValueError(f"basis index {j} out of range for dimension {u.shape[0]}")

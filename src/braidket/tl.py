@@ -84,9 +84,6 @@ class TLDiagram:
         """The n arcs as (smaller point, larger point) pairs."""
         return [(p, q) for p, q in enumerate(self.pairing) if p < q]
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "pairing": list(self.pairing)}
-
 
 def identity_diagram(n: int) -> TLDiagram:
     """All-vertical diagram: top k paired with bottom k."""
@@ -201,10 +198,6 @@ class TLElement:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def to_json(self) -> list[dict]:
-        entries = sorted(self.combo.items(), key=lambda kv: kv[0].pairing)
-        return [{"diagram": d.to_json(), "coeff": c.to_json()} for d, c in entries]
 
 
 def multiply(x: TLElement, y: TLElement) -> TLElement:

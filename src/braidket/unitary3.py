@@ -44,10 +44,13 @@ class UnitarySetup:
 def unitary_generators(theta: float) -> UnitarySetup:
     """Build the numeric TL generators at angle theta.
 
-    Raises InvalidAngleError when delta^2 < 1, where the off-diagonal entry
-    sqrt(1 - 1/delta^2) would be imaginary.  Boundary angles with delta^2 = 1
-    are accepted (the off-diagonal entry degenerates to zero).
+    Raises InvalidAngleError when theta is not finite, or when delta^2 < 1,
+    where the off-diagonal entry sqrt(1 - 1/delta^2) would be imaginary.
+    Boundary angles with delta^2 = 1 are accepted (the off-diagonal entry
+    degenerates to zero).
     """
+    if not math.isfinite(theta):
+        raise InvalidAngleError(f"theta = {theta} is not finite")
     delta = -2.0 * math.cos(2.0 * theta)
     if delta * delta < 1.0 - _DEGENERACY_TOL:
         raise InvalidAngleError(

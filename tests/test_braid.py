@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidket.braid
 from braidket import (
@@ -18,7 +19,7 @@ from braidket import (
     parse_braid,
     rho_tl,
 )
-from braidket.braid import exact_factor, represent
+from braidket.braid import _unpack, exact_factor, represent
 from braidket.errors import ParseError, SizeLimitError
 from conftest import braid_words, random_words
 
@@ -153,6 +154,27 @@ class TestPackedFold:
 
 def pack(digits, bits):
     return sum(c << bits * j for j, c in enumerate(digits))
+
+
+class TestUnpack:
+    @given(st.integers(2, 70), st.lists(st.integers(-(2**69), 2**69), max_size=60), st.integers(-9, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_inverts_kronecker_packing(self, bits, digits, low):
+        half = 1 << (bits - 1)
+        digits = [max(1 - half, min(half - 1, c)) for c in digits]
+        packed = sum(c << bits * j for j, c in enumerate(digits))
+        expected = LaurentPoly({low + 2 * j: c for j, c in enumerate(digits)})
+        assert _unpack(packed, bits, low) == expected
+
+    def test_extreme_digits(self):
+        packed = -(7 << 0) + (7 << 4) - (7 << 12)
+        assert _unpack(packed, 4, -1) == LaurentPoly({-1: -7, 1: 7, 5: -7})
+
+    @pytest.mark.parametrize("count", [17, 40, 100])
+    def test_extreme_digits_across_halves(self, count):
+        digits = [(-7, 7, -7, 0)[j % 4] for j in range(count)]
+        packed = sum(c << 4 * j for j, c in enumerate(digits))
+        assert _unpack(packed, 4, 0) == LaurentPoly({2 * j: c for j, c in enumerate(digits)})
 
 
 class TestRoom:

@@ -102,6 +102,24 @@ class TestBracketCommand:
             assert (code, out) == (1, "")
             assert "not planar" in err
 
+    @pytest.mark.parametrize(
+        "crossing, free_loops",
+        [
+            ({"slots": [1, 1, 2, 2], "sign": 1.7}, 0),
+            ({"slots": [1, 1, 2, 2], "sign": True}, 0),
+            ({"slots": [1, 1, 2, "2"], "sign": 1}, 0),
+            ({"slots": [1, 1, 2, 2], "sign": 1}, 1.0),
+        ],
+        ids=["float", "bool", "string", "float-free-loops"],
+    )
+    def test_non_integer_pd_field_is_a_parse_error(self, capsys, tmp_path, crossing, free_loops):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"crossings": [crossing], "free_loops": free_loops}))
+        for verb in ("bracket", "jones"):
+            code, out, err = run_cli(capsys, [verb, "--pd", str(path)])
+            assert (code, out) == (1, "")
+            assert "is not a JSON integer" in err
+
     def test_successive_calls_keep_their_own_flags(self, capsys, tmp_path):
         path = tmp_path / "trefoil.json"
         path.write_text(json.dumps(TREFOIL_PD))
@@ -231,6 +249,13 @@ class TestQsimCommand:
         )
         assert code == 4
         assert "delta^2" in err
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_exit_code(self, capsys, theta):
+        argv = ["qsim", f"--theta={theta}", "--word", "1 2", "--shots", "100"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (4, "")
+        assert "not finite" in err
 
     def test_determinism(self, capsys):
         argv = ["qsim", "--theta", "0.2", "--word", "1 2", "--shots", "500", "--seed", "7"]

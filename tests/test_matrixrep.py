@@ -146,7 +146,26 @@ class TestElementaryTensors:
         assert r == rho_matrix(BraidWord(2, (-1,)))
 
 
+def cup_cap_block():
+    """U^{ab}_{cd} = M^{ab} M_{cd}: the paper's 4x4 cup-over-cap block."""
+    m = elementary_tensors().M.entries
+    return SymbolicMatrix(
+        4, {(2 * a + b, 2 * c + d): x * y for (a, b), x in m.items() for (c, d), y in m.items()}
+    )
+
+
 class TestUTensor:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_identities_around_the_cup_cap_block(self, n):
+        for i in range(1, n):
+            left = SymbolicMatrix.identity(2 ** (i - 1))
+            right = SymbolicMatrix.identity(2 ** (n - i - 1))
+            assert u_tensor(n, i) == left.kron(cup_cap_block()).kron(right)
+
+    def test_r_is_built_from_the_cup_cap_block(self):
+        _, _, r = elementary_tensors()
+        assert r == cup_cap_block().scale(A) + SymbolicMatrix.identity(4).scale(A_INV)
+
     def test_u_squared(self):
         u = u_tensor(2, 1)
         assert u * u == u.scale(DELTA)

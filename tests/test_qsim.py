@@ -25,6 +25,8 @@ class TestQState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
             QState(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="norm"):
+            QState(np.array([math.nan, 0.0]))
 
     def test_probabilities(self):
         assert np.allclose(HALF.probabilities(), [0.5, 0.5])
@@ -52,6 +54,8 @@ class TestEvolve:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             evolve(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match="not unitary"):
+            evolve(0, np.array([[1.0, 0.0], [0.0, math.nan]]))
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -53,6 +53,11 @@ class TestSetup:
         with pytest.raises(InvalidAngleError):
             unitary_generators(1.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle(self, theta):
+        with pytest.raises(InvalidAngleError, match="not finite"):
+            unitary_generators(theta)
+
     def test_boundary_angle_accepted(self):
         setup = unitary_generators(math.pi / 6)
         assert abs(abs(setup.delta) - 1.0) < 1e-12
