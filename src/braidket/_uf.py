@@ -1,4 +1,5 @@
-"""Minimal union-find used by the loop-counting routines."""
+"""Minimal union-find, used only for the component count of the planarity
+check in ``diagram._faces_and_components``; ``tl.pairing_loops`` counts loops."""
 
 from __future__ import annotations
 
@@ -6,11 +7,6 @@ from __future__ import annotations
 class DisjointSet:
     def __init__(self, size: int):
         self.parent = list(range(size))
-
-    def copy(self) -> "DisjointSet":
-        out = DisjointSet(0)
-        out.parent = self.parent[:]
-        return out
 
     def find(self, x: int) -> int:
         parent = self.parent

@@ -39,7 +39,9 @@ __all__ = [
 #: at most doubles them), each holding 2n boundary points and a packed
 #: coefficient of 3L+1 digits.  The 6-9 strand, 16-30 letter words of the
 #: benchmark's trace-wide workload reach at most 470,896 (a 9-strand,
-#: 30-letter word), under a tenth of this.
+#: 30-letter word), under a tenth of this.  ``bracket_via_trace`` checks it
+#: once more before its Horner loop: n+1 steps on a packed integer of
+#: 3L+1+2n digits, which bounds wide words that leave the fold small.
 MAX_TL_COST = 5_000_000
 
 
@@ -274,6 +276,12 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     by_loops = [0] * (n + 1)
     for d, x in state.items():
         by_loops[table.closure_loops(d)] += x
+    cost = (n + 1) * (3 * len(b.letters) + 1 + 2 * n) * bits // 64
+    if cost > MAX_TL_COST:
+        raise SizeLimitError(
+            f"trace of {len(b.letters)} letters on {n} strands exceeds the "
+            f"{MAX_TL_COST} cost guard at {bits}-bit digits"
+        )
     packed = 0
     for m in range(n, -1, -1):
         packed = (by_loops[m] << (n - m) * bits) - (packed << 2 * bits) - packed

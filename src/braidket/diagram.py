@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
 from .laurent import DELTA, JonesPoly, LaurentPoly, to_jones_variable
+from .tl import pairing_loops
 
 __all__ = [
     "Crossing",
@@ -123,30 +124,27 @@ class StateSummary:
 
 
 def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
-    """All 2^N smoothing states with their loop counts."""
+    """All 2^N smoothing states with their loop counts.
+
+    Slot s of crossing c is position p = 4*c + s.  A state pairs p with
+    p ^ 1 where it A-smooths c (s0-s1, s2-s3) and with p ^ 3 where it
+    B-smooths c (s0-s3, s1-s2); its loops are those of that pairing glued
+    to the arcs, which pair each position with the other end of its arc.
+    """
     n = len(diagram.crossings)
     if n > MAX_CROSSINGS:
         raise SizeLimitError(f"{n} crossings exceeds the {MAX_CROSSINGS}-crossing guard")
-    # Endpoint c*4+s for slot s of crossing c; each arc joins its two slots.
-    arcs = DisjointSet(4 * n)
-    for p, q in enumerate(_other_ends(diagram.crossings)):
-        if p < q:
-            arcs.union(p, q)
-
+    # Free loops add no states, but each is one more factor delta in every term.
+    if diagram.free_loops > MAX_CROSSINGS:
+        raise SizeLimitError(
+            f"{diagram.free_loops} free loops exceeds the {MAX_CROSSINGS}-loop guard"
+        )
+    arcs = _other_ends(diagram.crossings)
     states = []
     for mask in range(1 << n):
-        ds = arcs.copy()
-        a_count = 0
-        for c in range(n):
-            base = 4 * c
-            if mask >> c & 1:
-                a_count += 1
-                ds.union(base, base + 1)
-                ds.union(base + 2, base + 3)
-            else:
-                ds.union(base, base + 3)
-                ds.union(base + 1, base + 2)
-        loops = ds.component_count() + diagram.free_loops
+        smoothing = [p ^ 1 if mask >> (p >> 2) & 1 else p ^ 3 for p in range(4 * n)]
+        a_count = mask.bit_count()
+        loops = pairing_loops(smoothing, arcs) + diagram.free_loops
         states.append(StateSummary(a_count, n - a_count, loops))
     return states
 

@@ -14,8 +14,10 @@ delta = -A^2 - A^-2.
 The braid fold works on bare pairing tuples in a ``DiagramTable``, which
 multiplies by a generator in closed form: with x = n+i-1, y = n+i, a = p[x]
 and b = p[y], d·U_i is d with one loop when a == y, and otherwise pairs a
-with b and x with y.  The Markov closure counts its loops with a walk that
-alternates pairing edges and the k <-> n+k closure edges.  ``TLDiagram``
+with b and x with y.  The Markov closure glues a diagram to the identity
+pairing (top k to bottom n+k); ``pairing_loops`` counts the loops of that
+gluing, as it counts those of a smoothing state glued to a PD code's arcs
+in ``diagram.enumerate_states``.  ``TLDiagram``
 checks a pairing (an involution, planar) only where it comes from outside,
 a caller's ``TLDiagram(...)``, and where ``braid.rho_tl`` turns table ids
 back into diagrams; the table builds none.
@@ -23,6 +25,7 @@ back into diagrams; the table builds none.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,6 +38,7 @@ __all__ = [
     "identity_diagram",
     "generator_diagram",
     "multiply",
+    "pairing_loops",
     "closure_loop_count",
     "markov_trace",
     "enumerate_basis",
@@ -267,7 +271,8 @@ class DiagramTable:
         """``closure_loop_count`` of diagram d, cached."""
         loops = self._closure.get(d)
         if loops is None:
-            loops = self._closure[d] = _closure_loops(self.pairings[d])
+            identity = self.pairings[self.identity]
+            loops = self._closure[d] = pairing_loops(self.pairings[d], identity)
         return loops
 
 
@@ -287,30 +292,30 @@ def discard_table(n: int) -> None:
     _tables.pop(n, None)
 
 
-def _closure_loops(pairing: tuple[int, ...]) -> int:
-    """Loops of a pairing closed by joining top k to bottom n+k.
+def pairing_loops(first: Sequence[int], second: Sequence[int]) -> int:
+    """Closed loops made by gluing two perfect pairings of the same points.
 
-    Every point lies on one pairing edge and one closure edge, so each loop
-    alternates the two; every loop meets a top point.
+    Every point lies on one edge of each pairing, so each loop alternates
+    the two; the walk marks both ends of each ``first`` edge it takes.
     """
-    n = len(pairing) // 2
-    seen = bytearray(2 * n)
+    seen = bytearray(len(first))
     loops = 0
-    for k in range(n):
-        if seen[k]:
+    for start in range(len(first)):
+        if seen[start]:
             continue
         loops += 1
-        p = k
+        p = start
         while not seen[p]:
-            q = pairing[p]
+            q = first[p]
             seen[p] = seen[q] = 1
-            p = q + n if q < n else q - n
+            p = second[q]
     return loops
 
 
 def closure_loop_count(d: TLDiagram) -> int:
     """Number of loops after joining top k to bottom k for every strand."""
-    return _closure_loops(d.pairing)
+    table = diagram_table(d.n)
+    return pairing_loops(d.pairing, table.pairings[table.identity])
 
 
 def markov_trace(x: TLElement) -> LaurentPoly:

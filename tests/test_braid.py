@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,6 +212,22 @@ class TestCostGuard:
         monkeypatch.setattr(braidket.braid, "MAX_TL_COST", braidket.braid.MAX_TL_COST // 10)
         word = BraidWord(9, tuple(range(1, 9)) * 3)
         assert len(rho_tl(word).combo) == 3281
+
+
+class TestTraceGuard:
+    # The widest empty word whose trace stays within MAX_TL_COST, as README
+    # states: (n+1) Horner steps on (2n+1) digits of n+2 bits.
+    WIDEST = 541
+
+    def test_widest_empty_word_runs(self):
+        m = self.WIDEST - 1
+        expected = LaurentPoly({2 * m - 4 * j: (-1) ** m * comb(m, j) for j in range(m + 1)})
+        assert bracket_via_trace(BraidWord(self.WIDEST, ())) == expected
+
+    @pytest.mark.parametrize("strands", [WIDEST + 1, 4000])
+    def test_wider_empty_word_exits_at_the_guard(self, strands):
+        with pytest.raises(SizeLimitError, match="cost guard"):
+            bracket_via_trace(BraidWord(strands, ()))
 
 
 class TestBracketViaTrace:

@@ -173,6 +173,22 @@ class TestBracketCommand:
         table = diagram_table(40)
         assert table.pairings == [table.pairings[table.identity]]
 
+    @pytest.mark.parametrize("verb", ["bracket", "jones"])
+    def test_free_loops_exit_at_the_guard(self, capsys, tmp_path, verb):
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({"crossings": [], "free_loops": 600}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [verb, "--pd", str(path)])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and "free loops" in err
+
+    @pytest.mark.parametrize("verb", ["bracket", "jones"])
+    def test_wide_empty_word_exits_at_the_trace_guard(self, capsys, verb):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [verb, "--strands", "4000", "--word", ""])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and "cost guard" in err
+
 
 class TestJonesCommand:
     def test_trefoil_lines(self, capsys):

@@ -26,7 +26,8 @@ from braidket import (
     to_jones_variable,
     writhe,
 )
-from braidket.diagram import normalize_bracket
+from braidket._uf import DisjointSet
+from braidket.diagram import MAX_CROSSINGS, normalize_bracket
 from braidket.errors import ParseError, SizeLimitError
 from conftest import braid_words, random_words
 
@@ -71,6 +72,55 @@ def skein_bracket(diagram: LinkDiagram) -> LaurentPoly:
 
     raw = tuple((c.slots, c.sign) for c in diagram.crossings)
     return recurse(raw, diagram.free_loops)
+
+
+def states_oracle(diagram: LinkDiagram) -> list[StateSummary]:
+    """Per-state union-find enumeration: endpoint 4*c + s for slot s of
+    crossing c, each arc joins its two slots, each smoothing two pairs."""
+    n = len(diagram.crossings)
+    first_end: dict[int, int] = {}
+    arcs = []
+    for p, label in enumerate(s for c in diagram.crossings for s in c.slots):
+        if label in first_end:
+            arcs.append((first_end.pop(label), p))
+        else:
+            first_end[label] = p
+    states = []
+    for mask in range(1 << n):
+        ds = DisjointSet(4 * n)
+        for p, q in arcs:
+            ds.union(p, q)
+        a_count = 0
+        for c in range(n):
+            base = 4 * c
+            if mask >> c & 1:
+                a_count += 1
+                ds.union(base, base + 1)
+                ds.union(base + 2, base + 3)
+            else:
+                ds.union(base, base + 3)
+                ds.union(base + 1, base + 2)
+        loops = ds.component_count() + diagram.free_loops
+        states.append(StateSummary(a_count, n - a_count, loops))
+    return states
+
+
+@st.composite
+def moved_closures(draw):
+    """Closures of 1-4 strand braids, then curls, mirrors, shuffled crossings
+    and labels, and extra free loops."""
+    word = draw(st.one_of(st.just(BraidWord(1, ())), braid_words(max_strands=4, max_length=6)))
+    diagram = closure_to_diagram(word)
+    for move in draw(st.lists(st.sampled_from(["curl+", "curl-", "mirror"]), max_size=3)):
+        if move == "mirror":
+            diagram = mirror_diagram(diagram)
+        else:
+            diagram = add_curl(diagram, 1 if move == "curl+" else -1)
+    labels = diagram.arc_labels()
+    new = dict(zip(labels, draw(st.permutations(range(len(labels) + 3)))))
+    crossings = draw(st.permutations(diagram.crossings))
+    crossings = tuple(Crossing(tuple(new[s] for s in c.slots), c.sign) for c in crossings)
+    return LinkDiagram(crossings, diagram.free_loops + draw(st.integers(0, 2)))
 
 
 class TestDiagramValidation:
@@ -149,6 +199,27 @@ class TestEnumerateStates:
         word = BraidWord(2, (1,) * 29)
         with pytest.raises(SizeLimitError):
             enumerate_states(closure_to_diagram(word))
+
+    def test_free_loop_guard(self):
+        k = MAX_CROSSINGS
+        assert bracket_state_sum(LinkDiagram((), k)) == DELTA ** (k - 1)
+        with pytest.raises(SizeLimitError, match="free loops"):
+            enumerate_states(LinkDiagram((), k + 1))
+
+    @given(moved_closures())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_union_find_oracle(self, diagram):
+        assert enumerate_states(diagram) == states_oracle(diagram)
+
+    def test_uses_no_union_find(self, monkeypatch):
+        diagram = add_curl(closure_to_diagram(BraidWord(3, (1, -2, 1, 2))), -1)
+
+        def refuse(*args):
+            raise AssertionError("enumerate_states used union-find")
+
+        for name in ("find", "union", "component_count"):
+            monkeypatch.setattr(DisjointSet, name, refuse)
+        assert len(enumerate_states(diagram)) == 32
 
 
 class TestBracketStateSum:
