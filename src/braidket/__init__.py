@@ -1,7 +1,8 @@
 """braidket: exact bracket/Jones computation and probabilistic braiding simulation.
 
 Evaluation paths that must agree, and do so by construction of the tests:
-the brute-force state sum over smoothings, the Markov trace of the
+the state sum over smoothings (contracted one crossing at a time, and
+summed by brute force as its oracle), the Markov trace of the
 Temperley-Lieb image of a braid, the closed-strand trace of the cup/cap
 tensor representation, and (numerically, for three strands) the trace of the
 unitary representation.
@@ -20,6 +21,7 @@ from .diagram import (
     LinkDiagram,
     StateSummary,
     add_curl,
+    bracket_by_contraction,
     bracket_state_sum,
     diagram_from_json,
     diagram_to_json,

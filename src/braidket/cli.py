@@ -21,6 +21,7 @@ from functools import lru_cache
 from .braid import bracket_via_trace, closure_to_diagram, exponent_sum, parse_braid
 from .diagram import (
     LinkDiagram,
+    bracket_by_contraction,
     bracket_state_sum,
     diagram_from_json,
     normalize_bracket,
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--check",
             action="store_true",
-            help="for braid input, cross-check the trace bracket against the state sum",
+            help="cross-check the trace or contracted bracket against the brute-force state sum",
         )
 
     q = sub.add_parser("qsim", help="run the 3-strand braiding computer")
@@ -90,6 +91,12 @@ def _read_diagram(path: str) -> LinkDiagram:
     return diagram_from_json(data)
 
 
+def _check_state_sum(diagram: LinkDiagram, bracket: LaurentPoly, method: str) -> None:
+    via_states = bracket_state_sum(diagram)
+    if via_states != bracket:
+        raise MismatchError(f"state sum {via_states} disagrees with {method} bracket {bracket}")
+
+
 def _bracket_and_writhe(args) -> tuple[LaurentPoly, int]:
     """Bracket and writhe of the one input source: a braid word or a PD file."""
     has_word = args.word is not None
@@ -97,15 +104,16 @@ def _bracket_and_writhe(args) -> tuple[LaurentPoly, int]:
         raise ParseError("provide exactly one input source: --word (with --strands) or --pd")
     if not has_word:
         diagram = _read_diagram(args.pd)
-        return bracket_state_sum(diagram), writhe(diagram)
+        bracket = bracket_by_contraction(diagram)
+        if args.check:
+            _check_state_sum(diagram, bracket, "contracted")
+        return bracket, writhe(diagram)
     if args.strands is None:
         raise ParseError("--word requires --strands")
     word = parse_braid(args.word, args.strands)
     bracket = bracket_via_trace(word)
     if args.check:
-        via_states = bracket_state_sum(closure_to_diagram(word))
-        if via_states != bracket:
-            raise MismatchError(f"state sum {via_states} disagrees with trace bracket {bracket}")
+        _check_state_sum(closure_to_diagram(word), bracket, "trace")
     return bracket, exponent_sum(word)
 
 

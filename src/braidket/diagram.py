@@ -9,7 +9,11 @@ sum
 
     [K] = sum over states of A^(#A) * A^-(#B) * delta^(loops - 1)
 
-is the bracket polynomial.  The writhe normalization
+is the bracket polynomial.  ``bracket_by_contraction`` builds the same sum
+one crossing at a time, merging partial states that pair the open arc ends
+alike, so its cost follows the width of that frontier rather than 2^N;
+``bracket_state_sum`` walks all 2^N states and stays as its oracle.  The
+writhe normalization
 f = (-A^3)^(-writhe) * [K] is invariant under all diagram moves, and the
 substitution A = t^(-1/4) turns f into the Jones polynomial.
 """
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
-from .laurent import DELTA, JonesPoly, LaurentPoly, to_jones_variable
+from .laurent import JonesPoly, LaurentPoly, to_jones_variable
 from .tl import pairing_loops
 
 __all__ = [
@@ -30,6 +34,7 @@ __all__ = [
     "StateSummary",
     "enumerate_states",
     "bracket_state_sum",
+    "bracket_by_contraction",
     "writhe",
     "normalize",
     "normalize_bracket",
@@ -123,14 +128,7 @@ class StateSummary:
     loops: int
 
 
-def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
-    """All 2^N smoothing states with their loop counts.
-
-    Slot s of crossing c is position p = 4*c + s.  A state pairs p with
-    p ^ 1 where it A-smooths c (s0-s1, s2-s3) and with p ^ 3 where it
-    B-smooths c (s0-s3, s1-s2); its loops are those of that pairing glued
-    to the arcs, which pair each position with the other end of its arc.
-    """
+def _check_size(diagram: LinkDiagram) -> None:
     n = len(diagram.crossings)
     if n > MAX_CROSSINGS:
         raise SizeLimitError(f"{n} crossings exceeds the {MAX_CROSSINGS}-crossing guard")
@@ -139,6 +137,18 @@ def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
         raise SizeLimitError(
             f"{diagram.free_loops} free loops exceeds the {MAX_CROSSINGS}-loop guard"
         )
+
+
+def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
+    """All 2^N smoothing states with their loop counts.
+
+    Slot s of crossing c is position p = 4*c + s.  A state pairs p with
+    p ^ 1 where it A-smooths c (s0-s1, s2-s3) and with p ^ 3 where it
+    B-smooths c (s0-s3, s1-s2); its loops are those of that pairing glued
+    to the arcs, which pair each position with the other end of its arc.
+    """
+    _check_size(diagram)
+    n = len(diagram.crossings)
     arcs = _other_ends(diagram.crossings)
     states = []
     for mask in range(1 << n):
@@ -149,16 +159,108 @@ def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
     return states
 
 
+def _sum_tally(tally: dict[tuple[int, int], int]) -> LaurentPoly:
+    """Sum of count * A^shift * delta^(loops - 1) over a (shift, loops) tally.
+
+    Horner's rule in delta = -A^2 - A^-2 on plain integer coefficients; every
+    state has at least one loop, so no power of delta is negative.
+    """
+    levels: dict[int, list[tuple[int, int]]] = {}
+    for (shift, loops), k in tally.items():
+        levels.setdefault(loops, []).append((shift, k))
+    total: Counter = Counter()
+    for loops in range(max(levels), 0, -1):
+        times_delta: Counter = Counter()
+        for exp, c in total.items():
+            times_delta[exp + 2] -= c
+            times_delta[exp - 2] -= c
+        total = times_delta
+        for shift, k in levels.get(loops, ()):
+            total[shift] += k
+    return LaurentPoly(total)
+
+
 def bracket_state_sum(diagram: LinkDiagram) -> LaurentPoly:
     """Bracket polynomial by brute-force summation over all states."""
     if diagram.is_empty:
         raise ValueError("the empty diagram has no bracket")
     # States with the same A-power and loop count contribute the same term.
-    tally = Counter((s.a_count - s.b_count, s.loops) for s in enumerate_states(diagram))
-    total = LaurentPoly.zero()
-    for (shift, loops), k in tally.items():
-        total = total + LaurentPoly.monomial(shift, k) * DELTA ** (loops - 1)
-    return total
+    return _sum_tally(
+        Counter((s.a_count - s.b_count, s.loops) for s in enumerate_states(diagram))
+    )
+
+
+def _contraction_steps(
+    crossings: tuple[Crossing, ...],
+) -> list[tuple[Crossing, tuple[int, ...]]]:
+    """Crossings in contraction order, each with the sorted open arc labels
+    (met once so far) after it.  Each next crossing shares the most labels
+    with the open ones, ties going to the lowest index."""
+    remaining = list(range(len(crossings)))
+    frontier: set[int] = set()
+    steps = []
+    while remaining:
+        best = max(remaining, key=lambda i: (len(frontier.intersection(crossings[i].slots)), -i))
+        remaining.remove(best)
+        for s in crossings[best].slots:
+            frontier ^= {s}
+        steps.append((crossings[best], tuple(sorted(frontier))))
+    return steps
+
+
+def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
+    """Bracket polynomial by contracting the state sum one crossing at a time.
+
+    After some crossings are smoothed, the open arc ends (labels met once so
+    far) are paired by the paths through them; partial states with the same
+    pairing finish alike, so one entry per pairing holds all of them.  A chord
+    of a smoothing joins two paths, extends one, opens one, or closes a loop
+    (a curl's chord joins a label to itself).  An entry's value packs its
+    state counts by B-smoothings b and loops l as the digit at index
+    b + (N+1)*l, N+1 bits wide: a digit counts at most 2^N states, so the
+    digits never carry into each other.
+    """
+    if diagram.is_empty:
+        raise ValueError("the empty diagram has no bracket")
+    _check_size(diagram)
+    n = len(diagram.crossings)
+    bits = n + 1
+    loop_shift = bits * (n + 1)
+    frontier: tuple[int, ...] = ()
+    entries = {(): 1}
+    for crossing, next_frontier in _contraction_steps(diagram.crossings):
+        s0, s1, s2, s3 = crossing.slots
+        # The A-smoothing (s0-s1, s2-s3) keeps b; the B-smoothing moves one digit.
+        smoothings = ((((s0, s1), (s2, s3)), 0), (((s0, s3), (s1, s2)), bits))
+        merged: dict[tuple[int, ...], int] = {}
+        for key, packed in entries.items():
+            for chords, shift in smoothings:
+                partner = dict(zip(frontier, key))
+                for x, y in chords:
+                    if x == y:
+                        shift += loop_shift
+                        continue
+                    end = partner.pop(x, x)
+                    if end == y:
+                        del partner[y]
+                        shift += loop_shift
+                    else:
+                        other = partner.pop(y, y)
+                        partner[end], partner[other] = other, end
+                pairing = tuple(map(partner.__getitem__, next_frontier))
+                merged[pairing] = merged.get(pairing, 0) + (packed << shift)
+        entries, frontier = merged, next_frontier
+    (packed,) = entries.values()
+    tally: dict[tuple[int, int], int] = {}
+    mask = (1 << bits) - 1
+    digit = 0
+    while packed:
+        if packed & mask:
+            loops, b = divmod(digit, n + 1)
+            tally[n - 2 * b, loops + diagram.free_loops] = packed & mask
+        packed >>= bits
+        digit += 1
+    return _sum_tally(tally)
 
 
 def writhe(diagram: LinkDiagram) -> int:
@@ -173,7 +275,7 @@ def writhe_factor(w: int) -> LaurentPoly:
 
 def normalize(diagram: LinkDiagram) -> tuple[LaurentPoly, JonesPoly]:
     """Writhe-normalized invariant f and its Jones-variable form V."""
-    return normalize_bracket(bracket_state_sum(diagram), writhe(diagram))
+    return normalize_bracket(bracket_by_contraction(diagram), writhe(diagram))
 
 
 def normalize_bracket(bracket: LaurentPoly, w: int) -> tuple[LaurentPoly, JonesPoly]:

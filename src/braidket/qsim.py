@@ -43,6 +43,10 @@ __all__ = [
 
 _NORM_TOL = 1e-10
 
+#: Shots drawn per chunk, so memory stays bounded at any shot count; one
+#: chunk still covers a 10^6-shot column.
+_SHOT_CHUNK = 1 << 20
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -128,11 +132,15 @@ def sample_shots(state: QState, shots: int, seed: int, first_shot: int = 0) -> S
     if first_shot < 0 or first_shot + shots > 2**64:
         raise ValueError(f"shots {first_shot}..{first_shot + shots - 1} leave the range 0..2^64-1")
     cumulative = np.cumsum(state.probabilities())
-    draws = _uniforms(seed, first_shot, shots)
-    indices = np.minimum(
-        np.searchsorted(cumulative, draws, side="right"), state.dim - 1
-    )
-    counts = np.bincount(indices, minlength=state.dim)
+    counts = np.zeros(state.dim, dtype=np.int64)
+    end = first_shot + shots
+    # Chunks are batches of this run, so their counts add up to one draw's.
+    for start in range(first_shot, end, _SHOT_CHUNK):
+        draws = _uniforms(seed, start, min(_SHOT_CHUNK, end - start))
+        indices = np.minimum(
+            np.searchsorted(cumulative, draws, side="right"), state.dim - 1
+        )
+        counts += np.bincount(indices, minlength=state.dim)
     return ShotRecord(shots, tuple(int(c) for c in counts), seed)
 
 

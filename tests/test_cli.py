@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import braidket
+import braidket.cli
 import braidket.diagram
 from braidket import DELTA, evolve, parse_braid, rho_unitary, sample_shots, unitary_generators
 from braidket.cli import main
@@ -70,21 +71,53 @@ class TestBracketCommand:
         assert code == 0
         assert out == "A^7 - A^3 - A^-5\n"
 
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Count calls to the contraction and to the 2^N state walk."""
+        calls = {"bracket_by_contraction": 0, "enumerate_states": 0}
+        for module, name in (
+            (braidket.cli, "bracket_by_contraction"),
+            (braidket.diagram, "enumerate_states"),
+        ):
+            original = getattr(module, name)
+
+            def counted(diagram, original=original, name=name):
+                calls[name] += 1
+                return original(diagram)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
     @pytest.mark.parametrize("verb", ["bracket", "jones"])
-    def test_pd_input_enumerates_states_once(self, capsys, tmp_path, monkeypatch, verb):
-        calls = []
-        original = braidket.diagram.enumerate_states
-
-        def counted(diagram):
-            calls.append(diagram)
-            return original(diagram)
-
-        monkeypatch.setattr(braidket.diagram, "enumerate_states", counted)
+    def test_pd_input_contracts_once_and_enumerates_no_states(
+        self, capsys, tmp_path, monkeypatch, verb
+    ):
+        calls = self._count_calls(monkeypatch)
         path = tmp_path / "trefoil.json"
         path.write_text(json.dumps(TREFOIL_PD))
         code, _, _ = run_cli(capsys, [verb, "--pd", str(path)])
         assert code == 0
-        assert len(calls) == 1
+        assert calls == {"bracket_by_contraction": 1, "enumerate_states": 0}
+
+    @pytest.mark.parametrize("verb", ["bracket", "jones"])
+    def test_pd_check_runs_both_paths_once(self, capsys, tmp_path, monkeypatch, verb):
+        path = tmp_path / "trefoil.json"
+        path.write_text(json.dumps(TREFOIL_PD))
+        _, plain, _ = run_cli(capsys, [verb, "--pd", str(path)])
+        calls = self._count_calls(monkeypatch)
+        code, out, err = run_cli(capsys, [verb, "--pd", str(path), "--check"])
+        assert (code, out, err) == (0, plain, "")
+        assert calls == {"bracket_by_contraction": 1, "enumerate_states": 1}
+
+    def test_pd_check_mismatch_exit_code(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(braidket.cli, "bracket_by_contraction", lambda diagram: DELTA)
+        path = tmp_path / "trefoil.json"
+        path.write_text(json.dumps(TREFOIL_PD))
+        code, out, _ = run_cli(capsys, ["bracket", "--pd", str(path)])
+        assert (code, out) == (0, f"{DELTA}\n")
+        code, out, err = run_cli(capsys, ["bracket", "--pd", str(path), "--check"])
+        assert (code, out) == (3, "")
+        assert "disagrees with contracted bracket" in err
 
     def test_empty_pd_diagram_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

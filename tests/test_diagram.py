@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from braidket import (
     LinkDiagram,
     StateSummary,
     add_curl,
+    bracket_by_contraction,
     bracket_state_sum,
     bracket_via_trace,
     closure_to_diagram,
@@ -257,6 +260,53 @@ class TestBracketStateSum:
     def test_empty_diagram_rejected(self):
         with pytest.raises(ValueError):
             bracket_state_sum(LinkDiagram((), 0))
+
+
+class TestBracketByContraction:
+    @given(moved_closures())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_state_sum(self, diagram):
+        assert bracket_by_contraction(diagram) == bracket_state_sum(diagram)
+
+    @pytest.mark.parametrize(
+        "diagram",
+        [UNKNOT, add_curl(UNKNOT, 1), add_curl(UNKNOT, -1), LinkDiagram((), MAX_CROSSINGS)],
+        ids=["unknot", "curl+", "curl-", "free-loop-edge"],
+    )
+    def test_edge_diagrams(self, diagram):
+        assert bracket_by_contraction(diagram) == bracket_state_sum(diagram)
+
+    def test_acceptance_diagrams(self):
+        # The diagrams of acceptance criteria 02 (curled) and 04.
+        diagrams = []
+        for word in random_words(202, 50, max_strands=4, max_length=6):
+            base = closure_to_diagram(word)
+            diagrams += [base, add_curl(base, 1), add_curl(base, -1)]
+        diagrams += [closure_to_diagram(w) for w in random_words(404, 200, max_length=8)]
+        for diagram in diagrams:
+            assert bracket_by_contraction(diagram) == bracket_state_sum(diagram)
+
+    def test_guards_match_the_state_sum(self):
+        too_many = closure_to_diagram(BraidWord(2, (1,) * (MAX_CROSSINGS + 1)))
+        too_loopy = LinkDiagram((), MAX_CROSSINGS + 1)
+        for diagram in (too_many, too_loopy):
+            with pytest.raises(SizeLimitError) as contracted:
+                bracket_by_contraction(diagram)
+            with pytest.raises(SizeLimitError) as summed:
+                bracket_state_sum(diagram)
+            assert str(contracted.value) == str(summed.value)
+        with pytest.raises(ValueError, match="empty"):
+            bracket_by_contraction(LinkDiagram((), 0))
+
+    def test_eighteen_crossings_agree_with_the_trace_quickly(self):
+        rng = random.Random(18)
+        word = BraidWord(4, tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(18)))
+        diagram = closure_to_diagram(word)
+        start = time.perf_counter()
+        bracket = bracket_by_contraction(diagram)
+        elapsed = time.perf_counter() - start
+        assert bracket == bracket_via_trace(word)
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 class TestWrithe:

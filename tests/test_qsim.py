@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from braidket import qsim
 from braidket import (
     BraidWord,
     QState,
@@ -82,6 +83,32 @@ class TestSampling:
             sample_shots(HALF, 7000, 9, first_shot=3000)
         )
         assert merged == whole
+
+    @staticmethod
+    def _record_draws(monkeypatch):
+        """Record the count of every batch of uniforms drawn."""
+        drawn = []
+        uniforms = qsim._uniforms
+
+        def recorded(seed, first_shot, count):
+            drawn.append(count)
+            return uniforms(seed, first_shot, count)
+
+        monkeypatch.setattr(qsim, "_uniforms", recorded)
+        return drawn
+
+    def test_chunked_draw_equals_one_draw(self, monkeypatch):
+        state = QState(np.array([0.6, 0.48j, 0.64]))
+        whole = sample_shots(state, 10000, 9, first_shot=123)
+        drawn = self._record_draws(monkeypatch)
+        monkeypatch.setattr(qsim, "_SHOT_CHUNK", 997)
+        assert sample_shots(state, 10000, 9, first_shot=123) == whole
+        assert drawn == [997] * 10 + [30]
+
+    def test_a_million_shots_draw_as_one_chunk(self, monkeypatch):
+        drawn = self._record_draws(monkeypatch)
+        sample_shots(HALF, 10**6, 1)
+        assert drawn == [10**6]
 
     @pytest.mark.parametrize("first_shot, shots", [(-3, 10), (2**64 - 5, 6), (2**64, 1)])
     def test_rejects_shots_outside_the_counter_range(self, first_shot, shots):
