@@ -185,14 +185,13 @@ def _fold_at(b: BraidWord, table, bits: int, checked: bool) -> dict[int, int] | 
             done += 1
         out: dict[int, int] = {}
         for d, x in state.items():
-            code = action.get(d)
-            if code is None:
-                code = fill(d)
-            if code & 1:
+            e = action.get(d)
+            if e is None:
+                e = fill(d)
+            if e == d:
                 out[d] = out.get(d, 0) - (x << loop)
             else:
                 out[d] = out.get(d, 0) + (x << keep)
-                e = code >> 1
                 out[e] = out.get(e, 0) + (x << through)
         return {d: x for d, x in out.items() if x}
 

@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 MAX_CROSSINGS = 28
+#: ``enumerate_states`` walks and stores all 2^N states, so its time and
+#: memory double with each crossing; the contraction keeps MAX_CROSSINGS.
+MAX_STATE_SUM_CROSSINGS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,10 +131,10 @@ class StateSummary:
     loops: int
 
 
-def _check_size(diagram: LinkDiagram) -> None:
+def _check_size(diagram: LinkDiagram, max_crossings: int) -> None:
     n = len(diagram.crossings)
-    if n > MAX_CROSSINGS:
-        raise SizeLimitError(f"{n} crossings exceeds the {MAX_CROSSINGS}-crossing guard")
+    if n > max_crossings:
+        raise SizeLimitError(f"{n} crossings exceeds the {max_crossings}-crossing guard")
     # Free loops add no states, but each is one more factor delta in every term.
     if diagram.free_loops > MAX_CROSSINGS:
         raise SizeLimitError(
@@ -147,7 +150,7 @@ def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
     B-smooths c (s0-s3, s1-s2); its loops are those of that pairing glued
     to the arcs, which pair each position with the other end of its arc.
     """
-    _check_size(diagram)
+    _check_size(diagram, MAX_STATE_SUM_CROSSINGS)
     n = len(diagram.crossings)
     arcs = _other_ends(diagram.crossings)
     states = []
@@ -222,7 +225,7 @@ def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
     """
     if diagram.is_empty:
         raise ValueError("the empty diagram has no bracket")
-    _check_size(diagram)
+    _check_size(diagram, MAX_CROSSINGS)
     n = len(diagram.crossings)
     bits = n + 1
     loop_shift = bits * (n + 1)

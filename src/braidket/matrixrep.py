@@ -23,7 +23,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .braid import BraidWord, exact_factor, represent
-from .errors import SizeLimitError
+from .errors import InvariantError, SizeLimitError
 from .laurent import GaussianInt, LaurentPoly, ONE, ZERO
 from .tl import TLDiagram, TLElement, generator_diagram
 
@@ -193,9 +193,16 @@ def _strand_closer(n: int) -> SymbolicMatrix:
 
 
 def z_amplitude(b: BraidWord) -> LaurentPoly:
-    """Trace(eta^(tensor n) * rho(b)) = delta * <closure(b)>."""
+    """Trace(eta^(tensor n) * rho(b)) = delta * <closure(b)>.
+
+    The entries of M carry i, which must cancel in the trace; a nonzero
+    imaginary coefficient signals a bug.
+    """
     rho = rho_matrix(b)  # first, so its guards bound _strand_closer's cache
-    return trace_product(_strand_closer(b.strands), rho)
+    amplitude = trace_product(_strand_closer(b.strands), rho)
+    if not amplitude.is_real:
+        raise InvariantError(f"tensor trace has nonzero imaginary part: {amplitude}")
+    return amplitude
 
 
 def burau_generator(n: int, k: int) -> SymbolicMatrix:

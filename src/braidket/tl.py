@@ -89,15 +89,16 @@ class TLDiagram:
         return [(p, q) for p, q in enumerate(self.pairing) if p < q]
 
 
+def _identity_pairing(n: int) -> tuple[int, ...]:
+    """Top k paired with bottom n+k, the pairing every strand runs straight in."""
+    return (*range(n, 2 * n), *range(n))
+
+
 def identity_diagram(n: int) -> TLDiagram:
     """All-vertical diagram: top k paired with bottom k."""
-    pairing = list(range(n, 2 * n)) + list(range(n))
-    return TLDiagram(n, tuple(pairing))
+    return TLDiagram(n, _identity_pairing(n))
 
 
-# Cached so that letters i and -i share one U_i object: _glue's cache then
-# finds its keys by identity instead of comparing equal diagrams.
-@lru_cache(maxsize=None)
 def generator_diagram(n: int, i: int) -> TLDiagram:
     """The multiplicative generator U_i of TL_n (i = 0 gives the identity).
 
@@ -108,7 +109,7 @@ def generator_diagram(n: int, i: int) -> TLDiagram:
         return identity_diagram(n)
     if i < 0 or i >= n:
         raise ValueError(f"generator index {i} invalid for {n} strands")
-    pairing = list(range(n, 2 * n)) + list(range(n))
+    pairing = list(_identity_pairing(n))
     top_a, top_b = i - 1, i
     bot_a, bot_b = n + i - 1, n + i
     pairing[top_a], pairing[top_b] = top_b, top_a
@@ -166,10 +167,6 @@ class TLElement:
         self.combo = cleaned
 
     @classmethod
-    def zero(cls, n: int) -> "TLElement":
-        return cls(n, {})
-
-    @classmethod
     def identity(cls, n: int) -> "TLElement":
         return cls(n, {identity_diagram(n): ONE})
 
@@ -188,12 +185,6 @@ class TLElement:
         for d, c in other.combo.items():
             out[d] = out.get(d, LaurentPoly.zero()) + c
         return TLElement(self.n, out)
-
-    def __neg__(self) -> "TLElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "TLElement") -> "TLElement":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, TLElement):
@@ -223,15 +214,15 @@ class DiagramTable:
     """The TL_n diagrams met so far, as pairing tuples with small int ids, and
     the right action of the generators on them, both filled in on first use.
 
-    ``actions[i][d]`` is ``2 * e + loops``, where e is the id of d·U_i and
-    ``loops`` (0 or 1) the closed loops the stacking made.  It needs no
-    gluing walk: with x = n+i-1 and y = n+i the bottom points U_i caps, and
-    a = p[x], b = p[y] their partners in d's pairing p, the cap of U_i joins
-    the path a-x-y-b.  If a == y, d already caps x and y: the path closes
-    into one loop and d·U_i = d.  Otherwise a is paired with b, and the cup
-    of U_i pairs x with y.  Stacking planar diagrams keeps them planar, so
-    the table checks no pairing: ``TLDiagram`` validates where diagrams come
-    from outside, and where ``braid.rho_tl`` turns ids back into diagrams.
+    ``actions[i][d]`` is the id of d·U_i.  It needs no gluing walk: with
+    x = n+i-1 and y = n+i the bottom points U_i caps, and a = p[x], b = p[y]
+    their partners in d's pairing p, the cap of U_i joins the path a-x-y-b.
+    If a == y, d already caps x and y: the path closes into one loop and
+    d·U_i = d.  Otherwise a is paired with b, and the cup of U_i pairs x with
+    y, so d·U_i != d: the stacking closes a loop exactly when it maps d to d.
+    Stacking planar diagrams keeps them planar, so the table checks no
+    pairing: ``TLDiagram`` validates where diagrams come from outside, and
+    where ``braid.rho_tl`` turns ids back into diagrams.
     """
 
     __slots__ = ("n", "pairings", "_ids", "actions", "_closure", "identity")
@@ -242,7 +233,7 @@ class DiagramTable:
         self._ids: dict[tuple[int, ...], int] = {}
         self.actions: list[dict[int, int]] = [{} for _ in range(n)]
         self._closure: dict[int, int] = {}
-        self.identity = self.intern((*range(n, 2 * n), *range(n)))
+        self.identity = self.intern(_identity_pairing(n))
 
     def intern(self, pairing: tuple[int, ...]) -> int:
         """The id of a pairing, assigned on first sight."""
@@ -258,14 +249,13 @@ class DiagramTable:
         x = self.n + i - 1
         y = x + 1
         a, b = p[x], p[y]
-        if a == y:
-            code = 2 * d + 1
-        else:
+        e = d
+        if a != y:
             q = list(p)
             q[a], q[b], q[x], q[y] = b, a, y, x
-            code = 2 * self.intern(tuple(q))
-        self.actions[i][d] = code
-        return code
+            e = self.intern(tuple(q))
+        self.actions[i][d] = e
+        return e
 
     def closure_loops(self, d: int) -> int:
         """``closure_loop_count`` of diagram d, cached."""
@@ -314,8 +304,7 @@ def pairing_loops(first: Sequence[int], second: Sequence[int]) -> int:
 
 def closure_loop_count(d: TLDiagram) -> int:
     """Number of loops after joining top k to bottom k for every strand."""
-    table = diagram_table(d.n)
-    return pairing_loops(d.pairing, table.pairings[table.identity])
+    return pairing_loops(d.pairing, _identity_pairing(d.n))
 
 
 def markov_trace(x: TLElement) -> LaurentPoly:

@@ -10,8 +10,19 @@ import pytest
 import braidket
 import braidket.cli
 import braidket.diagram
-from braidket import DELTA, evolve, parse_braid, rho_unitary, sample_shots, unitary_generators
+from braidket import (
+    DELTA,
+    BraidWord,
+    closure_to_diagram,
+    diagram_to_json,
+    evolve,
+    parse_braid,
+    rho_unitary,
+    sample_shots,
+    unitary_generators,
+)
 from braidket.cli import main
+from braidket.errors import InvariantError
 from braidket.tl import diagram_table
 
 TREFOIL_PD = {
@@ -170,6 +181,46 @@ class TestBracketCommand:
             "V: -t^-4 + t^-3 + t^-1",
         ]
 
+    def test_unreadable_pd_file_is_a_parse_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, ["bracket", "--pd", str(tmp_path / "missing.json")])
+        assert (code, out) == (1, "")
+        assert "cannot read PD file" in err
+
+    def test_pd_file_that_is_not_json_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{crossings: [")
+        code, out, err = run_cli(capsys, ["bracket", "--pd", str(path)])
+        assert (code, out) == (1, "")
+        assert "not valid JSON" in err
+
+    def test_word_without_strands_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, ["bracket", "--word", "1 1 1"])
+        assert (code, out) == (1, "")
+        assert "--word requires --strands" in err
+
+    def test_internal_check_failure_exit_code(self, capsys, monkeypatch):
+        def broken(word):
+            raise InvariantError("bracket has nonzero imaginary part")
+
+        monkeypatch.setattr(braidket.cli, "bracket_via_trace", broken)
+        code, out, err = run_cli(capsys, ["bracket", "--strands", "2", "--word", "1 1 1"])
+        assert (code, out) == (3, "")
+        assert "internal check failed" in err
+
+    def test_check_on_pd_input_stops_at_the_oracle_guard(self, capsys, tmp_path):
+        # 20 crossings are well within the contraction but past the
+        # brute-force state sum's 2^N bound, which --check alone pays.
+        word = BraidWord(4, (1, -2, 3, 2, -1, 3, -2, 1, 2, -3) * 2)
+        path = tmp_path / "twenty.json"
+        path.write_text(json.dumps(diagram_to_json(closure_to_diagram(word))))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["bracket", "--pd", str(path)])
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, ["bracket", "--pd", str(path), "--check"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "20 crossings exceeds the 16-crossing guard" in err
+
     def test_size_guard_exit_code(self, capsys):
         word = " ".join(["1"] * 29)
         code, _, err = run_cli(capsys, ["bracket", "--strands", "2", "--word", word, "--check"])
@@ -305,6 +356,15 @@ class TestQsimCommand:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (4, "")
         assert "not finite" in err
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--prepare=2", "--prepare must be 0 or 1"), ("--shots=0", "--shots must be positive")],
+    )
+    def test_out_of_range_option_is_a_parse_error(self, capsys, option, message):
+        code, out, err = run_cli(capsys, ["qsim", "--theta", "0.2", "--word", "1", option])
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_determinism(self, capsys):
         argv = ["qsim", "--theta", "0.2", "--word", "1 2", "--shots", "500", "--seed", "7"]

@@ -30,7 +30,7 @@ from braidket import (
     writhe,
 )
 from braidket._uf import DisjointSet
-from braidket.diagram import MAX_CROSSINGS, normalize_bracket
+from braidket.diagram import MAX_CROSSINGS, MAX_STATE_SUM_CROSSINGS, normalize_bracket
 from braidket.errors import ParseError, SizeLimitError
 from conftest import braid_words, random_words
 
@@ -287,14 +287,23 @@ class TestBracketByContraction:
             assert bracket_by_contraction(diagram) == bracket_state_sum(diagram)
 
     def test_guards_match_the_state_sum(self):
-        too_many = closure_to_diagram(BraidWord(2, (1,) * (MAX_CROSSINGS + 1)))
+        # The free-loop guard is shared; the brute-force oracle, which pays
+        # 2^N, stops at fewer crossings than the contraction.
         too_loopy = LinkDiagram((), MAX_CROSSINGS + 1)
-        for diagram in (too_many, too_loopy):
-            with pytest.raises(SizeLimitError) as contracted:
-                bracket_by_contraction(diagram)
-            with pytest.raises(SizeLimitError) as summed:
+        with pytest.raises(SizeLimitError) as contracted:
+            bracket_by_contraction(too_loopy)
+        with pytest.raises(SizeLimitError) as summed:
+            bracket_state_sum(too_loopy)
+        assert str(contracted.value) == str(summed.value)
+        word = BraidWord(2, (1,) * (MAX_STATE_SUM_CROSSINGS + 1))
+        past_the_oracle = closure_to_diagram(word)
+        assert bracket_by_contraction(past_the_oracle) == bracket_via_trace(word)
+        too_many = closure_to_diagram(BraidWord(2, (1,) * (MAX_CROSSINGS + 1)))
+        for diagram in (past_the_oracle, too_many):
+            with pytest.raises(SizeLimitError, match=f"the {MAX_STATE_SUM_CROSSINGS}-crossing"):
                 bracket_state_sum(diagram)
-            assert str(contracted.value) == str(summed.value)
+        with pytest.raises(SizeLimitError, match=f"the {MAX_CROSSINGS}-crossing"):
+            bracket_by_contraction(too_many)
         with pytest.raises(ValueError, match="empty"):
             bracket_by_contraction(LinkDiagram((), 0))
 

@@ -21,7 +21,8 @@ from braidket import (
     u_tensor,
     z_amplitude,
 )
-from braidket.errors import SizeLimitError
+from braidket import matrixrep
+from braidket.errors import InvariantError, SizeLimitError
 from braidket.matrixrep import _diagram_tensor_image, trace_product
 from conftest import random_words
 
@@ -323,3 +324,10 @@ class TestFiniteEvaluation:
     def test_z_amplitude_real(self):
         for word in random_words(41, 15, max_strands=3, max_length=6):
             assert z_amplitude(word).is_real
+
+    def test_z_amplitude_rejects_an_imaginary_trace(self, monkeypatch):
+        closer = matrixrep._strand_closer
+        i = LaurentPoly.monomial(0, GaussianInt(0, 1))
+        monkeypatch.setattr(matrixrep, "_strand_closer", lambda n: closer(n).scale(i))
+        with pytest.raises(InvariantError, match="imaginary"):
+            z_amplitude(BraidWord(2, (1, 1, 1)))

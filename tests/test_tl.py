@@ -17,6 +17,7 @@ from braidket import (
     markov_trace,
     multiply,
 )
+from braidket import tl
 from braidket._uf import DisjointSet
 from braidket.errors import SizeLimitError
 from braidket.tl import _glue, diagram_table
@@ -163,11 +164,11 @@ class TestDiagramTable:
             assert table.pairings[ident] == d.pairing and table.intern(d.pairing) == ident
             assert table.closure_loops(ident) == closure_loop_count(d)
             for i in range(1, n):
-                code = table.actions[i].get(ident)
-                if code is None:
-                    code = table.act(i, ident)
+                e = table.actions[i].get(ident)
+                if e is None:
+                    e = table.act(i, ident)
                 glued, loops = _glue(d, generator_diagram(n, i))
-                assert (table.pairings[code >> 1], code & 1) == (glued.pairing, loops)
+                assert (table.pairings[e], int(e == ident)) == (glued.pairing, loops)
                 # The packed fold's digit bound rests on this: a loop
                 # leaves the diagram as it was.
                 assert not loops or glued == d
@@ -193,6 +194,13 @@ class TestClosureAndTrace:
     def test_walk_matches_union_find_oracle(self, n):
         for d in enumerate_basis(n):
             assert closure_loop_count(d) == closure_oracle(d)
+
+    def test_closure_and_trace_leave_the_diagram_tables_alone(self, monkeypatch):
+        monkeypatch.setattr(tl, "_tables", {})
+        for n in (3, 12):
+            assert closure_loop_count(generator_diagram(n, 1)) == n - 1
+            assert markov_trace(U(n, 2)) == DELTA ** (n - 1)
+        assert tl._tables == {}
 
     def test_identity_closure(self):
         assert closure_loop_count(identity_diagram(3)) == 3
