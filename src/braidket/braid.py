@@ -20,7 +20,7 @@ from functools import partial, reduce
 
 from .diagram import Crossing, LinkDiagram
 from .errors import InvariantError, ParseError, SizeLimitError
-from .laurent import A, A_INV, DELTA, LaurentPoly
+from .laurent import A, A_INV, DELTA, LaurentPoly, _unpack
 from .tl import TLDiagram, TLElement, diagram_table, discard_table
 
 __all__ = [
@@ -39,9 +39,10 @@ __all__ = [
 #: at most doubles them), each holding 2n boundary points and a packed
 #: coefficient of 3L+1 digits.  The 6-9 strand, 16-30 letter words of the
 #: benchmark's trace-wide workload reach at most 470,896 (a 9-strand,
-#: 30-letter word), under a tenth of this.  ``bracket_via_trace`` checks it
-#: once more before its Horner loop: n+1 steps on a packed integer of
-#: 3L+1+2n digits, which bounds wide words that leave the fold small.
+#: 30-letter word), under a tenth of this.  ``bracket_via_trace`` also
+#: bounds its Horner loop, n+1 steps on a packed integer of 3L+1+2n digits,
+#: before the fold at the first width and after it at the last, which bounds
+#: wide words that leave the fold small and builds no table for the widest.
 MAX_TL_COST = 5_000_000
 
 
@@ -116,29 +117,32 @@ def exact_factor(identity, u, g: int):
 _TRIAL_BITS = 64
 
 
-def _fold(b: BraidWord):
+def _fold(b: BraidWord, traced: bool = False):
     """A^(3L) rho(b) for the L letters of b, packed: ``(table, state, bits)``.
 
-    ``state`` maps ids of the diagram table of TL_n to coefficients that are
-    polynomials in B = A^2 with nonnegative exponents, each stored as its
-    value at B = 2^bits; diagrams whose coefficient cancels to 0 are dropped.
-    Shifts and adds keep that value exact whatever the digits do, so only
-    the polynomials that are unpacked need digits below 2^(bits-1) in
-    absolute value.  Each letter at most doubles the sum of the
-    coefficients' absolute values: d·U_i is either another diagram, or
-    delta d when d caps the points U_i caps, where d's two terms combine to
-    (A + A^-1 delta) d = -A^-3 d.  So the state sums to at most 2^L, and the
-    trace of ``bracket_via_trace``, which multiplies by delta^m for m <= n,
-    to at most 2^n 2^L: L + n + 2 bits are always enough.  Real coefficients
-    are often far smaller (those of 2-strand words grow linearly), so for a
-    word of more than about 64 letters a narrower width is tried first and
-    checked as the fold goes (``_room``); when it runs out of room the fold
-    starts again at twice the width.
+    ``state`` maps ids of the diagram table of TL_n to coefficients in the
+    packed form of ``laurent`` (polynomials in B = A^2 at B = 2^bits);
+    diagrams whose coefficient cancels to 0 are dropped.  A ``traced`` fold,
+    one that ``bracket_via_trace`` will trace, checks the trace's cost first.
+    Each letter at most doubles the sum of the coefficients' absolute values:
+    d·U_i is either another diagram, or delta d when d caps the points U_i
+    caps, where d's two terms combine to (A + A^-1 delta) d = -A^-3 d.  So
+    the state sums to at most 2^L, and the trace of ``bracket_via_trace``,
+    which multiplies by delta^m for m <= n, to at most 2^n 2^L: L + n + 2
+    bits are always enough.  Real coefficients are often far smaller (those
+    of 2-strand words grow linearly), so for a word of more than about 64
+    letters a narrower width is tried first and checked as the fold goes
+    (``_room``); when it runs out of room the fold starts again at twice the
+    width.
     """
     n, length = b.strands, len(b.letters)
-    table = diagram_table(n)
     proven = length + n + 2
     bits = min(proven, n + _TRIAL_BITS)
+    if traced:
+        # The trace's width is never below this first one, so a word too wide
+        # to trace stops here, before TL_n's table is built.
+        _check_trace_cost(b, bits)
+    table = diagram_table(n)
     try:
         while (state := _fold_at(b, table, bits, bits < proven)) is None:
             bits = min(2 * bits, proven)
@@ -216,39 +220,15 @@ def _room(state: dict[int, int], bits: int, n: int, window: int) -> int:
     return max(0, bits - 1 - t - n - (len(state) * window).bit_length())
 
 
-def _unpack(packed: int, bits: int, low: int) -> LaurentPoly:
-    """Decode a Kronecker-packed integer polynomial in A^2.
-
-    ``packed = sum c_j 2^(bits*j)`` with signed digits
-    ``|c_j| < 2^(bits-1)``; the result is ``sum c_j A^(low + 2j)``.
-    Long integers are halved until a part holds at most 16 digits, so
-    no digit is taken off more than a short part.  Because every digit
-    is below half the base, the low half read as a signed number is
-    exactly the sum of its digits.
-    """
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    terms = {}
-
-    def split(value: int, first: int, count: int) -> None:
-        # value = the digits first .. first+count-1, shifted down to 0.
-        if count > 16:
-            width = bits * (count // 2)
-            part = value & ((1 << width) - 1)
-            if part >> (width - 1):
-                part -= 1 << width
-            split(part, first, count // 2)
-            split((value - part) >> width, first + count // 2, count - count // 2)
-            return
-        while value:
-            digit = value & mask
-            if digit >= half:
-                digit -= 1 << bits
-            terms[low + 2 * first] = digit
-            value = (value - digit) >> bits
-            first += 1
-
-    split(packed, 0, packed.bit_length() // bits + 1)
-    return LaurentPoly(terms)
+def _check_trace_cost(b: BraidWord, bits: int) -> None:
+    """Raise SizeLimitError when the trace's Horner loop at this digit width,
+    n+1 steps on 3L+1+2n digits, exceeds MAX_TL_COST."""
+    n, length = b.strands, len(b.letters)
+    if (n + 1) * (3 * length + 1 + 2 * n) * bits // 64 > MAX_TL_COST:
+        raise SizeLimitError(
+            f"trace of {length} letters on {n} strands exceeds the "
+            f"{MAX_TL_COST} cost guard at {bits}-bit digits"
+        )
 
 
 def rho_tl(b: BraidWord) -> TLElement:
@@ -267,7 +247,7 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     A remainder or a nonzero imaginary coefficient signals a bug.
     """
     n = b.strands
-    table, state, bits = _fold(b)
+    table, state, bits = _fold(b, traced=True)
     # TR = sum over m of S_m delta^m, S_m the sum of the coefficients of the
     # diagrams whose closure has m loops.  With delta = -B^-1 (B^2 + 1),
     # Horner's rule gives B^n TR in packed form: each step multiplies by
@@ -275,12 +255,7 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     by_loops = [0] * (n + 1)
     for d, x in state.items():
         by_loops[table.closure_loops(d)] += x
-    cost = (n + 1) * (3 * len(b.letters) + 1 + 2 * n) * bits // 64
-    if cost > MAX_TL_COST:
-        raise SizeLimitError(
-            f"trace of {len(b.letters)} letters on {n} strands exceeds the "
-            f"{MAX_TL_COST} cost guard at {bits}-bit digits"
-        )
+    _check_trace_cost(b, bits)
     packed = 0
     for m in range(n, -1, -1):
         packed = (by_loops[m] << (n - m) * bits) - (packed << 2 * bits) - packed

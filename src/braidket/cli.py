@@ -88,6 +88,8 @@ def _read_diagram(path: str) -> LinkDiagram:
         raise ParseError(f"cannot read PD file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"PD file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("PD file nests its JSON too deeply to parse") from None
     return diagram_from_json(data)
 
 

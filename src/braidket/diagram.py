@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
-from .laurent import JonesPoly, LaurentPoly, to_jones_variable
+from .laurent import DELTA, JonesPoly, LaurentPoly, _unpack, to_jones_variable
 from .tl import pairing_loops
 
 __all__ = [
@@ -218,52 +218,44 @@ def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
     far) are paired by the paths through them; partial states with the same
     pairing finish alike, so one entry per pairing holds all of them.  A chord
     of a smoothing joins two paths, extends one, opens one, or closes a loop
-    (a curl's chord joins a label to itself).  An entry's value packs its
-    state counts by B-smoothings b and loops l as the digit at index
-    b + (N+1)*l, N+1 bits wide: a digit counts at most 2^N states, so the
-    digits never carry into each other.
+    (a curl's chord joins a label to itself).  An entry holds the sum over
+    its partial states of the product of A^5 A^(+-1) per smoothing and delta
+    per closed loop, in the packed form of ``laurent``: an A-smoothing
+    shifts it by B^3, a B-smoothing by B^2, and a loop multiplies it by
+    delta = -B^-1 (1 + B^2).  At most two loops close per crossing, so no
+    exponent turns negative.  Each smoothing choice and each loop at most
+    doubles the sum of the coefficients' absolute values, as do the k free
+    loops of the start value (B delta)^k, so 3N + k + 2 bits hold every digit.
     """
     if diagram.is_empty:
         raise ValueError("the empty diagram has no bracket")
     _check_size(diagram, MAX_CROSSINGS)
-    n = len(diagram.crossings)
-    bits = n + 1
-    loop_shift = bits * (n + 1)
+    n, k = len(diagram.crossings), diagram.free_loops
+    bits = 3 * n + k + 2
     frontier: tuple[int, ...] = ()
-    entries = {(): 1}
+    entries = {(): (-1 - (1 << 2 * bits)) ** k}
     for crossing, next_frontier in _contraction_steps(diagram.crossings):
         s0, s1, s2, s3 = crossing.slots
-        # The A-smoothing (s0-s1, s2-s3) keeps b; the B-smoothing moves one digit.
-        smoothings = ((((s0, s1), (s2, s3)), 0), (((s0, s3), (s1, s2)), bits))
+        smoothings = ((((s0, s1), (s2, s3)), 3 * bits), (((s0, s3), (s1, s2)), 2 * bits))
         merged: dict[tuple[int, ...], int] = {}
         for key, packed in entries.items():
             for chords, shift in smoothings:
                 partner = dict(zip(frontier, key))
+                value = packed << shift
                 for x, y in chords:
-                    if x == y:
-                        shift += loop_shift
-                        continue
-                    end = partner.pop(x, x)
-                    if end == y:
+                    if x != y:
+                        end = partner.pop(x, x)
+                        if end != y:
+                            other = partner.pop(y, y)
+                            partner[end], partner[other] = other, end
+                            continue
                         del partner[y]
-                        shift += loop_shift
-                    else:
-                        other = partner.pop(y, y)
-                        partner[end], partner[other] = other, end
+                    value = -((value + (value << 2 * bits)) >> bits)
                 pairing = tuple(map(partner.__getitem__, next_frontier))
-                merged[pairing] = merged.get(pairing, 0) + (packed << shift)
+                merged[pairing] = merged.get(pairing, 0) + value
         entries, frontier = merged, next_frontier
     (packed,) = entries.values()
-    tally: dict[tuple[int, int], int] = {}
-    mask = (1 << bits) - 1
-    digit = 0
-    while packed:
-        if packed & mask:
-            loops, b = divmod(digit, n + 1)
-            tally[n - 2 * b, loops + diagram.free_loops] = packed & mask
-        packed >>= bits
-        digit += 1
-    return _sum_tally(tally)
+    return _unpack(packed, bits, -5 * n - 2 * k).divexact(DELTA)
 
 
 def writhe(diagram: LinkDiagram) -> int:

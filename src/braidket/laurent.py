@@ -13,6 +13,13 @@ properly complex coefficients rendered ``(x+yi)``.  Example::
 
 JSON form: a list of ``[exponent, re, im]`` triples in descending exponent
 order.
+
+Packed form, shared by the Temperley-Lieb fold in ``braid`` and the PD
+contraction in ``diagram``: a polynomial in B = A^2 with nonnegative
+exponents as one int, its value at B = 2^bits.  Shifts and adds keep that
+value exact whatever the digits do; only ``_unpack`` needs every digit below
+2^(bits-1) in absolute value.  A closed loop, delta = -B^-1 (1 + B^2), is
+``-((y + (y << 2*bits)) >> bits)``, exact when y has no constant term.
 """
 
 from __future__ import annotations
@@ -265,6 +272,41 @@ class LaurentPoly:
 
     def to_json(self) -> list[list[int]]:
         return [[e, c.re, c.im] for e, c in self.terms()]
+
+
+def _unpack(packed: int, bits: int, low: int) -> LaurentPoly:
+    """Decode a polynomial in B = A^2 from its packed form (module docstring).
+
+    ``packed = sum c_j 2^(bits*j)`` with signed digits
+    ``|c_j| < 2^(bits-1)``; the result is ``sum c_j A^(low + 2j)``.
+    Long integers are halved until a part holds at most 16 digits, so
+    no digit is taken off more than a short part.  Because every digit
+    is below half the base, the low half read as a signed number is
+    exactly the sum of its digits.
+    """
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    terms = {}
+
+    def split(value: int, first: int, count: int) -> None:
+        # value = the digits first .. first+count-1, shifted down to 0.
+        if count > 16:
+            width = bits * (count // 2)
+            part = value & ((1 << width) - 1)
+            if part >> (width - 1):
+                part -= 1 << width
+            split(part, first, count // 2)
+            split((value - part) >> width, first + count // 2, count - count // 2)
+            return
+        while value:
+            digit = value & mask
+            if digit >= half:
+                digit -= 1 << bits
+            terms[low + 2 * first] = digit
+            value = (value - digit) >> bits
+            first += 1
+
+    split(packed, 0, packed.bit_length() // bits + 1)
+    return LaurentPoly(terms)
 
 
 def _as_poly(value: Union[LaurentPoly, Coeff]) -> LaurentPoly:

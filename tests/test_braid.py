@@ -21,8 +21,9 @@ from braidket import (
     parse_braid,
     rho_tl,
 )
-from braidket.braid import _unpack, exact_factor, represent
+from braidket.braid import exact_factor, represent
 from braidket.errors import ParseError, SizeLimitError
+from braidket.laurent import _unpack
 from conftest import braid_words, random_words
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import braidket
+import braidket.braid
 import braidket.cli
 import braidket.diagram
+import braidket.tl
 from braidket import (
     DELTA,
     BraidWord,
@@ -193,6 +195,13 @@ class TestBracketCommand:
         assert (code, out) == (1, "")
         assert "not valid JSON" in err
 
+    def test_deeply_nested_pd_json_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli(capsys, ["bracket", "--pd", str(path)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_word_without_strands_is_a_parse_error(self, capsys):
         code, out, err = run_cli(capsys, ["bracket", "--word", "1 1 1"])
         assert (code, out) == (1, "")
@@ -272,6 +281,19 @@ class TestBracketCommand:
         code, out, err = run_cli(capsys, [verb, "--strands", "4000", "--word", ""])
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "") and "cost guard" in err
+
+    def test_huge_empty_word_exits_before_building_a_table(self, capsys, monkeypatch):
+        # A table of 10^9 strands would take gigabytes; fail rather than build it.
+        def no_table(n):
+            raise AssertionError(f"diagram_table({n}) was called")
+
+        monkeypatch.setattr(braidket.braid, "diagram_table", no_table)
+        tables = dict(braidket.tl._tables)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["bracket", "--strands", "1000000000", "--word", ""])
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "") and "cost guard" in err
+        assert braidket.tl._tables == tables
 
 
 class TestJonesCommand:

@@ -307,6 +307,17 @@ class TestBracketByContraction:
         with pytest.raises(ValueError, match="empty"):
             bracket_by_contraction(LinkDiagram((), 0))
 
+    @pytest.mark.parametrize("strands, free_loops", [(2, 0), (3, 0), (8, 0), (3, MAX_CROSSINGS)])
+    def test_widest_packing_agrees_with_the_trace(self, strands, free_loops):
+        # The packed width grows with the crossings and the free loops, so it
+        # is widest at the guards, past the oracle's reach.
+        rng = random.Random(strands)
+        letters = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(MAX_CROSSINGS)]
+        word = BraidWord(strands, tuple(letters))
+        closure = closure_to_diagram(word)
+        diagram = LinkDiagram(closure.crossings, closure.free_loops + free_loops)
+        assert bracket_by_contraction(diagram) == bracket_via_trace(word) * DELTA**free_loops
+
     def test_eighteen_crossings_agree_with_the_trace_quickly(self):
         rng = random.Random(18)
         word = BraidWord(4, tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(18)))
