@@ -7,8 +7,8 @@ Subcommands::
     qsim     sample the braiding quantum computer and report a JSON record
     verify   run the algebraic relation suites
 
-Exit codes: 0 success, 1 parse error, 2 size guard, 3 cross-check mismatch,
-4 invalid angle, 5 verification failure.
+Exit codes: 0 success, 1 parse error, 2 size guard, 3 cross-check mismatch
+or failed internal check, 4 invalid angle, 5 verification failure.
 """
 
 from __future__ import annotations

@@ -7,27 +7,43 @@ is modelled.
 
 Randomness is counter-based so that results are reproducible and independent
 of how shots are batched: shot number k of a run with seed s draws the
-uniform number
+64-bit word
 
-    u_k = splitmix64(s + (k + 1) * 0x9E3779B97F4A7C15) / 2^64-ish
+    x_k = splitmix64(s + (k + 1) * 0x9E3779B97F4A7C15 mod 2^64)
 
 where splitmix64 is the standard 64-bit finalizer (xor-shift/multiply
-constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB) and the top 53 bits form
-a float in [0, 1).  Because u_k depends only on (s, k), splitting a run into
-batches [0, m) and [m, N) with the same seed and merging the counts gives
-byte-identical results to a single batch of N shots; parallel workers need
-only their shot offsets.  When a whole matrix column is estimated, column j
-uses seed s + j.
+constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  Its top 53 bits give
+the uniform u_k = (x_k >> 11) * 2^-53 in [0, 1), and the shot lands in the
+first index i with u_k < c_i, where c is the float cumulative sum of the
+probabilities (the last index takes every u_k >= c_{d-2}).  Because x_k
+depends only on (s, k), splitting a run into batches [0, m) and [m, N) with
+the same seed and merging the counts gives byte-identical results to a single
+batch of N shots; parallel workers need only their shot offsets.  When a
+whole matrix column is estimated, column j uses seed s + j.
+
+The sampler never forms u_k.  For i < d-1 let T_i = min(ceil(c_i * 2^53),
+2^53).  The product c_i * 2^53 only scales by a power of two, so it is exact,
+and for the integer m = x_k >> 11, which is below 2^53,
+
+    u_k < c_i  <=>  m < c_i * 2^53  <=>  m < T_i  <=>  x_k < T_i * 2^11,
+
+the last step because x_k = m * 2^11 + r with 0 <= r < 2^11.  So the shots at
+indices <= i are those with x_k < T_i << 11, counted on the raw words, and
+the counts of the indices telescope.  T_i = 2^53 (exactly when c_i >= 1) is
+special-cased as "every shot", because T_i << 11 = 2^64 does not fit in a
+uint64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .braid import BraidWord, bracket_via_trace
+from .errors import InvariantError
 from .unitary3 import UnitarySetup, rho_unitary
 
 __all__ = [
@@ -43,14 +59,17 @@ __all__ = [
 
 _NORM_TOL = 1e-10
 
-#: Shots drawn per chunk, so memory stays bounded at any shot count; one
-#: chunk still covers a 10^6-shot column.
-_SHOT_CHUNK = 1 << 20
+#: Shots drawn per chunk.  A chunk's draws and their scratch array (256 KiB
+#: each) stay in L2 cache while every threshold is counted against them; a
+#: 10^6-shot column takes 31 chunks.
+_SHOT_CHUNK = 1 << 15
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
+#: splitmix64's finalizer: x ^= x >> shift, then x *= mix (none after the last).
+_FINALIZER = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None))
 
 
 @dataclass(frozen=True)
@@ -107,17 +126,30 @@ def evolve(j: int, unitary: np.ndarray) -> QState:
     return QState(u[:, j].copy())
 
 
-def _uniforms(seed: int, first_shot: int, count: int) -> np.ndarray:
-    """Counter-based uniforms in [0, 1); shot k depends only on (seed, k)."""
-    idx = np.arange(first_shot, first_shot + count, dtype=np.uint64)
+def _draw_chunks(seed: int, first_shot: int, shots: int):
+    """Yield the words x_k of shots first_shot.. first_shot + shots - 1 in
+    chunks of at most _SHOT_CHUNK; each chunk overwrites the one before.
+    """
+    size = min(_SHOT_CHUNK, shots)
     with np.errstate(over="ignore"):
-        x = np.uint64(seed & _MASK) + (idx + np.uint64(1)) * _GOLDEN
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        # Shot k's counter is base + (k - start) * golden: one table of steps
+        # serves every chunk.
+        steps = np.arange(size, dtype=np.uint64) * _GOLDEN
+    words = np.empty(size, dtype=np.uint64)
+    scratch = np.empty(size, dtype=np.uint64)
+    end = first_shot + shots
+    for start in range(first_shot, end, _SHOT_CHUNK):
+        n = min(_SHOT_CHUNK, end - start)
+        x, tmp = words[:n], scratch[:n]
+        base = (seed + (start + 1) * int(_GOLDEN)) & _MASK
+        with np.errstate(over="ignore"):
+            np.add(steps[:n], np.uint64(base), out=x)
+            for shift, mix in _FINALIZER:
+                np.right_shift(x, shift, out=tmp)
+                x ^= tmp
+                if mix is not None:
+                    x *= mix
+        yield x
 
 
 def sample_shots(state: QState, shots: int, seed: int, first_shot: int = 0) -> ShotRecord:
@@ -131,17 +163,18 @@ def sample_shots(state: QState, shots: int, seed: int, first_shot: int = 0) -> S
         raise ValueError("need at least one shot")
     if first_shot < 0 or first_shot + shots > 2**64:
         raise ValueError(f"shots {first_shot}..{first_shot + shots - 1} leave the range 0..2^64-1")
-    cumulative = np.cumsum(state.probabilities())
-    counts = np.zeros(state.dim, dtype=np.int64)
-    end = first_shot + shots
-    # Chunks are batches of this run, so their counts add up to one draw's.
-    for start in range(first_shot, end, _SHOT_CHUNK):
-        draws = _uniforms(seed, start, min(_SHOT_CHUNK, end - start))
-        indices = np.minimum(
-            np.searchsorted(cumulative, draws, side="right"), state.dim - 1
-        )
-        counts += np.bincount(indices, minlength=state.dim)
-    return ShotRecord(shots, tuple(int(c) for c in counts), seed)
+    # Word limits T_i << 11 of the module docstring; None stands for 2^64.
+    limits = []
+    for c in np.cumsum(state.probabilities())[:-1]:
+        threshold = math.ceil(float(c) * 2.0**53)
+        limits.append(None if threshold >= 2**53 else np.uint64(threshold << 11))
+    at_most = [0] * len(limits)  # shots with index <= i
+    for x in _draw_chunks(seed, first_shot, shots):
+        for i, limit in enumerate(limits):
+            at_most[i] += len(x) if limit is None else int(np.count_nonzero(x < limit))
+    edges = [0, *at_most, shots]
+    counts = tuple(high - low for low, high in zip(edges, edges[1:]))
+    return ShotRecord(shots, counts, seed)
 
 
 def estimate_matrix_moduli(
@@ -151,14 +184,19 @@ def estimate_matrix_moduli(
 
     Entry [i][j] pairs the estimated probability of observing |i> after
     preparing |j> with the exact squared modulus.  Column j is sampled with
-    seed + j.
+    seed + j.  Raises InvariantError when rho(b) fails evolve's unitarity
+    check: the product is braidket's own, so its drift is a bug, not bad input.
     """
     rho = rho_unitary(b, setup)
     dim = rho.shape[0]
     exact = np.abs(rho) ** 2
     estimates = np.zeros((dim, dim))
     for j in range(dim):
-        record = sample_shots(evolve(j, rho), shots, seed + j)
+        try:
+            column = evolve(j, rho)
+        except ValueError as exc:
+            raise InvariantError(f"rho of a {len(b.letters)}-letter word: {exc}") from exc
+        record = sample_shots(column, shots, seed + j)
         estimates[:, j] = np.asarray(record.counts) / shots
     return [
         [(float(estimates[i, j]), float(exact[i, j])) for j in range(dim)]

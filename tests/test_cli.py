@@ -11,6 +11,7 @@ import braidket
 import braidket.braid
 import braidket.cli
 import braidket.diagram
+import braidket.qsim
 import braidket.tl
 from braidket import (
     DELTA,
@@ -400,6 +401,17 @@ class TestQsimCommand:
         rho = rho_unitary(parse_braid("2 -1 2", 3), unitary_generators(0.2))
         record = sample_shots(evolve(1, rho), 800, 5 + 1)
         assert json.loads(out)["counts"] == list(record.counts)
+
+    def test_drifted_internal_unitary_is_an_internal_error(self, capsys, monkeypatch):
+        def drifted(word, setup):
+            return rho_unitary(word, setup) * (1 + 1e-9)
+
+        monkeypatch.setattr(braidket.qsim, "rho_unitary", drifted)
+        argv = ["qsim", "--theta", "0.2", "--word", "1 2", "--shots", "100", "--seed", "3"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "internal check failed" in err
+        assert "not unitary" in err
 
     def test_negative_theta_in_scientific_notation(self, capsys):
         argv = ["qsim", "--theta=-4.5e-05", "--word", "1 2 -1", "--shots", "100", "--seed", "3"]

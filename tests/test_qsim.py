@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidket import qsim
 from braidket import (
@@ -20,6 +22,68 @@ from braidket import (
 
 SETUP = unitary_generators(math.pi / 10)
 HALF = QState(np.array([2**-0.5, 2**-0.5]))
+THREE = QState(np.array([0.6, 0.48j, 0.64]))
+CHUNK = qsim._SHOT_CHUNK
+
+
+def _uniforms(seed, first_shot, count):
+    """Counter-based uniforms in [0, 1): the top 53 bits of splitmix64."""
+    idx = np.arange(first_shot, first_shot + count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * np.uint64(
+            0x9E3779B97F4A7C15
+        )
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+
+
+def reference_counts(state, shots, seed, first_shot=0):
+    """The float sampler: each uniform goes through searchsorted on the
+    cumulative sum, the last index taking the rest."""
+    cumulative = np.cumsum(state.probabilities())
+    draws = _uniforms(seed, first_shot, shots)
+    indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), len(cumulative) - 1)
+    return tuple(int(c) for c in np.bincount(indices, minlength=len(cumulative)))
+
+
+class Probabilities:
+    """Stands in for a QState whose probabilities are exactly the given
+    floats, so the cumulative sum can sit on a chosen value."""
+
+    def __init__(self, probabilities):
+        self.p = np.array(probabilities, dtype=float)
+
+    def probabilities(self):
+        return self.p
+
+
+@st.composite
+def sampling_cases(draw):
+    """(probabilities, shots, seed, first_shot), some with a cumulative value
+    on a drawn uniform's grid point or one ulp either side of it."""
+    dim = draw(st.integers(2, 4))
+    shots = draw(st.integers(1, 2 * CHUNK + 5))
+    first_shot = draw(st.integers(0, 2**64 - shots))
+    seed = draw(st.integers(-(2**64), 2**65))
+    weights = draw(st.lists(st.floats(0, 1), min_size=dim, max_size=dim))
+    if sum(weights) == 0:
+        weights[-1] = 1.0
+    p = [w / sum(weights) for w in weights]
+    if draw(st.booleans()):
+        # c_k lands on the uniform of one of this batch's shots: zeros before
+        # it keep the cumulative sum exact, the rest shares what is left.
+        k = draw(st.integers(0, dim - 2))
+        shot = draw(st.integers(0, shots - 1))
+        tie = float(_uniforms(seed, first_shot + shot, 1)[0])
+        tie = float(np.nextafter(tie, draw(st.sampled_from([-1.0, tie, 2.0]))))
+        rest = weights[k + 1 :]
+        total = sum(rest) or 1.0
+        p = [0.0] * k + [tie] + [(1 - tie) * w / total for w in rest]
+    return p, shots, seed, first_shot
 
 
 class TestQState:
@@ -86,15 +150,16 @@ class TestSampling:
 
     @staticmethod
     def _record_draws(monkeypatch):
-        """Record the count of every batch of uniforms drawn."""
+        """Record the size of every chunk of draws."""
         drawn = []
-        uniforms = qsim._uniforms
+        draw_chunks = qsim._draw_chunks
 
-        def recorded(seed, first_shot, count):
-            drawn.append(count)
-            return uniforms(seed, first_shot, count)
+        def recorded(seed, first_shot, shots):
+            for chunk in draw_chunks(seed, first_shot, shots):
+                drawn.append(len(chunk))
+                yield chunk
 
-        monkeypatch.setattr(qsim, "_uniforms", recorded)
+        monkeypatch.setattr(qsim, "_draw_chunks", recorded)
         return drawn
 
     def test_chunked_draw_equals_one_draw(self, monkeypatch):
@@ -105,10 +170,57 @@ class TestSampling:
         assert sample_shots(state, 10000, 9, first_shot=123) == whole
         assert drawn == [997] * 10 + [30]
 
-    def test_a_million_shots_draw_as_one_chunk(self, monkeypatch):
+    def test_a_million_shots_draw_in_cache_sized_chunks(self, monkeypatch):
         drawn = self._record_draws(monkeypatch)
         sample_shots(HALF, 10**6, 1)
-        assert drawn == [10**6]
+        assert drawn == [2**15] * 30 + [16960]
+
+    @pytest.mark.parametrize(
+        "state, shots, seed, first_shot, counts",
+        [
+            (HALF, 10**6, 1, 0, (499154, 500846)),
+            (THREE, 10000, 9, 123, (3618, 2286, 4096)),
+            (
+                evolve(1, rho_unitary(BraidWord(3, (1, -2, 2, 1, 2, -1)), SETUP)),
+                100000,
+                7,
+                0,
+                (61813, 38187),
+            ),
+            (THREE, 1000, 5, 2**64 - 1000, (356, 221, 423)),
+            (
+                QState(np.sqrt([0.1, 0.2, 0.3, 0.4])),
+                2**20 + 5,
+                11,
+                3,
+                (105112, 209763, 314420, 419286),
+            ),
+            (QState(np.array([0.0, 1.0])), 777, 2, 0, (0, 777)),
+        ],
+    )
+    def test_golden_counts(self, state, shots, seed, first_shot, counts):
+        assert sample_shots(state, shots, seed, first_shot).counts == counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(sampling_cases())
+    @example(([0.0, 1.0], 40, 3, 0))
+    @example(([1.0, 0.0], 40, 3, 0))
+    @example(([1.0, 0.0, 0.0], 40, 3, 2**64 - 40))
+    @example(([0.0, 0.0, 1.0], 40, 3, 0))
+    @example(([0.5, 0.5], CHUNK + 1, 4, CHUNK - 1))
+    # shot 1554 of seed 1 draws x = T << 11 exactly, with T = c_0 * 2^53;
+    # then c_0 one ulp below and above that grid point
+    @example(([0.013388532535062003, 0.986611467464938], 1555, 1, 0))
+    @example(([0.013388532535062002, 0.986611467464938], 1555, 1, 0))
+    @example(([0.013388532535062005, 0.986611467464938], 1555, 1, 0))
+    # c_2 rounds above 1, then below 1, with a fourth index after it
+    @example(([0.197, 0.687, 0.116, 0.0], 3 * CHUNK + 7, 5, 9))
+    @example(([0.7, 0.2, 0.1, 0.0], 2 * CHUNK, 6, 1))
+    def test_integer_thresholds_equal_the_float_sampler(self, case):
+        p, shots, seed, first_shot = case
+        state = Probabilities(p)
+        expected = reference_counts(state, shots, seed, first_shot)
+        assert sample_shots(state, shots, seed, first_shot).counts == expected
 
     @pytest.mark.parametrize("first_shot, shots", [(-3, 10), (2**64 - 5, 6), (2**64, 1)])
     def test_rejects_shots_outside_the_counter_range(self, first_shot, shots):
