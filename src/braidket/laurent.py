@@ -1,9 +1,9 @@
-"""Exact Laurent-polynomial arithmetic in the variable A over the Gaussian integers.
+"""Exact Laurent-polynomial arithmetic in the variable A over Z[i].
 
-All symbolic computation in this package takes values in Z[i][A, A^-1].
-Coefficients are Gaussian integers because the elementary cup/cap matrix has
-entries iA and -iA^-1; closed-diagram evaluations must come out with zero
-imaginary part, which downstream code checks explicitly.
+A coefficient is an ``int``, or a ``GaussianInt`` when its imaginary part
+is nonzero; both are read through ``.real`` and ``.imag``.  Only the cup/cap
+matrix, with entries iA and -iA^-1, brings in i; closed-diagram evaluations
+are real, which downstream code checks explicitly.
 
 Canonical text form: terms in strictly descending exponent order, coefficient
 1 elided unless the exponent is 0, ``A^0`` rendered as a bare integer, and
@@ -11,8 +11,8 @@ properly complex coefficients rendered ``(x+yi)``.  Example::
 
     -A^5 - A^-3 + A^-7
 
-JSON form: a list of ``[exponent, re, im]`` triples in descending exponent
-order.
+JSON form: a list of ``[exponent, real, imag]`` triples in descending
+exponent order.
 
 Packed form, shared by the Temperley-Lieb fold in ``braid`` and the PD
 contraction in ``diagram``: a polynomial in B = A^2 with nonnegative
@@ -33,75 +33,70 @@ from .errors import ExactDivisionError
 
 @dataclass(frozen=True, slots=True)
 class GaussianInt:
-    """A Gaussian integer re + im*i with arbitrary-precision parts."""
+    """real + imag*i; takes an int on either side and returns an int when real."""
 
-    re: int
-    im: int = 0
+    real: int
+    imag: int = 0
 
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
+    def __add__(self, other: Coeff) -> Coeff:
+        return _gauss(self.real + other.real, self.imag + other.imag)
 
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
+    __radd__ = __add__
 
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
+    def __sub__(self, other: Coeff) -> Coeff:
+        return _gauss(self.real - other.real, self.imag - other.imag)
 
-    def __mul__(self, other: Union["GaussianInt", int]) -> "GaussianInt":
-        if isinstance(other, int):
-            return GaussianInt(self.re * other, self.im * other)
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+    def __rsub__(self, other: Coeff) -> Coeff:
+        return _gauss(other.real - self.real, other.imag - self.imag)
+
+    def __neg__(self) -> Coeff:
+        return _gauss(-self.real, -self.imag)
+
+    def __mul__(self, other: Coeff) -> Coeff:
+        return _gauss(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
         )
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self.real != 0 or self.imag != 0
 
-    def divexact(self, other: "GaussianInt") -> "GaussianInt":
-        """Exact quotient self/other; raises if other does not divide self."""
-        norm = other.re * other.re + other.im * other.im
+    def divexact(self: Coeff, other: Coeff) -> Coeff:
+        """Exact quotient self/other of ints or Gaussians; raises on a remainder."""
+        norm = other.real * other.real + other.imag * other.imag
         if norm == 0:
             raise ZeroDivisionError("division by Gaussian zero")
-        re_num = self.re * other.re + self.im * other.im
-        im_num = self.im * other.re - self.re * other.im
+        re_num = self.real * other.real + self.imag * other.imag
+        im_num = self.imag * other.real - self.real * other.imag
         if re_num % norm or im_num % norm:
             raise ExactDivisionError(f"{self} not divisible by {other}")
-        return GaussianInt(re_num // norm, im_num // norm)
+        return _gauss(re_num // norm, im_num // norm)
 
     def __complex__(self) -> complex:
-        return complex(self.re, self.im)
+        return complex(self.real, self.imag)
 
     def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        sign = "+" if self.imag >= 0 else "-"
+        return f"({self.real}{sign}{abs(self.imag)}i)"
 
-
-_G_ZERO = GaussianInt(0, 0)
-_G_ONE = GaussianInt(1, 0)
 
 Coeff = Union[GaussianInt, int]
 
 
-def _coerce(c: Coeff) -> GaussianInt:
-    return GaussianInt(c, 0) if isinstance(c, int) else c
+def _gauss(real: int, imag: int) -> Coeff:
+    """The coefficient real + imag*i: an int when imag is 0."""
+    return GaussianInt(real, imag) if imag else real
 
 
 class LaurentPoly:
-    """Canonical Laurent polynomial: a map exponent -> nonzero GaussianInt."""
+    """Canonical Laurent polynomial: a map exponent -> nonzero coefficient."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        canonical: dict[int, GaussianInt] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                g = _coerce(coeff)
-                if g:
-                    canonical[exp] = g
-        self._terms = canonical
+        self._terms = {e: _gauss(c.real, c.imag) for e, c in (terms or {}).items() if c}
 
     # -- construction -------------------------------------------------
 
@@ -126,16 +121,16 @@ class LaurentPoly:
     @property
     def is_real(self) -> bool:
         """True when every coefficient has zero imaginary part."""
-        return all(c.im == 0 for c in self._terms.values())
+        return all(c.imag == 0 for c in self._terms.values())
 
-    def coefficient(self, exp: int) -> GaussianInt:
-        return self._terms.get(exp, _G_ZERO)
+    def coefficient(self, exp: int) -> Coeff:
+        return self._terms.get(exp, 0)
 
-    def terms(self) -> list[tuple[int, GaussianInt]]:
+    def terms(self) -> list[tuple[int, Coeff]]:
         """Terms in descending exponent order."""
         return sorted(self._terms.items(), key=lambda t: -t[0])
 
-    def __iter__(self) -> Iterator[tuple[int, GaussianInt]]:
+    def __iter__(self) -> Iterator[tuple[int, Coeff]]:
         return iter(self.terms())
 
     def __len__(self) -> int:
@@ -157,7 +152,7 @@ class LaurentPoly:
         other = _as_poly(other)
         out = dict(self._terms)
         for exp, coeff in other._terms.items():
-            s = out.get(exp, _G_ZERO) + coeff
+            s = out.get(exp, 0) + coeff
             if s:
                 out[exp] = s
             else:
@@ -179,11 +174,11 @@ class LaurentPoly:
 
     def __mul__(self, other: Union["LaurentPoly", Coeff]) -> "LaurentPoly":
         other = _as_poly(other)
-        out: dict[int, GaussianInt] = {}
+        out: dict[int, Coeff] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                s = out.get(e, _G_ZERO) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -219,17 +214,17 @@ class LaurentPoly:
         lead = divisor.coefficient(lead_exp)
         min_quot = self.min_exponent() - divisor.min_exponent()
         rem = dict(self._terms)
-        quot: dict[int, GaussianInt] = {}
+        quot: dict[int, Coeff] = {}
         while rem:
             top = max(rem)
             t_exp = top - lead_exp
             if t_exp < min_quot:
                 raise ExactDivisionError("Laurent division left a remainder")
-            t_coeff = rem[top].divexact(lead)
+            t_coeff = GaussianInt.divexact(rem[top], lead)
             quot[t_exp] = t_coeff
             for e, c in divisor._terms.items():
                 e2 = e + t_exp
-                s = rem.get(e2, _G_ZERO) - t_coeff * c
+                s = rem.get(e2, 0) - t_coeff * c
                 if s:
                     rem[e2] = s
                 else:
@@ -251,17 +246,17 @@ class LaurentPoly:
     # -- equality / rendering -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, (int, GaussianInt)):
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # A real constant equals the int it holds (see __eq__), so it must
-        # hash like that int.
-        if self._terms.keys() <= {0} and self.coefficient(0).im == 0:
-            return hash(self.coefficient(0).re)
+        # A constant equals the coefficient it holds (see __eq__), so it
+        # must hash like that coefficient.
+        if self._terms.keys() <= {0}:
+            return hash(self.coefficient(0))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
@@ -271,7 +266,7 @@ class LaurentPoly:
         return f"{type(self).__name__}({self})"
 
     def to_json(self) -> list[list[int]]:
-        return [[e, c.re, c.im] for e, c in self.terms()]
+        return [[e, c.real, c.imag] for e, c in self.terms()]
 
 
 def _unpack(packed: int, bits: int, low: int) -> LaurentPoly:
@@ -323,7 +318,7 @@ A_INV = LaurentPoly.monomial(-1)
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-def _render_terms(terms: list[tuple[int, GaussianInt]], power: Callable[[int], str]) -> str:
+def _render_terms(terms: list[tuple[int, Coeff]], power: Callable[[int], str]) -> str:
     """Canonical text of ``(exponent, coefficient)`` terms in the given order.
 
     ``power(exp)`` writes the variable raised to a nonzero exponent.  A
@@ -332,8 +327,8 @@ def _render_terms(terms: list[tuple[int, GaussianInt]], power: Callable[[int], s
     """
     parts: list[str] = []
     for exp, coeff in terms:
-        if coeff.im == 0:
-            sign, scalar = ("-" if coeff.re < 0 else "+"), str(abs(coeff.re))
+        if coeff.imag == 0:
+            sign, scalar = ("-" if coeff.real < 0 else "+"), str(abs(coeff.real))
         else:
             sign, scalar = "+", str(coeff)
         if exp == 0:
@@ -374,7 +369,7 @@ class JonesPoly(LaurentPoly):
             raise ValueError("cannot evaluate at t = 0")
         return super().evaluate(complex(t) ** 0.25)
 
-    def terms(self) -> list[tuple[int, GaussianInt]]:
+    def terms(self) -> list[tuple[int, Coeff]]:
         """Terms in ascending t-exponent order."""
         return sorted(self._terms.items())
 

@@ -8,9 +8,12 @@ from braidket import BraidWord, GaussianInt, LaurentPoly
 gaussian_ints = st.builds(
     GaussianInt, st.integers(-9, 9), st.integers(-9, 9)
 )
+# Plain ints and Gaussians mixed, so sums, products and quotients meet an
+# int on either side, and Gaussians with imaginary part 0 collapse to ints.
+coefficients = st.one_of(st.integers(-9, 9), gaussian_ints)
 
 laurent_polys = st.dictionaries(
-    st.integers(-20, 20), gaussian_ints, max_size=6
+    st.integers(-20, 20), coefficients, max_size=6
 ).map(LaurentPoly)
 
 

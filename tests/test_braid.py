@@ -131,7 +131,7 @@ class TestPackedFold:
     def test_coefficients_past_a_machine_word(self):
         word = BraidWord(3, (1, -2) * 56)
         expected = reference_rho(word)
-        largest = max(abs(c.re) for coeff in expected.combo.values() for _, c in coeff)
+        largest = max(abs(c.real) for coeff in expected.combo.values() for _, c in coeff)
         assert largest > 2**64
         # The trial width runs out of room, and the fold starts again wider.
         assert braidket.braid._fold(word)[2] > 3 + braidket.braid._TRIAL_BITS

@@ -11,22 +11,94 @@ from braidket import (
     ONE,
     GaussianInt,
     LaurentPoly,
+    bracket_by_contraction,
+    bracket_state_sum,
+    bracket_via_trace,
+    burau_generator,
+    closure_to_diagram,
+    elementary_tensors,
+    normalize,
+    rho_matrix,
+    rho_tl,
     to_jones_variable,
+    u_tensor,
+    z_amplitude,
 )
 from braidket.errors import ExactDivisionError
-from conftest import laurent_polys
+from conftest import braid_words, laurent_polys
 
 IA = LaurentPoly.monomial(1, GaussianInt(0, 1))
 
 
 class TestGaussianInt:
     def test_i_squared_is_minus_one(self):
-        assert GaussianInt(0, 1) * GaussianInt(0, 1) == GaussianInt(-1, 0)
+        square = GaussianInt(0, 1) * GaussianInt(0, 1)
+        assert type(square) is int and square == -1
 
     def test_divexact(self):
-        assert GaussianInt(5, 5).divexact(GaussianInt(1, 1)) == GaussianInt(5, 0)
+        quotient = GaussianInt(5, 5).divexact(GaussianInt(1, 1))
+        assert type(quotient) is int and quotient == 5
         with pytest.raises(ExactDivisionError):
             GaussianInt(1, 0).divexact(GaussianInt(1, 1))
+
+    def test_real_result_is_an_int(self):
+        total = GaussianInt(2, 5) + GaussianInt(1, -5)
+        assert type(total) is int and total == 3
+
+    def test_int_on_either_side(self):
+        i = GaussianInt(0, 1)
+        assert 2 * i == i * 2 == GaussianInt(0, 2)
+        assert 1 + i == i + 1 == GaussianInt(1, 1)
+        assert 1 - i == GaussianInt(1, -1) and i - 1 == GaussianInt(-1, 1)
+        assert GaussianInt.divexact(4, 2) == 2
+
+
+class TestCoefficientTypes:
+    def test_real_gaussian_is_stored_as_int(self):
+        p = LaurentPoly({0: GaussianInt(3, 0)})
+        (_, c), = p.terms()
+        assert type(c) is int and c == 3
+        assert p == LaurentPoly({0: 3}) and hash(p) == hash(LaurentPoly({0: 3}))
+        assert str(p) == "3"
+        assert p.to_json() == [[0, 3, 0]]
+
+    def test_constant_compares_like_its_coefficient(self):
+        i = GaussianInt(0, 1)
+        assert LaurentPoly.monomial(0, i) == i and i == LaurentPoly.monomial(0, i)
+        assert hash(LaurentPoly.monomial(0, i)) == hash(i)
+        assert LaurentPoly.one() == 1 and hash(LaurentPoly.one()) == hash(1)
+        assert LaurentPoly.zero() == 0 and hash(LaurentPoly.zero()) == hash(0)
+        assert LaurentPoly.monomial(1, i) != i
+
+    # Only the cup/cap matrix M carries i; every value built from it that is
+    # real by construction must hold plain ints.
+
+    @given(braid_words())
+    @settings(max_examples=30, deadline=None)
+    def test_real_values_hold_ints(self, word):
+        diagram = closure_to_diagram(word)
+        polys = [
+            bracket_via_trace(word),
+            bracket_by_contraction(diagram),
+            bracket_state_sum(diagram),
+            *normalize(diagram),
+            z_amplitude(word),
+            *rho_tl(word).combo.values(),
+            *rho_matrix(word).entries.values(),
+        ]
+        assert all(type(c) is int for p in polys for _, c in p.terms())
+
+    def test_real_tensors_hold_ints(self):
+        _, eta, r = elementary_tensors()
+        matrices = [eta, r]
+        for n in range(2, 7):
+            matrices += [make(n, i) for i in range(1, n) for make in (u_tensor, burau_generator)]
+        polys = [p for m in matrices for p in m.entries.values()]
+        assert all(type(c) is int for p in polys for _, c in p.terms())
+
+    def test_cup_cap_matrix_keeps_i(self):
+        entries = elementary_tensors().M.entries.values()
+        assert all(type(c) is GaussianInt and c.imag for p in entries for _, c in p.terms())
 
 
 class TestRingArithmetic:
