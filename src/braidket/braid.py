@@ -94,9 +94,10 @@ def exponent_sum(b: BraidWord) -> int:
 def represent(letters: tuple[int, ...], one, factor, mul):
     """The product one * factor(g_1) * ... * factor(g_k), left to right.
 
-    Every representation of a braid word is this fold; ``mul`` is the
+    The exact representations of a braid word are this fold; ``mul`` is the
     representation's product.  Each distinct letter's factor is built once
-    per call.
+    per call.  The float 2x2 image (``unitary3.rho_unitary``) orders its
+    product for speed and re-projects it onto U(2) instead.
     """
     factors = {g: factor(g) for g in set(letters)}
     return reduce(mul, (factors[g] for g in letters), one)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .braid import BraidWord, bracket_via_trace
 from .errors import InvariantError
-from .unitary3 import UnitarySetup, rho_unitary
+from .unitary3 import _NORM_TOL, UnitarySetup, rho_unitary
 
 __all__ = [
     "QState",
@@ -56,8 +56,6 @@ __all__ = [
     "PhaseLossWitness",
     "find_phase_loss_witness",
 ]
-
-_NORM_TOL = 1e-10
 
 #: Shots drawn per chunk.  A chunk's draws and their scratch array (256 KiB
 #: each) stay in L2 cache while every threshold is counted against them; a

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ import braidket.cli
 import braidket.diagram
 import braidket.qsim
 import braidket.tl
+import braidket.unitary3
 from braidket import (
     DELTA,
     BraidWord,
@@ -412,6 +415,66 @@ class TestQsimCommand:
         assert (code, out) == (3, "")
         assert "internal check failed" in err
         assert "not unitary" in err
+
+    def test_wrong_factor_is_an_internal_error(self, capsys, monkeypatch):
+        # The re-projection between blocks must not hide a factor off U(2).
+        def wrong(theta):
+            setup = unitary_generators(theta)
+            factors = setup.factors.copy()
+            factors[2] *= 1 + 1e-9
+            return dataclasses.replace(setup, factors=factors)
+
+        monkeypatch.setattr(braidket.unitary3, "_BLOCK", 3)
+        monkeypatch.setattr(braidket.cli, "unitary_generators", wrong)
+        argv = ["qsim", "--theta", "0.2", "--word", "1 -1 1 2 -1 1 2", "--shots", "100"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "internal check failed" in err
+        assert "not unitary" in err
+
+    # Records the per-letter product printed for seeded words of one, five
+    # and twenty blocks (the word field aside). The blocked product keeps
+    # every field but `exact`, which moves in the last digits.
+    @pytest.mark.parametrize(
+        "length, theta, prepare, seed, counts, estimates, exact",
+        [
+            (
+                1000, 0.2, 0, 11, [92040, 7960],
+                [[0.9204, 0.08109], [0.0796, 0.91891]],
+                [[0.9202484058078017, 0.07975159419216062], [0.07975159419216055, 0.9202484058077789]],
+            ),
+            (
+                5000, -0.37, 1, 12, [1269, 98731],
+                [[0.98721, 0.01269], [0.01279, 0.98731]],
+                [[0.9872208220643396, 0.012779177935944906], [0.012779177935944422, 0.9872208220643275]],
+            ),
+            (
+                20000, 3.0, 0, 13, [82533, 17467],
+                [[0.82533, 0.17733], [0.17467, 0.82267]],
+                [[0.8231040361367982, 0.17689596386028397], [0.17689596386030157, 0.8231040361367371]],
+            ),
+        ],
+    )
+    def test_long_word_records(self, capsys, length, theta, prepare, seed, counts, estimates, exact):
+        rng = random.Random(f"golden:{length}")
+        word = " ".join(str(g) for g in rng.choices((1, -1, 2, -2), k=length))
+        argv = ["qsim", "--theta", str(theta), "--word", word, "--prepare", str(prepare)]
+        argv += ["--shots", "100000", "--seed", str(seed)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        record = json.loads(out)
+        printed = record.pop("exact")
+        assert record == {
+            "theta": theta,
+            "word": word,
+            "prepare": prepare,
+            "shots": 100000,
+            "seed": seed,
+            "counts": counts,
+            "estimates": estimates,
+        }
+        gaps = [abs(p - e) for row, want in zip(printed, exact) for p, e in zip(row, want)]
+        assert len(gaps) == 4 and max(gaps) <= 1e-11
 
     def test_negative_theta_in_scientific_notation(self, capsys):
         argv = ["qsim", "--theta=-4.5e-05", "--word", "1 2 -1", "--shots", "100", "--seed", "3"]

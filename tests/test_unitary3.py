@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,11 +14,50 @@ from braidket import (
     closure_to_diagram,
     bracket_state_sum,
     rho_unitary,
+    unitary3,
     unitary_generators,
 )
-from braidket.errors import InvalidAngleError
+from braidket.errors import InvalidAngleError, InvariantError
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def per_letter_product(letters, setup):
+    """One 2x2 product per letter, left to right: the oracle for rho_unitary."""
+    expected = np.eye(2, dtype=complex)
+    for g in letters:
+        u = setup.u1 if abs(g) == 1 else setup.u2
+        if g > 0:
+            factor = setup.a * np.eye(2) + u / setup.a
+        else:
+            factor = np.eye(2) / setup.a + setup.a * u
+        expected = expected @ factor
+    return expected
+
+
+def extended_precision_product(letters, setup):
+    """rho_unitary's product of the same float64 factors in np.clongdouble
+    (64-bit significands): each block multiplied pairwise, the running
+    product mapped onto its unitary polar factor between blocks.
+    """
+    factors = setup.factors.astype(np.clongdouble)
+    rows = [{1: 0, -1: 1, 2: 2, -2: 3}[g] for g in letters]
+    product = None
+    for start in range(0, len(rows), unitary3._BLOCK):
+        stack = factors[rows[start : start + unitary3._BLOCK]]
+        while len(stack) > 1:
+            pairs = stack[0 : len(stack) - 1 : 2] @ stack[1::2]
+            stack = np.concatenate((pairs, stack[-1:])) if len(stack) % 2 else pairs
+        if product is None:
+            product = stack[0]
+            continue
+        product = product @ stack[0]
+        for _ in range(4):  # Newton's polar iteration; each step squares the error
+            (p, q), (r, s) = product
+            inverse_h = np.array([[s, -r], [-q, p]]).conj() / np.conj(p * s - q * r)
+            product = (product + inverse_h) / 2
+    return product
+
 
 VALID_THETAS = [
     0.0,
@@ -111,20 +152,51 @@ class TestRepresentation:
             rho = rho_unitary(BraidWord(3, letters), setup)
             assert np.max(np.abs(rho @ rho.conj().T - np.eye(2))) < 1e-12
 
-    def test_bit_identical_to_per_letter_loop(self, rng):
-        # qsim prints these matrices' moduli, so the fold must not change a bit.
+    def test_agrees_with_per_letter_loop(self, rng):
         for theta in (math.pi / 10, -0.37, math.pi + 0.2):
             setup = unitary_generators(theta)
             letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(500))
-            expected = np.eye(2, dtype=complex)
-            for g in letters:
-                u = setup.u1 if abs(g) == 1 else setup.u2
-                if g > 0:
-                    factor = setup.a * np.eye(2) + u / setup.a
-                else:
-                    factor = np.eye(2) / setup.a + setup.a * u
-                expected = expected @ factor
-            assert np.array_equal(rho_unitary(BraidWord(3, letters), setup), expected)
+            rho = rho_unitary(BraidWord(3, letters), setup)
+            assert np.max(np.abs(rho - per_letter_product(letters, setup))) <= 1e-13
+
+
+class TestBlockedProduct:
+    """rho_unitary multiplies each block of letters pairwise and re-projects
+    the running product onto U(2) between blocks."""
+
+    THETAS = (0.2, -0.37, 3.0)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_moduli_match_extended_precision(self, theta):
+        # Log-uniform lengths over 10^3..3.2*10^4, as in the qsim benchmark,
+        # plus both sides of the first block boundary.
+        setup = unitary_generators(theta)
+        rng = random.Random(f"accuracy:{theta}")
+        lengths = [int(1000 * 32 ** ((k + rng.random()) / 6)) for k in range(6)]
+        for length in [*lengths, unitary3._BLOCK, unitary3._BLOCK + 1]:
+            letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(length))
+            moduli = np.abs(rho_unitary(BraidWord(3, letters), setup)) ** 2
+            reference = np.abs(extended_precision_product(letters, setup)) ** 2
+            assert np.max(np.abs(moduli - reference)) <= 1e-13, length
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_projected_product_matches_per_letter_loop(self, theta, rng, monkeypatch):
+        monkeypatch.setattr(unitary3, "_BLOCK", 3)  # 167 blocks, 166 projections
+        setup = unitary_generators(theta)
+        letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(500))
+        rho = rho_unitary(BraidWord(3, letters), setup)
+        assert np.max(np.abs(rho - per_letter_product(letters, setup))) <= 1e-13
+        assert np.max(np.abs(rho.conj().T @ rho - np.eye(2))) <= 1e-15
+
+    def test_projection_never_hides_a_wrong_factor(self, monkeypatch):
+        monkeypatch.setattr(unitary3, "_BLOCK", 3)
+        setup = unitary_generators(0.2)
+        factors = setup.factors.copy()
+        factors[2] *= 1 + 1e-9  # rho(sigma_2), off unitary by 2e-9
+        wrong = dataclasses.replace(setup, factors=factors)
+        word = BraidWord(3, (1, -1, 1, 2, -1, 1, 2))
+        with pytest.raises(InvariantError, match="first 6 letters is not unitary"):
+            rho_unitary(word, wrong)
 
 
 class TestBracketFromTrace:
