@@ -16,11 +16,11 @@ identity itself acts as a runtime check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 from .diagram import Crossing, LinkDiagram
 from .errors import InvariantError, ParseError, SizeLimitError
-from .laurent import A, A_INV, DELTA, LaurentPoly, _unpack
+from .laurent import A, A_INV, DELTA, LaurentPoly, _pack, _unpack
 from .tl import TLDiagram, TLElement, diagram_table, discard_table
 
 __all__ = [
@@ -54,12 +54,12 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError("strand count must be at least 1")
-        for g in self.letters:
-            if g == 0 or abs(g) > self.strands - 1:
-                raise ValueError(
-                    f"letter {g} invalid for {self.strands} strands "
-                    f"(need 1 <= |letter| <= {self.strands - 1})"
-                )
+        top, distinct = self.strands - 1, set(self.letters)
+        if 0 in distinct or max(map(abs, distinct), default=0) > top:
+            g = next(g for g in self.letters if g == 0 or abs(g) > top)
+            raise ValueError(
+                f"letter {g} invalid for {self.strands} strands (need 1 <= |letter| <= {top})"
+            )
 
     def __str__(self) -> str:
         return " ".join(str(g) for g in self.letters)
@@ -69,8 +69,13 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices into a BraidWord."""
     if strands < 1:
         raise ParseError("strand count must be at least 1")
-    letters = []
-    for pos, token in enumerate(text.split(), start=1):
+    tokens = text.split()
+    try:
+        return BraidWord(strands, tuple(map(int, tokens)))
+    except ValueError:
+        pass
+    # Only a word that fails walks its tokens, to name the first bad one.
+    for pos, token in enumerate(tokens, start=1):
         try:
             g = int(token)
         except ValueError:
@@ -82,8 +87,6 @@ def parse_braid(text: str, strands: int) -> BraidWord:
                 f"token {pos}: generator {g} out of range "
                 f"(max index is {strands - 1} for {strands} strands)"
             )
-        letters.append(g)
-    return BraidWord(strands, tuple(letters))
 
 
 def exponent_sum(b: BraidWord) -> int:
@@ -94,10 +97,9 @@ def exponent_sum(b: BraidWord) -> int:
 def represent(letters: tuple[int, ...], one, factor, mul):
     """The product one * factor(g_1) * ... * factor(g_k), left to right.
 
-    The exact representations of a braid word are this fold; ``mul`` is the
-    representation's product.  Each distinct letter's factor is built once
-    per call.  The float 2x2 image (``unitary3.rho_unitary``) orders its
-    product for speed and re-projects it onto U(2) instead.
+    The tensor and Burau images (``rho_matrix``, ``burau_rho``) are this
+    fold; ``mul`` is the representation's product.  Each distinct letter's
+    factor is built once per call.
     """
     factors = {g: factor(g) for g in set(letters)}
     return reduce(mul, (factors[g] for g in letters), one)
@@ -133,10 +135,11 @@ def _fold(b: BraidWord, traced: bool = False):
     bits are always enough.  Real coefficients are often far smaller (those
     of 2-strand words grow linearly), so for a word of more than about 64
     letters a narrower width is tried first and checked as the fold goes
-    (``_room``); when it runs out of room the fold starts again at twice the
-    width.
+    (``_room``); when it runs out of room, the state, exact until then, is
+    re-packed at twice the width and the fold goes on from the same letter.
     """
     n, length = b.strands, len(b.letters)
+    window = 3 * length + 1
     proven = length + n + 2
     bits = min(proven, n + _TRIAL_BITS)
     if traced:
@@ -144,63 +147,46 @@ def _fold(b: BraidWord, traced: bool = False):
         # to trace stops here, before TL_n's table is built.
         _check_trace_cost(b, bits)
     table = diagram_table(n)
+    state, safe = {table.identity: 1}, 0
     try:
-        while (state := _fold_at(b, table, bits, bits < proven)) is None:
-            bits = min(2 * bits, proven)
+        for done, g in enumerate(b.letters):
+            while done == safe and bits < proven:
+                room = _room(state, bits, n, window)
+                safe += room
+                if not room:
+                    wider = min(2 * bits, proven)
+                    for d, x in state.items():
+                        poly = _unpack(x, bits, 0)
+                        state[d] = _pack([poly.coefficient(2 * j) for j in range(window)], wider)
+                    bits = wider
+            if 2 * len(state) * (2 * n + bits * window // 64) > MAX_TL_COST:
+                raise SizeLimitError(
+                    f"TL product of {length} letters on {n} strands exceeds the "
+                    f"{MAX_TL_COST} cost guard at {len(state)} live diagrams"
+                )
+            # A^3 rho(sigma_i) = B^2*1 + B*U_i, A^3 rho(sigma_i^-1) = B*1 + B^2*U_i.
+            # When d caps the points U_i caps, d·U_i = delta d and the two
+            # terms are one: (B^2 - B^2 - 1) d = -d, or (B - B^3 - B) d = -B^3 d.
+            i = abs(g)
+            action = table.actions[i]
+            keep, through, loop = (2 * bits, bits, 0) if g > 0 else (bits, 2 * bits, 3 * bits)
+            out: dict[int, int] = {}
+            for d, x in state.items():
+                e = action.get(d)
+                if e is None:
+                    e = table.act(i, d)
+                if e == d:
+                    out[d] = out.get(d, 0) - (x << loop)
+                else:
+                    out[d] = out.get(d, 0) + (x << keep)
+                    out[e] = out.get(e, 0) + (x << through)
+            state = {d: x for d, x in out.items() if x}
     except SizeLimitError:
         # A guarded fold interned up to MAX_TL_COST's worth of diagrams that
         # no later word may need; dropping the table frees them.
         discard_table(n)
         raise
     return table, state, bits
-
-
-def _fold_at(b: BraidWord, table, bits: int, checked: bool) -> dict[int, int] | None:
-    """The packed state of ``_fold`` at this digit width, or None if a
-    ``checked`` width, one not proven for the whole word, ran out of room."""
-    n, length = b.strands, len(b.letters)
-    window = 3 * length + 1
-    size = 2 * n + bits * window // 64
-    done = safe = 0
-
-    def factor(g: int):
-        # A^3 rho(sigma_i) = B^2*1 + B*U_i, A^3 rho(sigma_i^-1) = B*1 + B^2*U_i.
-        # When d caps the points U_i caps, d·U_i = delta d and the two terms
-        # are one: (B^2 - B^2 - 1) d = -d, or (B - B^3 - B) d = -B^3 d.
-        i = abs(g)
-        shifts = (2 * bits, bits, 0) if g > 0 else (bits, 2 * bits, 3 * bits)
-        return (table.actions[i], partial(table.act, i), *shifts)
-
-    def step(state: dict[int, int] | None, letter) -> dict[int, int] | None:
-        nonlocal done, safe
-        if state is None:
-            return None
-        action, fill, keep, through, loop = letter
-        if 2 * len(state) * size > MAX_TL_COST:
-            raise SizeLimitError(
-                f"TL product of {length} letters on {n} strands exceeds the "
-                f"{MAX_TL_COST} cost guard at {len(state)} live diagrams"
-            )
-        if checked:
-            if done == safe:
-                room = _room(state, bits, n, window)
-                if not room:
-                    return None
-                safe = done + room
-            done += 1
-        out: dict[int, int] = {}
-        for d, x in state.items():
-            e = action.get(d)
-            if e is None:
-                e = fill(d)
-            if e == d:
-                out[d] = out.get(d, 0) - (x << loop)
-            else:
-                out[d] = out.get(d, 0) + (x << keep)
-                out[e] = out.get(e, 0) + (x << through)
-        return {d: x for d, x in out.items() if x}
-
-    return represent(b.letters, {table.identity: 1}, factor, step)
 
 
 def _room(state: dict[int, int], bits: int, n: int, window: int) -> int:

@@ -304,6 +304,14 @@ def _unpack(packed: int, bits: int, low: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _pack(digits: list[int], bits: int) -> int:
+    """``sum digits[j] 2^(bits*j)``, the inverse of ``_unpack``, halved as it halves."""
+    if len(digits) > 16:
+        half = len(digits) // 2
+        return _pack(digits[:half], bits) + (_pack(digits[half:], bits) << bits * half)
+    return sum(digit << bits * j for j, digit in enumerate(digits))
+
+
 def _as_poly(value: Union[LaurentPoly, Coeff]) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value

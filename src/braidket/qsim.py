@@ -44,7 +44,7 @@ import numpy as np
 
 from .braid import BraidWord, bracket_via_trace
 from .errors import InvariantError
-from .unitary3 import _NORM_TOL, UnitarySetup, rho_unitary
+from .unitary3 import _NORM_TOL, UnitarySetup, _unitarity_excess, rho_unitary
 
 __all__ = [
     "QState",
@@ -116,8 +116,7 @@ def evolve(j: int, unitary: np.ndarray) -> QState:
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operator must be a square matrix")
-    deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if not deviation <= _NORM_TOL:  # NaN fails too
+    if (deviation := _unitarity_excess(u)) is not None:
         raise ValueError(f"operator is not unitary: max |U*U - I| = {deviation:.3e}")
     if not 0 <= j < u.shape[0]:
         raise ValueError(f"basis index {j} out of range for dimension {u.shape[0]}")

@@ -49,6 +49,13 @@ _DEGENERACY_TOL = 1e-12
 #: Largest max |U*U - I| a unitary may show, here and in qsim.evolve.
 _NORM_TOL = 1e-10
 
+
+def _unitarity_excess(u: np.ndarray) -> float | None:
+    """max |U*U - I| of u when it exceeds _NORM_TOL or is NaN, else None."""
+    deviation = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return None if deviation <= _NORM_TOL else deviation
+
+
 #: Letters multiplied pairwise before the running product takes them in.  A
 #: block's factors take 16 KiB.  The moduli of an unprojected 1,024-letter
 #: product were within 3e-14 of the exact product of its float factors; at
@@ -112,8 +119,7 @@ def _polar_step(x: np.ndarray, letters: int) -> np.ndarray:
     """One Newton step (X + X^-H) / 2 from x towards U(2), once x passes
     the unitarity bound; ``letters`` is the length x is the product of.
     """
-    deviation = float(np.max(np.abs(x.conj().T @ x - np.eye(2))))
-    if not deviation <= _NORM_TOL:  # NaN fails too
+    if (deviation := _unitarity_excess(x)) is not None:
         raise InvariantError(
             f"rho of the first {letters} letters is not unitary: "
             f"max |U*U - I| = {deviation:.3e}"

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -23,7 +24,7 @@ from braidket import (
 )
 from braidket.braid import exact_factor, represent
 from braidket.errors import ParseError, SizeLimitError
-from braidket.laurent import _unpack
+from braidket.laurent import _pack, _unpack
 from conftest import braid_words, random_words
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
@@ -66,6 +67,24 @@ class TestParsing:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             BraidWord(2, (2,))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 x 0 5", "token 2: 'x' is not an integer"),
+            ("1 -5 x 0", "token 2: generator -5 out of range"),
+            ("2 0 x 5", "token 2: generator index must be nonzero"),
+        ],
+    )
+    def test_first_bad_token_is_named(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse_braid(text, 3)
+        assert str(raised.value).startswith(message)
+
+    def test_first_bad_letter_is_named(self):
+        with pytest.raises(ValueError) as raised:
+            BraidWord(3, (1, 5, -4, 0, 5))
+        assert str(raised.value) == "letter 5 invalid for 3 strands (need 1 <= |letter| <= 2)"
 
 
 class TestExponentSum:
@@ -133,7 +152,7 @@ class TestPackedFold:
         expected = reference_rho(word)
         largest = max(abs(c.real) for coeff in expected.combo.values() for _, c in coeff)
         assert largest > 2**64
-        # The trial width runs out of room, and the fold starts again wider.
+        # The trial width runs out of room, and the fold goes on wider.
         assert braidket.braid._fold(word)[2] > 3 + braidket.braid._TRIAL_BITS
         assert rho_tl(word) == expected
         assert bracket_via_trace(word) == markov_trace(expected).divexact(DELTA)
@@ -144,6 +163,37 @@ class TestPackedFold:
         expected = reference_rho(word)
         assert rho_tl(word) == expected
         assert bracket_via_trace(word) == markov_trace(expected).divexact(DELTA)
+
+    @pytest.fixture
+    def widening(self, monkeypatch):
+        """A 3-strand, 300-letter word whose trial width of 35 bits runs out
+        of room twice, and a list of (bits, state, room) per ``_room`` call."""
+        monkeypatch.setattr(braidket.braid, "_TRIAL_BITS", 32)
+        calls, room = [], braidket.braid._room
+
+        def recorded(state, bits, n, window):
+            calls.append((bits, dict(state), room(state, bits, n, window)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(braidket.braid, "_room", recorded)
+        rng = random.Random(1)
+        return BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(300))), calls
+
+    def test_widened_fold_matches_reference(self, widening):
+        word, calls = widening
+        expected = reference_rho(word)
+        assert rho_tl(word) == expected
+        assert [bits for bits, _, room in calls if not room] == [35, 70]
+        assert braidket.braid._fold(word)[2] == 140
+        assert bracket_via_trace(word) == markov_trace(expected).divexact(DELTA)
+
+    def test_widening_goes_on_from_the_same_letter(self, widening):
+        word, calls = widening
+        table = braidket.braid._fold(word)[0]
+        assert sum(1 for _, state, room in calls if not room) == 2
+        # The fold starts once: only the first check sees {identity: 1}.
+        starts = [bits for bits, state, _ in calls if state == {table.identity: 1}]
+        assert starts == [35]
 
     @pytest.mark.parametrize("trial_bits", [1, 6, 20])
     def test_narrow_trial_widths_restart_exactly(self, monkeypatch, trial_bits):
@@ -157,6 +207,25 @@ class TestPackedFold:
 
 def pack(digits, bits):
     return sum(c << bits * j for j, c in enumerate(digits))
+
+
+class TestPack:
+    # More than 16 digits, so _pack and _unpack both split in halves.
+    digit_lists = st.lists(st.integers(-(2**69), 2**69), min_size=17, max_size=60)
+
+    @given(st.integers(2, 70), digit_lists, st.integers(-9, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_inverts_unpack_and_matches_naive_packing(self, bits, digits, low):
+        half = 1 << (bits - 1)
+        digits = [max(1 - half, min(half - 1, c)) for c in digits]
+        packed = _pack(digits, bits)
+        assert packed == pack(digits, bits)
+        expected = LaurentPoly({low + 2 * j: c for j, c in enumerate(digits)})
+        assert _unpack(packed, bits, low) == expected
+
+    def test_short_and_empty_digit_lists(self):
+        assert _pack([], 8) == 0
+        assert _pack([-3, 0, 5], 8) == -3 + (5 << 16)
 
 
 class TestUnpack:

@@ -198,6 +198,14 @@ class TestBlockedProduct:
         with pytest.raises(InvariantError, match="first 6 letters is not unitary"):
             rho_unitary(word, wrong)
 
+    def test_unitarity_excess(self):
+        # The one check behind _polar_step and qsim.evolve: None within the
+        # bound, the deviation past it, and NaN counts as past it.
+        assert unitary3._unitarity_excess(np.eye(3)) is None
+        assert unitary3._unitarity_excess(np.eye(2) * (1 + 1e-11)) is None
+        assert unitary3._unitarity_excess(np.diag([1.0, 2.0])) == 3.0
+        assert math.isnan(unitary3._unitarity_excess(np.diag([1.0, math.nan])))
+
 
 class TestBracketFromTrace:
     def test_empty_word_gives_unlink_value(self):
