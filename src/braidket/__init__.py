@@ -6,7 +6,16 @@ summed by brute force as its oracle), the Markov trace of the
 Temperley-Lieb image of a braid, the closed-strand trace of the cup/cap
 tensor representation, and (numerically, for three strands) the trace of the
 unitary representation.
+
+Only that last path uses numpy: ``unitary3``, the shot sampler ``qsim`` built
+on it, and ``verify``, whose suites check it.  These three are registered
+lazily (``importlib.util.LazyLoader``): each sits in ``sys.modules`` and as an
+attribute here, but its code, numpy included, runs on its first attribute
+access.  A process that computes only exact brackets never loads numpy.
 """
+
+import importlib.util
+import sys
 
 from .braid import (
     BraidWord,
@@ -61,16 +70,6 @@ from .matrixrep import (
     u_tensor,
     z_amplitude,
 )
-from .qsim import (
-    PhaseLossWitness,
-    QState,
-    ShotRecord,
-    estimate_matrix_moduli,
-    evolve,
-    find_phase_loss_witness,
-    sample_shots,
-    short_word_table,
-)
 from .tl import (
     TLDiagram,
     TLElement,
@@ -81,6 +80,47 @@ from .tl import (
     markov_trace,
     multiply,
 )
-from .unitary3 import UnitarySetup, bracket_from_trace, rho_unitary, unitary_generators
+
+
+def _lazy(name: str):
+    """Register submodule ``name`` to execute on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+unitary3, qsim, verify = _lazy("unitary3"), _lazy("qsim"), _lazy("verify")
+
+#: Names re-exported from the lazy modules, resolved by ``__getattr__``.
+_LAZY_NAMES = dict.fromkeys(
+    ("UnitarySetup", "bracket_from_trace", "rho_unitary", "unitary_generators"), "unitary3"
+) | dict.fromkeys(
+    (
+        "PhaseLossWitness",
+        "QState",
+        "ShotRecord",
+        "estimate_matrix_moduli",
+        "evolve",
+        "find_phase_loss_witness",
+        "sample_shots",
+        "short_word_table",
+    ),
+    "qsim",
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        return getattr(globals()[_LAZY_NAMES[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_LAZY_NAMES])
+
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ identity itself acts as a runtime check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .diagram import Crossing, LinkDiagram
 from .errors import InvariantError, ParseError, SizeLimitError
@@ -199,12 +199,20 @@ def _room(state: dict[int, int], bits: int, n: int, window: int) -> int:
     live * window * 2^t, which each letter at most doubles and the trace
     multiplies by at most 2^n.
     """
-    t = bits // 2
-    ones = ((1 << bits * window) - 1) // ((1 << bits) - 1)
-    offset, high = ones << t, ones * ((1 << bits) - (2 << t))
+    t, offset, high = _room_masks(bits, window)
     if any((x + offset) & high for x in state.values()):
         return 0
     return max(0, bits - 1 - t - n - (len(state) * window).bit_length())
+
+
+# A fold widens its digits only upwards, so one entry serves its every check
+# at a width; it holds two integers the size of one packed coefficient.
+@lru_cache(maxsize=1)
+def _room_masks(bits: int, window: int) -> tuple[int, int, int]:
+    """``_room``'s t, and 2^t and 2^bits - 2^(t+1) in each of ``window`` digits."""
+    t = bits // 2
+    ones = ((1 << bits * window) - 1) // ((1 << bits) - 1)
+    return t, ones << t, ones * ((1 << bits) - (2 << t))
 
 
 def _check_trace_cost(b: BraidWord, bits: int) -> None:

@@ -18,6 +18,7 @@ import json
 import sys
 from functools import lru_cache
 
+from . import qsim, unitary3, verify
 from .braid import bracket_via_trace, closure_to_diagram, exponent_sum, parse_braid
 from .diagram import (
     LinkDiagram,
@@ -36,9 +37,6 @@ from .errors import (
     SizeLimitError,
 )
 from .laurent import LaurentPoly
-from .qsim import estimate_matrix_moduli
-from .unitary3 import unitary_generators
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -140,13 +138,13 @@ def cmd_jones(args) -> int:
 
 
 def cmd_qsim(args) -> int:
-    setup = unitary_generators(args.theta)
+    setup = unitary3.unitary_generators(args.theta)
     word = parse_braid(args.word, 3)
     if not 0 <= args.prepare <= 1:
         raise ParseError("--prepare must be 0 or 1")
     if args.shots < 1:
         raise ParseError("--shots must be positive")
-    pairs = estimate_matrix_moduli(word, setup, args.shots, args.seed)
+    pairs = qsim.estimate_matrix_moduli(word, setup, args.shots, args.seed)
     # Column `prepare` was sampled with seed + prepare.  count / shots rounds
     # back to count exactly below 2**51 shots, far more than fit in memory.
     counts = [round(pairs[i][args.prepare][0] * args.shots) for i in range(2)]
@@ -167,7 +165,7 @@ def cmd_qsim(args) -> int:
 def cmd_verify(args) -> int:
     if args.n < 2:
         raise ParseError("--n must be at least 2")
-    results = run_all(args.n)
+    results = verify.run_all(args.n)
     failed = False
     for result in results:
         status = "pass" if result.passed else "FAIL"

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +79,7 @@ class UnitarySetup:
     factors: np.ndarray
 
 
+@lru_cache(maxsize=64)
 def unitary_generators(theta: float) -> UnitarySetup:
     """Build the numeric TL generators and letter factors at angle theta.
 
@@ -85,6 +87,10 @@ def unitary_generators(theta: float) -> UnitarySetup:
     where the off-diagonal entry sqrt(1 - 1/delta^2) would be imaginary.
     Boundary angles with delta^2 = 1 are accepted (the off-diagonal entry
     degenerates to zero).
+
+    Setups are cached by angle, so their arrays are read-only.  0, 0.0 and
+    -0.0 share one entry: their arrays and ``a`` are byte-identical, and only
+    the ``theta`` field keeps the first caller's spelling.
     """
     if not math.isfinite(theta):
         raise InvalidAngleError(f"theta = {theta} is not finite")
@@ -104,6 +110,8 @@ def unitary_generators(theta: float) -> UnitarySetup:
     factors = np.array(
         [a * identity + u1 / a, identity / a + a * u1, a * identity + u2 / a, identity / a + a * u2]
     )
+    for array in (u1, u2, factors):
+        array.flags.writeable = False
     return UnitarySetup(theta, a, delta, u1, u2, factors)
 
 
@@ -136,7 +144,8 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
     if b.strands != 3:
         raise ValueError(f"unitary representation needs 3 strands, got {b.strands}")
     letters = b.letters
-    product = np.eye(2, dtype=complex)
+    if not letters:
+        return np.eye(2, dtype=complex)
     for start in range(0, len(letters), _BLOCK):
         block = letters[start : start + _BLOCK]
         rows = _FACTOR_ROW[np.fromiter(block, np.intp, len(block)) + 2]
@@ -151,6 +160,6 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
 def bracket_from_trace(b: BraidWord, setup: UnitarySetup) -> complex:
     """Numeric bracket of the 3-braid closure from the representation trace."""
     rho = rho_unitary(b, setup)
-    return complex(np.trace(rho)) + setup.a ** exponent_sum(b) * (
+    return complex(rho[0, 0] + rho[1, 1]) + setup.a ** exponent_sum(b) * (
         setup.delta**2 - 2.0
     )

@@ -425,7 +425,7 @@ class TestQsimCommand:
             return dataclasses.replace(setup, factors=factors)
 
         monkeypatch.setattr(braidket.unitary3, "_BLOCK", 3)
-        monkeypatch.setattr(braidket.cli, "unitary_generators", wrong)
+        monkeypatch.setattr(braidket.unitary3, "unitary_generators", wrong)
         argv = ["qsim", "--theta", "0.2", "--word", "1 -1 1 2 -1 1 2", "--shots", "100"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (3, "")

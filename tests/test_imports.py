@@ -1,0 +1,150 @@
+"""The package's import surface: which modules load numpy, and when."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import braidket
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs in a fresh interpreter, so that no earlier test has imported numpy.
+SCRIPT = """
+import contextlib, io, json, sys
+import braidket
+import braidket.cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = braidket.cli.main(list(argv))
+    return [code, out.getvalue(), "numpy" in sys.modules]
+
+runs = [
+    run("bracket", "--strands", "3", "--word", "1 1 1"),
+    run("jones", "--strands", "2", "--word", "1 1 1", "--json"),
+    run("jones", "--pd", sys.argv[1]),
+    run("qsim", "--theta", "0.2", "--word", "1 2 -1", "--shots", "1000", "--seed", "3"),
+    run("verify", "--n", "5"),
+]
+print(json.dumps(runs))
+"""
+
+VERIFY_SUITES = (
+    "tl-relations",
+    "tl-relations-tensor",
+    "tl-relations-projector",
+    "braid-relations-tl",
+    "braid-relations-tensor",
+    "braid-relations-projector",
+    "braid-relations-unitary",
+    "yang-baxter",
+    "trace-identities",
+    "cross-representation",
+)
+
+
+def test_exact_commands_never_load_numpy():
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-c", SCRIPT, str(ROOT / "examples" / "trefoil_pd.json")]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, check=True)
+    bracket, jones_braid, jones_pd, qsim, verify = json.loads(done.stdout)
+    assert bracket == [0, "A^7 + A^3 + A^-1 - A^-9\n", False]
+    assert jones_braid == [
+        0,
+        '{"bracket": [[5, -1, 0], [-3, -1, 0], [-7, 1, 0]], "writhe": 3, '
+        '"f": [[-4, 1, 0], [-12, 1, 0], [-16, -1, 0]], "V": [[4, 1, 0], [12, 1, 0], [16, -1, 0]]}\n',
+        False,
+    ]
+    jones_text = "bracket: A^7 - A^3 - A^-5\nwrithe: -3\nf: -A^16 + A^12 + A^4\nV: -t^-4 + t^-3 + t^-1\n"
+    assert jones_pd == [0, jones_text, False]
+    assert qsim == [
+        0,
+        '{"theta": 0.2, "word": "1 2 -1", "prepare": 0, "shots": 1000, "seed": 3, '
+        '"counts": [293, 707], "estimates": [[0.293, 0.697], [0.707, 0.303]], '
+        '"exact": [[0.29468852645274385, 0.7053114735472555], '
+        "[0.7053114735472563, 0.2946885264527436]]}\n",
+        True,
+    ]
+    assert verify == [0, "".join(f"{name}: pass\n" for name in VERIFY_SUITES), True]
+
+
+#: Every name the package exported before its numpy-backed modules became
+#: lazy, by the module that defines it.
+EXPORTS = {
+    "braid": ["BraidWord", "bracket_via_trace", "closure_to_diagram", "exponent_sum", "parse_braid", "rho_tl"],
+    "diagram": [
+        "Crossing",
+        "LinkDiagram",
+        "StateSummary",
+        "add_curl",
+        "bracket_by_contraction",
+        "bracket_state_sum",
+        "diagram_from_json",
+        "diagram_to_json",
+        "enumerate_states",
+        "mirror_diagram",
+        "normalize",
+        "writhe",
+        "writhe_factor",
+    ],
+    "errors": [
+        "ExactDivisionError",
+        "InvalidAngleError",
+        "InvariantError",
+        "MismatchError",
+        "ParseError",
+        "SizeLimitError",
+    ],
+    "laurent": ["A", "A_INV", "DELTA", "ONE", "ZERO", "GaussianInt", "JonesPoly", "LaurentPoly", "to_jones_variable"],
+    "matrixrep": [
+        "ElementaryTensors",
+        "SymbolicMatrix",
+        "burau_generator",
+        "burau_rho",
+        "elementary_tensors",
+        "rho_matrix",
+        "tl_tensor_image",
+        "u_tensor",
+        "z_amplitude",
+    ],
+    "qsim": [
+        "PhaseLossWitness",
+        "QState",
+        "ShotRecord",
+        "estimate_matrix_moduli",
+        "evolve",
+        "find_phase_loss_witness",
+        "sample_shots",
+        "short_word_table",
+    ],
+    "tl": [
+        "TLDiagram",
+        "TLElement",
+        "closure_loop_count",
+        "enumerate_basis",
+        "generator_diagram",
+        "identity_diagram",
+        "markov_trace",
+        "multiply",
+    ],
+    "unitary3": ["UnitarySetup", "bracket_from_trace", "rho_unitary", "unitary_generators"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_exports_resolve_to_their_module(module, name):
+    assert getattr(braidket, name) is getattr(getattr(braidket, module), name)
+    assert name in dir(braidket)
+
+
+def test_lazy_modules_are_registered():
+    for name in ("qsim", "unitary3", "verify"):
+        assert sys.modules[f"braidket.{name}"] is getattr(braidket, name)
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        braidket.nonesuch

@@ -113,6 +113,18 @@ class TestSetup:
         assert np.max(np.abs(setup.u1 @ setup.u2 @ setup.u1 - setup.u1)) < 1e-12
         assert np.max(np.abs(setup.u2 @ setup.u1 @ setup.u2 - setup.u2)) < 1e-12
 
+    @pytest.mark.parametrize("theta", [*VALID_THETAS, -0.0, 0])
+    def test_cached_setup_is_read_only_and_unchanged(self, theta):
+        setup, fresh = unitary_generators(theta), unitary_generators.__wrapped__(theta)
+        assert unitary_generators(theta) is setup
+        assert (setup.a, setup.delta) == (fresh.a, fresh.delta)
+        for name in ("u1", "u2", "factors"):
+            array = getattr(setup, name)
+            assert not array.flags.writeable
+            assert array.tobytes() == getattr(fresh, name).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
     @pytest.mark.parametrize("theta", VALID_THETAS)
     def test_trace_identities(self, theta):
         setup = unitary_generators(theta)
@@ -226,6 +238,16 @@ class TestBracketFromTrace:
         word = BraidWord(3, (1, 2, 1, 2))
         exact = bracket_state_sum(closure_to_diagram(word)).evaluate(setup.a)
         assert abs(bracket_from_trace(word, setup) - exact) < 1e-9
+
+    @pytest.mark.parametrize("theta", [0.2, -math.pi / 8, math.pi])
+    def test_equals_the_numpy_trace_formula(self, theta, rng):
+        setup = unitary_generators(theta)
+        for length in (0, 1, 2, 7, 30, unitary3._BLOCK + 5):
+            word = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(length)))
+            rho = rho_unitary(word, setup)
+            unlink = setup.a ** sum(1 if g > 0 else -1 for g in word.letters)
+            expected = complex(np.trace(rho)) + unlink * (setup.delta**2 - 2)
+            assert bracket_from_trace(word, setup) == expected
 
     def test_agrees_with_exact_bracket_on_sample(self):
         setup = unitary_generators(-math.pi / 8)
