@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 
 from .diagram import Crossing, LinkDiagram
 from .errors import InvariantError, ParseError, SizeLimitError
-from .laurent import A, A_INV, DELTA, LaurentPoly, _pack, _unpack
+from .laurent import A, A_INV, DELTA, LaurentPoly, _ones, _unpack, _widen
 from .tl import TLDiagram, TLElement, diagram_table, discard_table
 
 __all__ = [
@@ -155,9 +155,7 @@ def _fold(b: BraidWord, traced: bool = False):
                 safe += room
                 if not room:
                     wider = min(2 * bits, proven)
-                    for d, x in state.items():
-                        poly = _unpack(x, bits, 0)
-                        state[d] = _pack([poly.coefficient(2 * j) for j in range(window)], wider)
+                    state = {d: _widen(x, bits, wider) for d, x in state.items()}
                     bits = wider
             if 2 * len(state) * (2 * n + bits * window // 64) > MAX_TL_COST:
                 raise SizeLimitError(
@@ -211,7 +209,7 @@ def _room(state: dict[int, int], bits: int, n: int, window: int) -> int:
 def _room_masks(bits: int, window: int) -> tuple[int, int, int]:
     """``_room``'s t, and 2^t and 2^bits - 2^(t+1) in each of ``window`` digits."""
     t = bits // 2
-    ones = ((1 << bits * window) - 1) // ((1 << bits) - 1)
+    ones = _ones(bits, window)
     return t, ones << t, ones * ((1 << bits) - (2 << t))
 
 

@@ -81,9 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_diagram(path: str) -> LinkDiagram:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"PD file is not valid UTF-8: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        # open() raises ValueError on a path it cannot take, such as one holding a NUL byte.
         raise ParseError(f"cannot read PD file: {exc}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"PD file is not valid JSON: {exc}") from exc
     except RecursionError:

@@ -17,9 +17,11 @@ exponent order.
 Packed form, shared by the Temperley-Lieb fold in ``braid`` and the PD
 contraction in ``diagram``: a polynomial in B = A^2 with nonnegative
 exponents as one int, its value at B = 2^bits.  Shifts and adds keep that
-value exact whatever the digits do; only ``_unpack`` needs every digit below
-2^(bits-1) in absolute value.  A closed loop, delta = -B^-1 (1 + B^2), is
-``-((y + (y << 2*bits)) >> bits)``, exact when y has no constant term.
+value exact whatever the digits do.  A closed loop, delta = -B^-1 (1 + B^2),
+is ``-((y + (y << 2*bits)) >> bits)``, exact when y has no constant term.
+``_unpack`` and ``_widen`` read the digits by adding 2^(bits-1) to each,
+which needs every digit below 2^(bits-1) in absolute value: each is then an
+unsigned field of ``bits`` characters in the binary text of the sum.
 """
 
 from __future__ import annotations
@@ -269,47 +271,39 @@ class LaurentPoly:
         return [[e, c.real, c.imag] for e, c in self.terms()]
 
 
+def _ones(bits: int, count: int) -> int:
+    """A 1 in each of ``count`` digits of ``bits`` bits."""
+    return ((1 << bits * count) - 1) // ((1 << bits) - 1)
+
+
+def _offset_text(packed: int, bits: int) -> str:
+    """Binary text of ``packed`` plus 2^(bits-1) in every digit, ``bits``
+    characters a digit and the top one first; it holds every nonzero digit."""
+    count = packed.bit_length() // bits + 1
+    return format(packed + (_ones(bits, count) << (bits - 1)), f"0{bits * count}b")
+
+
 def _unpack(packed: int, bits: int, low: int) -> LaurentPoly:
     """Decode a polynomial in B = A^2 from its packed form (module docstring).
 
     ``packed = sum c_j 2^(bits*j)`` with signed digits
     ``|c_j| < 2^(bits-1)``; the result is ``sum c_j A^(low + 2j)``.
-    Long integers are halved until a part holds at most 16 digits, so
-    no digit is taken off more than a short part.  Because every digit
-    is below half the base, the low half read as a signed number is
-    exactly the sum of its digits.
     """
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    text, half = _offset_text(packed, bits), 1 << (bits - 1)
+    zero = format(half, "b")
     terms = {}
-
-    def split(value: int, first: int, count: int) -> None:
-        # value = the digits first .. first+count-1, shifted down to 0.
-        if count > 16:
-            width = bits * (count // 2)
-            part = value & ((1 << width) - 1)
-            if part >> (width - 1):
-                part -= 1 << width
-            split(part, first, count // 2)
-            split((value - part) >> width, first + count // 2, count - count // 2)
-            return
-        while value:
-            digit = value & mask
-            if digit >= half:
-                digit -= 1 << bits
-            terms[low + 2 * first] = digit
-            value = (value - digit) >> bits
-            first += 1
-
-    split(packed, 0, packed.bit_length() // bits + 1)
+    for j, start in enumerate(range(len(text) - bits, -1, -bits)):
+        digit = text[start : start + bits]
+        if digit != zero:
+            terms[low + 2 * j] = int(digit, 2) - half
     return LaurentPoly(terms)
 
 
-def _pack(digits: list[int], bits: int) -> int:
-    """``sum digits[j] 2^(bits*j)``, the inverse of ``_unpack``, halved as it halves."""
-    if len(digits) > 16:
-        half = len(digits) // 2
-        return _pack(digits[:half], bits) + (_pack(digits[half:], bits) << bits * half)
-    return sum(digit << bits * j for j, digit in enumerate(digits))
+def _widen(packed: int, bits: int, wider: int) -> int:
+    """``sum c_j 2^(wider*j)`` for ``packed = sum c_j 2^(bits*j)``, as ``_unpack`` takes it."""
+    text = _offset_text(packed, bits)
+    spaced = ("0" * (wider - bits)).join([text[k : k + bits] for k in range(0, len(text), bits)])
+    return int(spaced, 2) - (_ones(wider, len(text) // bits) << (bits - 1))
 
 
 def _as_poly(value: Union[LaurentPoly, Coeff]) -> LaurentPoly:

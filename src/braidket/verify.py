@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord, bracket_via_trace, closure_to_diagram, rho_tl
-from .diagram import bracket_state_sum
+from .diagram import bracket_by_contraction, bracket_state_sum
 from .errors import SizeLimitError
 from .laurent import DELTA
 from .matrixrep import (
@@ -161,14 +161,16 @@ def random_braid(rng: random.Random, max_strands: int, max_length: int) -> Braid
 
 
 def suite_cross_representation(n: int) -> SuiteResult:
-    """State sum, Markov trace, and tensor trace agree on 20 random closures."""
+    """State sum, contraction, Markov and tensor traces agree on 20 random closures."""
     rng = random.Random(11)
     for _ in range(20):
         word = random_braid(rng, max_strands=min(n, 4), max_length=6)
         via_trace = bracket_via_trace(word)
-        via_states = bracket_state_sum(closure_to_diagram(word))
-        if via_trace != via_states:
+        diagram = closure_to_diagram(word)
+        if via_trace != bracket_state_sum(diagram):
             return SuiteResult("cross-representation", False, f"state sum mismatch: {word}")
+        if via_trace != bracket_by_contraction(diagram):
+            return SuiteResult("cross-representation", False, f"contraction mismatch: {word}")
         if z_amplitude(word) != DELTA * via_trace:
             return SuiteResult("cross-representation", False, f"tensor trace mismatch: {word}")
         if tl_tensor_image(rho_tl(word)) != rho_matrix(word):

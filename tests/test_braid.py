@@ -24,7 +24,7 @@ from braidket import (
 )
 from braidket.braid import exact_factor, represent
 from braidket.errors import ParseError, SizeLimitError
-from braidket.laurent import _pack, _unpack
+from braidket.laurent import _unpack, _widen
 from conftest import braid_words, random_words
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
@@ -209,23 +209,34 @@ def pack(digits, bits):
     return sum(c << bits * j for j, c in enumerate(digits))
 
 
-class TestPack:
-    # More than 16 digits, so _pack and _unpack both split in halves.
-    digit_lists = st.lists(st.integers(-(2**69), 2**69), min_size=17, max_size=60)
+@st.composite
+def packed_digits(draw):
+    """``(bits, digits)`` with every digit below 2^(bits-1) in absolute value:
+    zeros and both extremes among them, and often a negative top digit."""
+    bits = draw(st.integers(2, 70))
+    top = (1 << (bits - 1)) - 1
+    digit = st.one_of(st.sampled_from((0, top, -top)), st.integers(-top, top))
+    digits = draw(st.lists(digit, max_size=60))
+    if draw(st.booleans()):
+        digits.append(draw(st.integers(-top, -1)))
+    return bits, digits
 
-    @given(st.integers(2, 70), digit_lists, st.integers(-9, 9))
-    @settings(max_examples=80, deadline=None)
-    def test_inverts_unpack_and_matches_naive_packing(self, bits, digits, low):
-        half = 1 << (bits - 1)
-        digits = [max(1 - half, min(half - 1, c)) for c in digits]
-        packed = _pack(digits, bits)
-        assert packed == pack(digits, bits)
-        expected = LaurentPoly({low + 2 * j: c for j, c in enumerate(digits)})
-        assert _unpack(packed, bits, low) == expected
+
+class TestWiden:
+    @given(packed_digits(), st.data(), st.integers(-9, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_naive_spacing_and_unpacks_alike(self, case, data, low):
+        bits, digits = case
+        wider = data.draw(st.integers(bits, 3 * bits))
+        packed = pack(digits, bits)
+        widened = _widen(packed, bits, wider)
+        assert widened == pack(digits, wider)
+        assert _unpack(widened, wider, low) == _unpack(packed, bits, low)
 
     def test_short_and_empty_digit_lists(self):
-        assert _pack([], 8) == 0
-        assert _pack([-3, 0, 5], 8) == -3 + (5 << 16)
+        assert _widen(0, 8, 24) == 0
+        assert _widen(-3 + (5 << 16), 8, 24) == -3 + (5 << 48)
+        assert _widen(-127 << 8, 8, 8) == -127 << 8
 
 
 class TestUnpack:

@@ -16,6 +16,7 @@ import braidket.diagram
 import braidket.qsim
 import braidket.tl
 import braidket.unitary3
+import braidket.verify
 from braidket import (
     DELTA,
     BraidWord,
@@ -28,7 +29,7 @@ from braidket import (
     unitary_generators,
 )
 from braidket.cli import main
-from braidket.errors import InvariantError
+from braidket.errors import InvariantError, ParseError
 from braidket.tl import diagram_table
 
 TREFOIL_PD = {
@@ -205,6 +206,22 @@ class TestBracketCommand:
         code, out, err = run_cli(capsys, ["bracket", "--pd", str(path)])
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_pd_file_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(ParseError, match="^PD file is not valid UTF-8: 'utf-8' codec"):
+            braidket.cli._read_diagram(str(path))
+        code, out, err = run_cli(capsys, ["bracket", "--pd", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: PD file is not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
+
+    def test_pd_path_with_a_nul_byte_is_a_parse_error(self, capsys, tmp_path):
+        path = str(tmp_path / "trefoil\0.json")
+        with pytest.raises(ParseError, match="^cannot read PD file: embedded null byte$"):
+            braidket.cli._read_diagram(path)
+        code, out, err = run_cli(capsys, ["jones", "--pd", path])
+        assert (code, out, err) == (1, "", "error: cannot read PD file: embedded null byte\n")
 
     def test_word_without_strands_is_a_parse_error(self, capsys):
         code, out, err = run_cli(capsys, ["bracket", "--word", "1 1 1"])
@@ -396,6 +413,19 @@ class TestQsimCommand:
         argv = ["qsim", "--theta", "0.2", "--word", "1 2", "--shots", "500", "--seed", "7"]
         assert run_cli(capsys, argv) == run_cli(capsys, argv)
 
+    @pytest.mark.parametrize("seed, alias", [(3, 3 + 2**64), (-1, 2**64 - 1)])
+    def test_seeds_are_taken_mod_2_to_the_64(self, capsys, seed, alias):
+        def sample(s):
+            argv = ["qsim", "--theta", "0.2", "--word", "1 2 -1", "--shots", "1000", f"--seed={s}"]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            record = json.loads(out)
+            assert record["seed"] == s
+            return record["counts"], record["estimates"]
+
+        assert sample(seed) == sample(alias)
+        assert sample(seed) != sample(seed + 1)
+
     def test_counts_are_the_prepared_column(self, capsys):
         argv = ["qsim", "--theta", "0.2", "--word", "2 -1 2", "--prepare", "1"]
         argv += ["--shots", "800", "--seed", "5"]
@@ -506,6 +536,14 @@ class TestVerifyCommand:
             "trace-identities: pass\n"
             "cross-representation: pass\n"
         )
+
+    def test_wrong_contraction_fails_cross_representation(self, capsys, monkeypatch):
+        contract = braidket.verify.bracket_by_contraction
+        monkeypatch.setattr(braidket.verify, "bracket_by_contraction", lambda d: -contract(d))
+        code, out, _ = run_cli(capsys, ["verify", "--n", "2"])
+        assert code == 5
+        assert out.splitlines()[-1].startswith("cross-representation: FAIL (contraction mismatch: ")
+        assert out.count("FAIL") == 1
 
     def test_default_n(self, capsys):
         code, out, _ = run_cli(capsys, ["verify"])
