@@ -16,11 +16,21 @@ identity itself acts as a runtime check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .diagram import Crossing, LinkDiagram
 from .errors import InvariantError, ParseError, SizeLimitError
-from .laurent import A, A_INV, DELTA, LaurentPoly, _ones, _unpack, _widen
+from .laurent import (
+    A,
+    A_INV,
+    DELTA,
+    LaurentPoly,
+    _TRIAL_BITS,
+    _room,
+    _times_delta,
+    _unpack,
+    _widen,
+)
 from .tl import TLDiagram, TLElement, diagram_table, discard_table
 
 __all__ = [
@@ -115,11 +125,6 @@ def exact_factor(identity, u, g: int):
     return identity.scale(a) + u.scale(a_inv)
 
 
-#: Digit width, beyond the n bits the trace needs, first tried for a word
-#: whose proven width is wider.
-_TRIAL_BITS = 64
-
-
 def _fold(b: BraidWord, traced: bool = False):
     """A^(3L) rho(b) for the L letters of b, packed: ``(table, state, bits)``.
 
@@ -187,32 +192,6 @@ def _fold(b: BraidWord, traced: bool = False):
     return table, state, bits
 
 
-def _room(state: dict[int, int], bits: int, n: int, window: int) -> int:
-    """How many more letters keep the digits of ``state`` and of the trace
-    exact, given that they are exact now; 0 if none.
-
-    Adding 2^t to every one of the ``window`` digits carries into no digit
-    and sets no bit above t (a negative sum sets them all) exactly when
-    every digit lies in [-2^t, 2^t).  The absolute values then sum to below
-    live * window * 2^t, which each letter at most doubles and the trace
-    multiplies by at most 2^n.
-    """
-    t, offset, high = _room_masks(bits, window)
-    if any((x + offset) & high for x in state.values()):
-        return 0
-    return max(0, bits - 1 - t - n - (len(state) * window).bit_length())
-
-
-# A fold widens its digits only upwards, so one entry serves its every check
-# at a width; it holds two integers the size of one packed coefficient.
-@lru_cache(maxsize=1)
-def _room_masks(bits: int, window: int) -> tuple[int, int, int]:
-    """``_room``'s t, and 2^t and 2^bits - 2^(t+1) in each of ``window`` digits."""
-    t = bits // 2
-    ones = _ones(bits, window)
-    return t, ones << t, ones * ((1 << bits) - (2 << t))
-
-
 def _check_trace_cost(b: BraidWord, bits: int) -> None:
     """Raise SizeLimitError when the trace's Horner loop at this digit width,
     n+1 steps on 3L+1+2n digits, exceeds MAX_TL_COST."""
@@ -244,14 +223,14 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     # TR = sum over m of S_m delta^m, S_m the sum of the coefficients of the
     # diagrams whose closure has m loops.  With delta = -B^-1 (B^2 + 1),
     # Horner's rule gives B^n TR in packed form: each step multiplies by
-    # -(B^2 + 1) and adds B^(n-m) S_m.
+    # B delta = -(B^2 + 1) and adds B^(n-m) S_m.
     by_loops = [0] * (n + 1)
     for d, x in state.items():
         by_loops[table.closure_loops(d)] += x
     _check_trace_cost(b, bits)
     packed = 0
     for m in range(n, -1, -1):
-        packed = (by_loops[m] << (n - m) * bits) - (packed << 2 * bits) - packed
+        packed = (by_loops[m] << (n - m) * bits) + _times_delta(packed << bits, bits)
     trace = _unpack(packed, bits, -3 * len(b.letters) - 2 * n)
     bracket = trace.divexact(DELTA)
     if not bracket.is_real:

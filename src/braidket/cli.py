@@ -89,7 +89,8 @@ def _read_diagram(path: str) -> LinkDiagram:
         raise ParseError(f"cannot read PD file: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and an integer longer than sys.get_int_max_str_digits().
         raise ParseError(f"PD file is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("PD file nests its JSON too deeply to parse") from None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
-from .laurent import DELTA, JonesPoly, LaurentPoly, _unpack, to_jones_variable
+from .laurent import DELTA, JonesPoly, LaurentPoly, _times_delta, _unpack, to_jones_variable
 from .tl import pairing_loops
 
 __all__ = [
@@ -233,7 +233,7 @@ def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
     n, k = len(diagram.crossings), diagram.free_loops
     bits = 3 * n + k + 2
     frontier: tuple[int, ...] = ()
-    entries = {(): (-1 - (1 << 2 * bits)) ** k}
+    entries = {(): _times_delta(1 << bits, bits) ** k}
     for crossing, next_frontier in _contraction_steps(diagram.crossings):
         s0, s1, s2, s3 = crossing.slots
         smoothings = ((((s0, s1), (s2, s3)), 3 * bits), (((s0, s3), (s1, s2)), 2 * bits))
@@ -250,7 +250,7 @@ def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
                             partner[end], partner[other] = other, end
                             continue
                         del partner[y]
-                    value = -((value + (value << 2 * bits)) >> bits)
+                    value = _times_delta(value, bits)
                 pairing = tuple(map(partner.__getitem__, next_frontier))
                 merged[pairing] = merged.get(pairing, 0) + value
         entries, frontier = merged, next_frontier

@@ -16,18 +16,24 @@ exponent order.
 
 Packed form, shared by the Temperley-Lieb fold in ``braid`` and the PD
 contraction in ``diagram``: a polynomial in B = A^2 with nonnegative
-exponents as one int, its value at B = 2^bits.  Shifts and adds keep that
-value exact whatever the digits do.  A closed loop, delta = -B^-1 (1 + B^2),
-is ``-((y + (y << 2*bits)) >> bits)``, exact when y has no constant term.
-``_unpack`` and ``_widen`` read the digits by adding 2^(bits-1) to each,
-which needs every digit below 2^(bits-1) in absolute value: each is then an
-unsigned field of ``bits`` characters in the binary text of the sum.
+exponents as one int, its value at B = 2^bits.  Its rules live here:
+
+- Shifts and adds keep that value exact whatever the digits do.
+- ``_times_delta`` multiplies by a closed loop, delta = -B^-1 (1 + B^2), as
+  ``-((y + (y << 2*bits)) >> bits)``, exact when y has no constant term.
+- ``_unpack`` and ``_widen`` read the digits by adding 2^(bits-1) to each,
+  which needs every digit below 2^(bits-1) in absolute value: each is then
+  an unsigned field of ``bits`` characters in the binary text of the sum.
+- ``_room`` checks that bound as a computation goes, for a caller that starts
+  at a width narrower than its proven one (``_TRIAL_BITS`` beyond the bits
+  it multiplies in at the end) and widens with ``_widen`` when room runs out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Union
 
 from .errors import ExactDivisionError
@@ -304,6 +310,42 @@ def _widen(packed: int, bits: int, wider: int) -> int:
     text = _offset_text(packed, bits)
     spaced = ("0" * (wider - bits)).join([text[k : k + bits] for k in range(0, len(text), bits)])
     return int(spaced, 2) - (_ones(wider, len(text) // bits) << (bits - 1))
+
+
+def _times_delta(y: int, bits: int) -> int:
+    """delta * y in packed form, for a packed ``y`` with no constant term."""
+    return -((y + (y << 2 * bits)) >> bits)
+
+
+#: Digit width, beyond the ``spare`` bits of ``_room``, first tried for a
+#: computation whose proven width is wider.
+_TRIAL_BITS = 64
+
+
+def _room(state: dict[int, int], bits: int, spare: int, window: int) -> int:
+    """How many more doubling steps keep the digits of ``state`` exact, given
+    that they are exact now and that the caller multiplies the result by at
+    most 2^spare after the last step; 0 if none.
+
+    Adding 2^t to every one of the ``window`` digits carries into no digit
+    and sets no bit above t (a negative sum sets them all) exactly when
+    every digit lies in [-2^t, 2^t).  The absolute values then sum to below
+    live * window * 2^t, which each step at most doubles.
+    """
+    t, offset, high = _room_masks(bits, window)
+    if any((x + offset) & high for x in state.values()):
+        return 0
+    return max(0, bits - 1 - t - spare - (len(state) * window).bit_length())
+
+
+# A computation widens its digits only upwards, so one entry serves its every
+# check at a width; it holds two integers the size of one packed coefficient.
+@lru_cache(maxsize=1)
+def _room_masks(bits: int, window: int) -> tuple[int, int, int]:
+    """``_room``'s t, and 2^t and 2^bits - 2^(t+1) in each of ``window`` digits."""
+    t = bits // 2
+    ones = _ones(bits, window)
+    return t, ones << t, ones * ((1 << bits) - (2 << t))
 
 
 def _as_poly(value: Union[LaurentPoly, Coeff]) -> LaurentPoly:

@@ -43,7 +43,7 @@ from itertools import product
 import numpy as np
 
 from .braid import BraidWord, bracket_via_trace
-from .errors import InvariantError
+from .errors import InvariantError, SizeLimitError
 from .unitary3 import _NORM_TOL, UnitarySetup, _unitarity_excess, rho_unitary
 
 __all__ = [
@@ -56,6 +56,11 @@ __all__ = [
     "PhaseLossWitness",
     "find_phase_loss_witness",
 ]
+
+#: Shot guard of ``estimate_matrix_moduli``, whose time grows linearly with
+#: the shots: ``qsim`` samples two columns, and 10^8 shots each take it 0.9 to
+#: 1.0 s, so 2^30 take about 10 s (2-core Intel Xeon).
+MAX_SHOTS = 1 << 30
 
 #: Shots drawn per chunk.  A chunk's draws and their scratch array (256 KiB
 #: each) stay in L2 cache while every threshold is counted against them; a
@@ -183,7 +188,10 @@ def estimate_matrix_moduli(
     preparing |j> with the exact squared modulus.  Column j is sampled with
     seed + j.  Raises InvariantError when rho(b) fails evolve's unitarity
     check: the product is braidket's own, so its drift is a bug, not bad input.
+    Raises SizeLimitError, before any work, for more than MAX_SHOTS shots.
     """
+    if shots > MAX_SHOTS:
+        raise SizeLimitError(f"{shots} shots exceeds the {MAX_SHOTS}-shot guard")
     rho = rho_unitary(b, setup)
     dim = rho.shape[0]
     exact = np.abs(rho) ** 2

@@ -24,7 +24,7 @@ from braidket import (
 )
 from braidket.braid import exact_factor, represent
 from braidket.errors import ParseError, SizeLimitError
-from braidket.laurent import _unpack, _widen
+from braidket.laurent import _room, _times_delta, _unpack, _widen
 from conftest import braid_words, random_words
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
@@ -239,6 +239,17 @@ class TestWiden:
         assert _widen(-127 << 8, 8, 8) == -127 << 8
 
 
+class TestTimesDelta:
+    @given(st.integers(4, 70), st.data(), st.integers(-9, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_multiplies_by_the_loop_value(self, bits, data, low):
+        top = (1 << (bits - 3)) - 1
+        digit = st.one_of(st.sampled_from((0, top, -top)), st.integers(-top, top))
+        digits = [0, *data.draw(st.lists(digit, max_size=60))]
+        y = pack(digits, bits)
+        assert _unpack(_times_delta(y, bits), bits, low) == _unpack(y, bits, low) * DELTA
+
+
 class TestUnpack:
     @given(st.integers(2, 70), st.lists(st.integers(-(2**69), 2**69), max_size=60), st.integers(-9, 9))
     @settings(max_examples=80, deadline=None)
@@ -267,7 +278,7 @@ class TestRoom:
         t = self.BITS // 2
         digits = [2**t - 1, -(2**t)] * (self.WINDOW // 2)
         state = {d: pack(digits, self.BITS) for d in range(4)}
-        room = braidket.braid._room(state, self.BITS, self.N, self.WINDOW)
+        room = _room(state, self.BITS, self.N, self.WINDOW)
         total = len(state) * sum(abs(c) for c in digits)
         # room more letters at most double the total each, the trace 2^n.
         assert room >= 1
@@ -278,7 +289,7 @@ class TestRoom:
         for position in (0, 4, 9):
             digits = [0] * self.WINDOW
             digits[position] = digit
-            assert braidket.braid._room({0: pack(digits, self.BITS)}, self.BITS, self.N, self.WINDOW) == 0
+            assert _room({0: pack(digits, self.BITS)}, self.BITS, self.N, self.WINDOW) == 0
 
 
 class TestCostGuard:

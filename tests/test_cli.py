@@ -200,6 +200,19 @@ class TestBracketCommand:
         assert (code, out) == (1, "")
         assert "not valid JSON" in err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no limit on the digits of an int read from text",
+    )
+    def test_pd_integer_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        path.write_text('{"crossings": [], "free_loops": ' + digits + "}")
+        code, out, err = run_cli(capsys, ["jones", "--pd", str(path)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: PD file is not valid JSON: Exceeds the limit")
+
     def test_deeply_nested_pd_json_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
@@ -408,6 +421,22 @@ class TestQsimCommand:
         code, out, err = run_cli(capsys, ["qsim", "--theta", "0.2", "--word", "1", option])
         assert (code, out) == (1, "")
         assert message in err
+
+    @pytest.mark.parametrize("shots", [2**30 + 1, 2**64 + 1])
+    def test_shots_past_the_guard_exit_2_before_sampling(self, capsys, shots):
+        argv = ["qsim", "--theta", "0.2", "--word", "1 2 -1", "--shots", str(shots)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: {shots} shots exceeds the {2**30}-shot guard\n"
+
+    def test_shot_guard_bound_still_samples(self, capsys, monkeypatch):
+        monkeypatch.setattr(braidket.qsim, "MAX_SHOTS", 1000)
+        argv = ["qsim", "--theta", "0.2", "--word", "1 2 -1", "--shots"]
+        code, out, _ = run_cli(capsys, [*argv, "1000"])
+        assert code == 0 and sum(json.loads(out)["counts"]) == 1000
+        assert run_cli(capsys, [*argv, "1001"])[:2] == (2, "")
 
     def test_determinism(self, capsys):
         argv = ["qsim", "--theta", "0.2", "--word", "1 2", "--shots", "500", "--seed", "7"]
