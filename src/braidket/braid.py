@@ -16,13 +16,10 @@ identity itself acts as a runtime check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .diagram import Crossing, LinkDiagram
 from .errors import InvariantError, ParseError, SizeLimitError
 from .laurent import (
-    A,
-    A_INV,
     DELTA,
     LaurentPoly,
     _TRIAL_BITS,
@@ -37,8 +34,6 @@ __all__ = [
     "BraidWord",
     "parse_braid",
     "exponent_sum",
-    "represent",
-    "exact_factor",
     "rho_tl",
     "bracket_via_trace",
     "closure_to_diagram",
@@ -102,27 +97,6 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 def exponent_sum(b: BraidWord) -> int:
     """Sum of letter signs; equals the writhe of the standard closure."""
     return sum(1 if g > 0 else -1 for g in b.letters)
-
-
-def represent(letters: tuple[int, ...], one, factor, mul):
-    """The product one * factor(g_1) * ... * factor(g_k), left to right.
-
-    The tensor and Burau images (``rho_matrix``, ``burau_rho``) are this
-    fold; ``mul`` is the representation's product.  Each distinct letter's
-    factor is built once per call.
-    """
-    factors = {g: factor(g) for g in set(letters)}
-    return reduce(mul, (factors[g] for g in letters), one)
-
-
-def exact_factor(identity, u, g: int):
-    """Exact image of one letter: A*1 + A^-1*U for g > 0, A^-1*1 + A*U for g < 0.
-
-    ``identity`` and ``u`` are 1 and U_|g| of any exact representation whose
-    elements have ``scale`` and ``+``.
-    """
-    a, a_inv = (A, A_INV) if g > 0 else (A_INV, A)
-    return identity.scale(a) + u.scale(a_inv)
 
 
 def _fold(b: BraidWord, traced: bool = False):

@@ -279,7 +279,11 @@ class LaurentPoly:
 
 def _ones(bits: int, count: int) -> int:
     """A 1 in each of ``count`` digits of ``bits`` bits."""
-    return ((1 << bits * count) - 1) // ((1 << bits) - 1)
+    ones, have = 1, 1
+    while have < count:
+        ones |= ones << bits * have
+        have *= 2
+    return ones & ((1 << bits * count) - 1)
 
 
 def _offset_text(packed: int, bits: int) -> str:

@@ -18,13 +18,13 @@ order.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import NamedTuple
 
-from .braid import BraidWord, exact_factor, represent
+from .braid import BraidWord
 from .errors import InvariantError, SizeLimitError
-from .laurent import GaussianInt, LaurentPoly, ONE, ZERO
+from .laurent import A, A_INV, GaussianInt, LaurentPoly, ONE, ZERO
 from .tl import TLDiagram, TLElement, generator_diagram
 
 __all__ = [
@@ -149,6 +149,16 @@ class ElementaryTensors(NamedTuple):
     R: SymbolicMatrix
 
 
+def exact_factor(identity, u, g: int):
+    """Exact image of one letter: A*1 + A^-1*U for g > 0, A^-1*1 + A*U for g < 0.
+
+    ``identity`` and ``u`` are 1 and U_|g| of any exact representation whose
+    elements have ``scale`` and ``+``.
+    """
+    a, a_inv = (A, A_INV) if g > 0 else (A_INV, A)
+    return identity.scale(a) + u.scale(a_inv)
+
+
 def elementary_tensors() -> ElementaryTensors:
     """The cup/cap matrix M, the strand closer eta = M M^t, and the 4x4
     crossing matrix R^{ab}_{cd} = A M^{ab} M_{cd} + A^-1 delta^a_c delta^b_d."""
@@ -181,8 +191,8 @@ def rho_matrix(b: BraidWord) -> SymbolicMatrix:
         raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
     if len(b.letters) > MAX_TENSOR_WORD:
         raise SizeLimitError(f"tensor word length guarded to {MAX_TENSOR_WORD}")
-    identity = SymbolicMatrix.identity(2**b.strands)
-    return represent(b.letters, identity, partial(_tensor_factor, b.strands), mul)
+    factors = (_tensor_factor(b.strands, g) for g in b.letters)
+    return reduce(mul, factors, SymbolicMatrix.identity(2**b.strands))
 
 
 @lru_cache(maxsize=None)
@@ -217,12 +227,8 @@ def burau_generator(n: int, k: int) -> SymbolicMatrix:
 def burau_rho(b: BraidWord) -> SymbolicMatrix:
     """Projector-representation image: per-letter factors A*I_n + A^-1*U_k."""
     identity = SymbolicMatrix.identity(b.strands)
-    return represent(
-        b.letters,
-        identity,
-        lambda g: exact_factor(identity, burau_generator(b.strands, abs(g)), g),
-        mul,
-    )
+    factors = (exact_factor(identity, burau_generator(b.strands, abs(g)), g) for g in b.letters)
+    return reduce(mul, factors, identity)
 
 
 #: The bit pairs an arc between points p < q may carry, each with its factor:

@@ -94,7 +94,11 @@ def unitary_generators(theta: float) -> UnitarySetup:
     """
     if not math.isfinite(theta):
         raise InvalidAngleError(f"theta = {theta} is not finite")
-    delta = -2.0 * math.cos(2.0 * theta)
+    twice = 2.0 * theta
+    # 2*theta overflows for |theta| >= 2^1023, where math.cos, which reduces
+    # theta itself exactly, still gives cos 2*theta as 2*cos(theta)^2 - 1.
+    cos_twice = math.cos(twice) if math.isfinite(twice) else 2.0 * math.cos(theta) ** 2 - 1.0
+    delta = -2.0 * cos_twice
     if delta * delta < 1.0 - _DEGENERACY_TOL:
         raise InvalidAngleError(
             f"delta^2 = {delta * delta:.6f} < 1 at theta = {theta}; "

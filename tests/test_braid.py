@@ -1,3 +1,4 @@
+import functools
 import random
 from math import comb
 
@@ -22,9 +23,9 @@ from braidket import (
     parse_braid,
     rho_tl,
 )
-from braidket.braid import exact_factor, represent
 from braidket.errors import ParseError, SizeLimitError
-from braidket.laurent import _room, _times_delta, _unpack, _widen
+from braidket.laurent import _ones, _room, _times_delta, _unpack, _widen
+from braidket.matrixrep import exact_factor
 from conftest import braid_words, random_words
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
@@ -38,7 +39,7 @@ def reference_rho(word: BraidWord) -> TLElement:
         u = TLElement.from_diagram(generator_diagram(n, abs(g)))
         return exact_factor(TLElement.identity(n), u, g)
 
-    return represent(word.letters, TLElement.identity(n), factor, multiply)
+    return functools.reduce(multiply, map(factor, word.letters), TLElement.identity(n))
 
 
 class TestParsing:
@@ -237,6 +238,13 @@ class TestWiden:
         assert _widen(0, 8, 24) == 0
         assert _widen(-3 + (5 << 16), 8, 24) == -3 + (5 << 48)
         assert _widen(-127 << 8, 8, 8) == -127 << 8
+
+
+class TestOnes:
+    @given(st.integers(1, 1100), st.integers(0, 700))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_repunit_quotient(self, bits, count):
+        assert _ones(bits, count) == ((1 << bits * count) - 1) // ((1 << bits) - 1)
 
 
 class TestTimesDelta:

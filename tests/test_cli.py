@@ -413,6 +413,21 @@ class TestQsimCommand:
         assert (code, out) == (4, "")
         assert "not finite" in err
 
+    # 2*theta overflows to inf from 2^1023 on, but theta is still an angle.
+    @pytest.mark.parametrize("theta", ["1e308", "-1e308", "1.7976931348623157e308"])
+    def test_huge_finite_angle_runs(self, capsys, theta):
+        argv = ["qsim", f"--theta={theta}", "--word", "1 2", "--shots", "100", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["theta"] == float(theta)
+
+    @pytest.mark.parametrize("theta", ["8.98846567431158e307", "-8.98846567431158e307"])
+    def test_huge_finite_angle_outside_the_unitary_range(self, capsys, theta):
+        argv = ["qsim", f"--theta={theta}", "--word", "1 2", "--shots", "100"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (4, "")
+        assert "delta^2 = 0.535163 < 1" in err
+
     @pytest.mark.parametrize(
         "option, message",
         [("--prepare=2", "--prepare must be 0 or 1"), ("--shots=0", "--shots must be positive")],

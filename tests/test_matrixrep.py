@@ -309,6 +309,19 @@ class TestBurau:
             burau_generator(3, 3)
 
 
+class TestFoldOrder:
+    # Every generator image is symmetric, so a fold over the reversed word
+    # yields rho(b)^T: it passes the relation suites, not this split.
+    @pytest.mark.parametrize("rho", [rho_matrix, burau_rho])
+    def test_image_of_a_concatenation_is_the_product(self, rho):
+        words = [BraidWord(3, (1, 2)), *random_words(53, 12, min_strands=3, max_length=6)]
+        for word in words:
+            for cut in range(len(word.letters) + 1):
+                head, tail = word.letters[:cut], word.letters[cut:]
+                product = rho(BraidWord(word.strands, head)) * rho(BraidWord(word.strands, tail))
+                assert rho(word) == product
+
+
 class TestFiniteEvaluation:
     def test_entries_finite_on_unit_circle(self):
         import cmath
