@@ -154,9 +154,13 @@ def cmd_qsim(args) -> int:
     # Column `prepare` was sampled with seed + prepare.  count / shots rounds
     # back to count exactly below 2**51 shots, far more than fit in memory.
     counts = [round(pairs[i][args.prepare][0] * args.shots) for i in range(2)]
+    # str(word) rebuilds the word letter by letter; the input's own tokens
+    # spell it the same way whenever each distinct token is canonical.
+    tokens = args.word.split()
+    canonical = all(str(int(token)) == token for token in set(tokens))
     report = {
         "theta": args.theta,
-        "word": str(word),
+        "word": " ".join(tokens) if canonical else str(word),
         "prepare": args.prepare,
         "shots": args.shots,
         "seed": args.seed,

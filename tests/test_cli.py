@@ -405,6 +405,17 @@ class TestQsimCommand:
         )
         assert code == 4
         assert "delta^2" in err
+        assert "within pi/6 of a multiple of pi/2" in err
+
+    @pytest.mark.parametrize(
+        "text, echo",
+        [("1 -2 2 -1 1", "1 -2 2 -1 1"), ("+1  01 -2", "1 1 -2"), (" 2\t-1\n", "2 -1")],
+    )
+    def test_word_field_spells_the_parsed_word(self, capsys, text, echo):
+        argv = ["qsim", "--theta", "0.2", "--word", text, "--shots", "10", "--seed", "1"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["word"] == echo == str(parse_braid(text, 3))
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_angle_exit_code(self, capsys, theta):

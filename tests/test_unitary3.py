@@ -35,28 +35,43 @@ def per_letter_product(letters, setup):
     return expected
 
 
+def blocked_pairwise_product(letters, factors, project):
+    """rho_unitary's product as it was before the product tables: each block
+    of _BLOCK letters' factors halved pairwise from single letters, and the
+    block products folded left to right, ``project(X, letters so far)``
+    applied to the running product from the second block on.
+    """
+    rows = [{1: 0, -1: 1, 2: 2, -2: 3}[g] for g in letters]
+    product = np.eye(2, dtype=factors.dtype)
+    for start in range(0, len(rows), unitary3._BLOCK):
+        block = rows[start : start + unitary3._BLOCK]
+        stack = factors[block]
+        while len(stack) > 1:
+            pairs = stack[0 : len(stack) - 1 : 2] @ stack[1::2]
+            stack = np.concatenate((pairs, stack[-1:])) if len(stack) % 2 else pairs
+        product = stack[0] if start == 0 else project(product @ stack[0], start + len(block))
+    return product
+
+
+def old_rho_unitary(letters, setup):
+    """The oracle for rho_unitary's bits: its blocked product without tables."""
+    return blocked_pairwise_product(letters, setup.factors, unitary3._polar_step)
+
+
 def extended_precision_product(letters, setup):
     """rho_unitary's product of the same float64 factors in np.clongdouble
     (64-bit significands): each block multiplied pairwise, the running
     product mapped onto its unitary polar factor between blocks.
     """
-    factors = setup.factors.astype(np.clongdouble)
-    rows = [{1: 0, -1: 1, 2: 2, -2: 3}[g] for g in letters]
-    product = None
-    for start in range(0, len(rows), unitary3._BLOCK):
-        stack = factors[rows[start : start + unitary3._BLOCK]]
-        while len(stack) > 1:
-            pairs = stack[0 : len(stack) - 1 : 2] @ stack[1::2]
-            stack = np.concatenate((pairs, stack[-1:])) if len(stack) % 2 else pairs
-        if product is None:
-            product = stack[0]
-            continue
-        product = product @ stack[0]
+
+    def polar_factor(product, _):
         for _ in range(4):  # Newton's polar iteration; each step squares the error
             (p, q), (r, s) = product
             inverse_h = np.array([[s, -r], [-q, p]]).conj() / np.conj(p * s - q * r)
             product = (product + inverse_h) / 2
-    return product
+        return product
+
+    return blocked_pairwise_product(letters, setup.factors.astype(np.clongdouble), polar_factor)
 
 
 VALID_THETAS = [
@@ -99,6 +114,24 @@ class TestSetup:
         with pytest.raises(InvalidAngleError, match="not finite"):
             unitary_generators(theta)
 
+    def test_valid_angles_lie_within_pi_6_of_a_multiple_of_pi_2(self):
+        # delta^2 >= 1 exactly when |theta - k*pi/2| <= pi/6 for some integer
+        # k, as the error message says; the grid skips the boundaries.
+        accepted = 0
+        for theta in np.linspace(-10.0, 10.0, 1201):
+            distance = abs(theta - round(theta / (math.pi / 2)) * (math.pi / 2))
+            if abs(distance - math.pi / 6) < 1e-6:
+                continue
+            try:
+                unitary_generators(float(theta))
+            except InvalidAngleError as exc:
+                assert distance > math.pi / 6, theta
+                assert "within pi/6 of a multiple of pi/2" in str(exc)
+            else:
+                assert distance < math.pi / 6, theta
+                accepted += 1
+        assert 700 < accepted < 900  # two thirds of the grid
+
     def test_boundary_angle_accepted(self):
         setup = unitary_generators(math.pi / 6)
         assert abs(abs(setup.delta) - 1.0) < 1e-12
@@ -118,12 +151,14 @@ class TestSetup:
         setup, fresh = unitary_generators(theta), unitary_generators.__wrapped__(theta)
         assert unitary_generators(theta) is setup
         assert (setup.a, setup.delta) == (fresh.a, fresh.delta)
-        for name in ("u1", "u2", "factors"):
-            array = getattr(setup, name)
+        assert setup.tables[0] is setup.factors
+        arrays = [(setup.u1, fresh.u1), (setup.u2, fresh.u2), *zip(setup.tables, fresh.tables)]
+        for array, fresh_array in arrays:
             assert not array.flags.writeable
-            assert array.tobytes() == getattr(fresh, name).tobytes()
+            assert array.tobytes() == fresh_array.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0
+        assert [len(table) for table in setup.tables] == [4, 16, 64, 256]
 
     @pytest.mark.parametrize("theta", VALID_THETAS)
     def test_trace_identities(self, theta):
@@ -210,6 +245,19 @@ class TestBlockedProduct:
         with pytest.raises(InvariantError, match="first 6 letters is not unitary"):
             rho_unitary(word, wrong)
 
+    def test_replaced_factors_rebuild_the_tables(self):
+        setup = unitary_generators(0.2)
+        factors = setup.factors.copy()
+        factors[2] *= 1 + 1e-9
+        wrong = dataclasses.replace(setup, factors=factors)
+        assert wrong.tables[0] is factors
+        for table, old_table in zip(wrong.tables[1:], setup.tables[1:]):
+            assert not table.flags.writeable
+            assert table.tobytes() != old_table.tobytes()
+        for letters in [(2,), (1, 2), (2, -1, 1), (1, 2, -2, 2), (2, -1, 2, 1, -2, 2, 1)]:
+            expected = old_rho_unitary(letters, wrong)
+            assert rho_unitary(BraidWord(3, letters), wrong).tobytes() == expected.tobytes()
+
     def test_unitarity_excess(self):
         # The one check behind _polar_step and qsim.evolve: None within the
         # bound, the deviation past it, and NaN counts as past it.
@@ -258,3 +306,47 @@ class TestBracketFromTrace:
                 word = BraidWord(3, letters)
                 exact = bracket_via_trace(word).evaluate(setup.a)
                 assert abs(bracket_from_trace(word, setup) - exact) < 1e-9
+
+
+CRITERION_07_THETAS = [math.pi / 10, -math.pi / 10, math.pi / 8, -math.pi / 8, math.pi / 6]
+
+
+class TestProductTables:
+    """rho_unitary starts each block from the products of 4 letters, then of
+    the 1-3 left over; its bits must be those of the blocked pairwise product
+    from single letters."""
+
+    # 1,020-1,030 straddle the first boundary of the real block size.
+    LENGTHS = [*range(13), *range(1020, 1031), 4099]
+
+    # Every angle with the real block size.  The small blocks, which cost a
+    # projection every few letters, run at the three angles of
+    # TestBlockedProduct, where 1,020-1,030 cross no boundary of theirs that
+    # 0-12 do not.
+    @pytest.mark.parametrize(
+        "theta, block",
+        [
+            *((theta, None) for theta in CRITERION_07_THETAS + list(TestBlockedProduct.THETAS)),
+            *itertools.product(TestBlockedProduct.THETAS, (3, 5, 6)),
+        ],
+    )
+    def test_bits_match_the_blocked_pairwise_product(self, theta, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(unitary3, "_BLOCK", block)
+        setup = unitary_generators(theta)
+        rng = random.Random(f"tables:{theta}:{block}")
+        for length in self.LENGTHS if block is None else [*range(13), 4099]:
+            letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(length))
+            rho = rho_unitary(BraidWord(3, letters), setup)
+            assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes(), length
+
+    def test_short_words_are_one_fresh_writable_lookup(self):
+        setup = unitary_generators(-0.37)
+        for length in range(1, 5):
+            for letters in itertools.product((1, -1, 2, -2), repeat=length):
+                rho = rho_unitary(BraidWord(3, letters), setup)
+                assert rho.flags.writeable
+                assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes()
+                rho[:] = 0  # must not reach the cached tables
+        fresh = unitary_generators.__wrapped__(-0.37)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(setup.tables, fresh.tables))
