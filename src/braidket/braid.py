@@ -72,9 +72,13 @@ class BraidWord:
 
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices into a BraidWord."""
+    return _parse_tokens(text.split(), strands)
+
+
+def _parse_tokens(tokens: list[str], strands: int) -> BraidWord:
+    """parse_braid on the tokens of a text already split at whitespace."""
     if strands < 1:
         raise ParseError("strand count must be at least 1")
-    tokens = text.split()
     try:
         return BraidWord(strands, tuple(map(int, tokens)))
     except ValueError:

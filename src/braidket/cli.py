@@ -19,7 +19,7 @@ import sys
 from functools import lru_cache
 
 from . import qsim, unitary3, verify
-from .braid import bracket_via_trace, closure_to_diagram, exponent_sum, parse_braid
+from .braid import _parse_tokens, bracket_via_trace, closure_to_diagram, exponent_sum, parse_braid
 from .diagram import (
     LinkDiagram,
     bracket_by_contraction,
@@ -145,7 +145,8 @@ def cmd_jones(args) -> int:
 
 def cmd_qsim(args) -> int:
     setup = unitary3.unitary_generators(args.theta)
-    word = parse_braid(args.word, 3)
+    tokens = args.word.split()
+    word = _parse_tokens(tokens, 3)
     if not 0 <= args.prepare <= 1:
         raise ParseError("--prepare must be 0 or 1")
     if args.shots < 1:
@@ -156,7 +157,6 @@ def cmd_qsim(args) -> int:
     counts = [round(pairs[i][args.prepare][0] * args.shots) for i in range(2)]
     # str(word) rebuilds the word letter by letter; the input's own tokens
     # spell it the same way whenever each distinct token is canonical.
-    tokens = args.word.split()
     canonical = all(str(int(token)) == token for token in set(tokens))
     report = {
         "theta": args.theta,

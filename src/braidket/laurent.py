@@ -31,8 +31,8 @@ exponents as one int, its value at B = 2^bits.  Its rules live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Union
 
@@ -393,8 +393,9 @@ def _render_terms(terms: list[tuple[int, Coeff]], power: Callable[[int], str]) -
 
 
 def _t_power(quarters: int) -> str:
-    if quarters % 4:
-        return f"t^({Fraction(quarters, 4)})"
+    if quarters % 4:  # quarters/4 in lowest terms, as Fraction(quarters, 4) prints it
+        g = math.gcd(quarters, 4)
+        return f"t^({quarters // g}/{4 // g})"
     k = quarters // 4
     return "t" if k == 1 else f"t^{k}"
 

@@ -39,6 +39,15 @@ its letters, (f f)(f f), or (f f) f for three left over, and comes from the
 same numpy matmul of the same float factors.  The stack after the lookup is
 therefore the stack after those two halvings, bit for bit, and so is rho(b);
 the lookup saves three quarters of the 2x2 products.
+
+A block of k <= 8 letters, which is every word the trace formula is run on
+in bulk, goes without numpy's index arithmetic: the table indices of its
+first four letters (head) and of the rest (tail) are computed in Python, and
+the block is tables[k-1][head], copied, or tables[3][head] @ tables[k-5][tail].
+That is the halving's product too: its stack is then those two entries, and
+halving a stack of two is one matmul of the same two matrices, through the
+same BLAS zgemm call, so the bits are the same.  For such words numpy's
+per-call overhead costs more than the one 2x2 product.
 """
 
 from __future__ import annotations
@@ -73,12 +82,22 @@ def _unitarity_excess(u: np.ndarray) -> float | None:
 #: 4,096 letters they were off by up to 1.1e-13.
 _BLOCK = 1 << 10
 
-#: Row of UnitarySetup.factors for letter g, at g + 2.  No letter is 0, so its
-#: entry is out of range.
-_FACTOR_ROW = np.array([3, 1, 4, 0, 2])
+#: Row of UnitarySetup.factors for letter g, at g + 2, and the same map as an
+#: array for blocks of more than 8 letters.  No letter is 0, so its entry is
+#: out of range.
+_ROW = (3, 1, 4, 0, 2)
+_FACTOR_ROW = np.array(_ROW)
 
 #: Place values of the base-4 digits of a table index, last letter lowest.
 _DIGITS = np.array([64, 16, 4, 1])
+
+
+def _table_index(letters: tuple[int, ...]) -> int:
+    """Index of the product of 1 to 4 letters in UnitarySetup.tables."""
+    index = 0
+    for g in letters:
+        index = 4 * index + _ROW[g + 2]
+    return index
 
 
 def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -182,17 +201,17 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
         return np.eye(2, dtype=complex)
     for start in range(0, len(letters), _BLOCK):
         block = letters[start : start + _BLOCK]
-        rows = _FACTOR_ROW[np.fromiter(block, np.intp, len(block)) + 2]
-        whole = len(rows) - len(rows) % 4
-        tail = 0  # table index of the 1-3 letters after the last whole four
-        for row in rows[whole:].tolist():
-            tail = 4 * tail + row
-        if not whole:  # one lookup, copied out of the cached table
-            block_product = setup.tables[len(rows) - 1][tail].copy()
+        if len(block) <= 4:  # one lookup, copied out of the cached table
+            block_product = setup.tables[len(block) - 1][_table_index(block)].copy()
+        elif len(block) <= 8:  # two lookups and the product the halving makes of them
+            head = setup.tables[3][_table_index(block[:4])]
+            block_product = head @ setup.tables[len(block) - 5][_table_index(block[4:])]
         else:
+            rows = _FACTOR_ROW[np.fromiter(block, np.intp, len(block)) + 2]
+            whole = len(rows) - len(rows) % 4
             stack = setup.tables[3][rows[:whole].reshape(-1, 4) @ _DIGITS]
             if whole < len(rows):
-                rest = setup.tables[len(rows) - whole - 1][tail]
+                rest = setup.tables[len(rows) - whole - 1][_table_index(block[whole:])]
                 stack = np.concatenate((stack, rest[None]))
             block_product = _pairwise_product(stack)
         if start == 0:

@@ -417,6 +417,13 @@ class TestQsimCommand:
         assert code == 0
         assert json.loads(out)["word"] == echo == str(parse_braid(text, 3))
 
+    @pytest.mark.parametrize("text", ["1 x 2", "1 2 3", "2 0 -1", "-3"])
+    def test_bad_word_prints_the_parse_braid_error(self, capsys, text):
+        with pytest.raises(ParseError) as caught:
+            parse_braid(text, 3)
+        argv = ["qsim", "--theta", "0.2", "--word", text, "--shots", "10"]
+        assert run_cli(capsys, argv) == (1, "", f"error: {caught.value}\n")
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_angle_exit_code(self, capsys, theta):
         argv = ["qsim", f"--theta={theta}", "--word", "1 2", "--shots", "100"]

@@ -48,12 +48,18 @@ VERIFY_SUITES = (
 )
 
 
-def test_exact_commands_never_load_numpy():
+def run_fresh(script, *argv):
+    """stdout of ``script`` run in a fresh interpreter that imports src/."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    argv = [sys.executable, "-c", SCRIPT, str(ROOT / "examples" / "trefoil_pd.json")]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, check=True)
-    bracket, jones_braid, jones_pd, qsim, verify = json.loads(done.stdout)
+    command = [sys.executable, "-c", script, *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60, check=True)
+    return done.stdout
+
+
+def test_exact_commands_never_load_numpy():
+    stdout = run_fresh(SCRIPT, str(ROOT / "examples" / "trefoil_pd.json"))
+    bracket, jones_braid, jones_pd, qsim, verify = json.loads(stdout)
     assert bracket == [0, "A^7 + A^3 + A^-1 - A^-9\n", False]
     assert jones_braid == [
         0,
@@ -72,6 +78,19 @@ def test_exact_commands_never_load_numpy():
         True,
     ]
     assert verify == [0, "".join(f"{name}: pass\n" for name in VERIFY_SUITES), True]
+
+
+def test_cli_never_loads_fractions_or_decimal():
+    # jones on the Hopf link prints the fractional powers t^(1/2) and t^(5/2).
+    script = """
+import contextlib, io, sys
+import braidket.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    braidket.cli.main(["jones", "--strands", "2", "--word", "1 1"])
+loaded = sorted({"fractions", "decimal", "numbers"} & set(sys.modules))
+print(out.getvalue().splitlines()[-1], loaded)
+"""
+    assert run_fresh(script) == "V: -t^(1/2) - t^(5/2) []\n"
 
 
 #: Every name the package exported before its numpy-backed modules became

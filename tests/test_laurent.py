@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from braidket import (
     z_amplitude,
 )
 from braidket.errors import ExactDivisionError
+from braidket.laurent import _t_power
 from conftest import braid_words, laurent_polys
 
 IA = LaurentPoly.monomial(1, GaussianInt(0, 1))
@@ -185,6 +187,12 @@ class TestJonesVariable:
         f = LaurentPoly({-4: 1, -12: 1, -16: -1, 2: GaussianInt(2, -3)})
         assert to_jones_variable(f).to_json() == [[-2, 2, -3], [4, 1, 0], [12, 1, 0], [16, -1, 0]]
         assert str(to_jones_variable(f)) == "(2-3i)*t^(-1/2) + t + t^3 - t^4"
+
+    def test_t_power_spells_quarters_as_fraction_does(self):
+        for quarters in range(-4001, 4002):
+            want = f"t^({Fraction(quarters, 4)})" if quarters % 4 else _t_power(quarters)
+            assert _t_power(quarters) == want, quarters
+        assert [_t_power(q) for q in (-4, 0, 4, 8)] == ["t^-1", "t^0", "t", "t^2"]
 
     def test_evaluate_takes_t(self):
         trefoil = to_jones_variable(LaurentPoly({-4: 1, -12: 1, -16: -1}))

@@ -313,8 +313,9 @@ CRITERION_07_THETAS = [math.pi / 10, -math.pi / 10, math.pi / 8, -math.pi / 8, m
 
 class TestProductTables:
     """rho_unitary starts each block from the products of 4 letters, then of
-    the 1-3 left over; its bits must be those of the blocked pairwise product
-    from single letters."""
+    the 1-3 left over, and a block of at most 8 letters is the product of at
+    most two such lookups; its bits must be those of the blocked pairwise
+    product from single letters."""
 
     # 1,020-1,030 straddle the first boundary of the real block size.
     LENGTHS = [*range(13), *range(1020, 1031), 4099]
@@ -322,12 +323,14 @@ class TestProductTables:
     # Every angle with the real block size.  The small blocks, which cost a
     # projection every few letters, run at the three angles of
     # TestBlockedProduct, where 1,020-1,030 cross no boundary of theirs that
-    # 0-12 do not.
+    # 0-12 do not.  Blocks of 8 letters are the longest that take two
+    # lookups and one product, blocks of 9 the shortest that take the
+    # halving; up to two blocks, every length of the last block is tried.
     @pytest.mark.parametrize(
         "theta, block",
         [
             *((theta, None) for theta in CRITERION_07_THETAS + list(TestBlockedProduct.THETAS)),
-            *itertools.product(TestBlockedProduct.THETAS, (3, 5, 6)),
+            *itertools.product(TestBlockedProduct.THETAS, (3, 5, 6, 8, 9)),
         ],
     )
     def test_bits_match_the_blocked_pairwise_product(self, theta, block, monkeypatch):
@@ -335,18 +338,35 @@ class TestProductTables:
             monkeypatch.setattr(unitary3, "_BLOCK", block)
         setup = unitary_generators(theta)
         rng = random.Random(f"tables:{theta}:{block}")
-        for length in self.LENGTHS if block is None else [*range(13), 4099]:
+        for length in self.LENGTHS if block is None else [*range(max(13, 2 * block + 1)), 4099]:
             letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(length))
             rho = rho_unitary(BraidWord(3, letters), setup)
             assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes(), length
 
+    @staticmethod
+    def short_words(every, seeded, seed):
+        """Every word of at most ``every`` letters, then 256 seeded words of
+        each length in ``seeded``."""
+        rng = random.Random(seed)
+        words = [w for n in range(every + 1) for w in itertools.product((1, -1, 2, -2), repeat=n)]
+        for n in seeded:
+            words += [tuple(rng.choice((1, -1, 2, -2)) for _ in range(n)) for _ in range(256)]
+        return words
+
+    @pytest.mark.parametrize("theta", CRITERION_07_THETAS)
+    def test_words_of_at_most_8_letters_match_bit_for_bit(self, theta):
+        setup = unitary_generators(theta)
+        for letters in self.short_words(6, (7, 8), f"short:{theta}"):
+            rho = rho_unitary(BraidWord(3, letters), setup)
+            assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes(), letters
+
     def test_short_words_are_one_fresh_writable_lookup(self):
+        # Up to 4 letters one lookup, copied; 5 to 8 the product of two.
         setup = unitary_generators(-0.37)
-        for length in range(1, 5):
-            for letters in itertools.product((1, -1, 2, -2), repeat=length):
-                rho = rho_unitary(BraidWord(3, letters), setup)
-                assert rho.flags.writeable
-                assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes()
-                rho[:] = 0  # must not reach the cached tables
+        for letters in self.short_words(5, (6, 7, 8), "fresh")[1:]:
+            rho = rho_unitary(BraidWord(3, letters), setup)
+            assert rho.flags.writeable
+            assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes()
+            rho[:] = 0  # must not reach the cached tables
         fresh = unitary_generators.__wrapped__(-0.37)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(setup.tables, fresh.tables))
