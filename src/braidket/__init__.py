@@ -54,7 +54,6 @@ from .laurent import (
     DELTA,
     ONE,
     ZERO,
-    GaussianInt,
     JonesPoly,
     LaurentPoly,
     to_jones_variable,

@@ -1,18 +1,17 @@
-"""Exact Laurent-polynomial arithmetic in the variable A over Z[i].
+"""Exact Laurent-polynomial arithmetic in the variable A over Z.
 
-A coefficient is an ``int``, or a ``GaussianInt`` when its imaginary part
-is nonzero; both are read through ``.real`` and ``.imag``.  Only the cup/cap
-matrix, with entries iA and -iA^-1, brings in i; closed-diagram evaluations
-are real, which downstream code checks explicitly.
+Every coefficient is an ``int``.  The cup/cap matrix of ``matrixrep`` is i
+times an integer matrix, and each value built from it takes its entries in
+pairs, so no evaluation path needs a complex coefficient.
 
 Canonical text form: terms in strictly descending exponent order, coefficient
-1 elided unless the exponent is 0, ``A^0`` rendered as a bare integer, and
-properly complex coefficients rendered ``(x+yi)``.  Example::
+1 elided unless the exponent is 0, and ``A^0`` rendered as a bare integer.
+Example::
 
     -A^5 - A^-3 + A^-7
 
 JSON form: a list of ``[exponent, real, imag]`` triples in descending
-exponent order.
+exponent order; ``imag`` is always 0.
 
 Packed form, shared by the Temperley-Lieb fold in ``braid`` and the PD
 contraction in ``diagram``: a polynomial in B = A^2 with nonnegative
@@ -32,70 +31,10 @@ exponents as one int, its value at B = 2^bits.  Its rules live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping
 
 from .errors import ExactDivisionError
-
-
-@dataclass(frozen=True, slots=True)
-class GaussianInt:
-    """real + imag*i; takes an int on either side and returns an int when real."""
-
-    real: int
-    imag: int = 0
-
-    def __add__(self, other: Coeff) -> Coeff:
-        return _gauss(self.real + other.real, self.imag + other.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Coeff) -> Coeff:
-        return _gauss(self.real - other.real, self.imag - other.imag)
-
-    def __rsub__(self, other: Coeff) -> Coeff:
-        return _gauss(other.real - self.real, other.imag - self.imag)
-
-    def __neg__(self) -> Coeff:
-        return _gauss(-self.real, -self.imag)
-
-    def __mul__(self, other: Coeff) -> Coeff:
-        return _gauss(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return self.real != 0 or self.imag != 0
-
-    def divexact(self: Coeff, other: Coeff) -> Coeff:
-        """Exact quotient self/other of ints or Gaussians; raises on a remainder."""
-        norm = other.real * other.real + other.imag * other.imag
-        if norm == 0:
-            raise ZeroDivisionError("division by Gaussian zero")
-        re_num = self.real * other.real + self.imag * other.imag
-        im_num = self.imag * other.real - self.real * other.imag
-        if re_num % norm or im_num % norm:
-            raise ExactDivisionError(f"{self} not divisible by {other}")
-        return _gauss(re_num // norm, im_num // norm)
-
-    def __complex__(self) -> complex:
-        return complex(self.real, self.imag)
-
-    def __str__(self) -> str:
-        sign = "+" if self.imag >= 0 else "-"
-        return f"({self.real}{sign}{abs(self.imag)}i)"
-
-
-Coeff = Union[GaussianInt, int]
-
-
-def _gauss(real: int, imag: int) -> Coeff:
-    """The coefficient real + imag*i: an int when imag is 0."""
-    return GaussianInt(real, imag) if imag else real
 
 
 class LaurentPoly:
@@ -103,8 +42,8 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        self._terms = {e: _gauss(c.real, c.imag) for e, c in (terms or {}).items() if c}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        self._terms = {e: c for e, c in (terms or {}).items() if c}
 
     # -- construction -------------------------------------------------
 
@@ -117,7 +56,7 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: Coeff = 1) -> "LaurentPoly":
+    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 
     # -- inspection ----------------------------------------------------
@@ -126,19 +65,14 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_real(self) -> bool:
-        """True when every coefficient has zero imaginary part."""
-        return all(c.imag == 0 for c in self._terms.values())
-
-    def coefficient(self, exp: int) -> Coeff:
+    def coefficient(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 
-    def terms(self) -> list[tuple[int, Coeff]]:
+    def terms(self) -> list[tuple[int, int]]:
         """Terms in descending exponent order."""
         return sorted(self._terms.items(), key=lambda t: -t[0])
 
-    def __iter__(self) -> Iterator[tuple[int, Coeff]]:
+    def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.terms())
 
     def __len__(self) -> int:
@@ -156,7 +90,7 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other: Union["LaurentPoly", Coeff]) -> "LaurentPoly":
+    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _as_poly(other)
         out = dict(self._terms)
         for exp, coeff in other._terms.items():
@@ -174,15 +108,15 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other: Union["LaurentPoly", Coeff]) -> "LaurentPoly":
+    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other: Coeff) -> "LaurentPoly":
+    def __rsub__(self, other: int) -> "LaurentPoly":
         return _as_poly(other) + (-self)
 
-    def __mul__(self, other: Union["LaurentPoly", Coeff]) -> "LaurentPoly":
+    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _as_poly(other)
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
@@ -222,13 +156,15 @@ class LaurentPoly:
         lead = divisor.coefficient(lead_exp)
         min_quot = self.min_exponent() - divisor.min_exponent()
         rem = dict(self._terms)
-        quot: dict[int, Coeff] = {}
+        quot: dict[int, int] = {}
         while rem:
             top = max(rem)
             t_exp = top - lead_exp
             if t_exp < min_quot:
                 raise ExactDivisionError("Laurent division left a remainder")
-            t_coeff = GaussianInt.divexact(rem[top], lead)
+            t_coeff, left = divmod(rem[top], lead)
+            if left:
+                raise ExactDivisionError(f"{rem[top]} not divisible by {lead}")
             quot[t_exp] = t_coeff
             for e, c in divisor._terms.items():
                 e2 = e + t_exp
@@ -254,7 +190,7 @@ class LaurentPoly:
     # -- equality / rendering -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, GaussianInt)):
+        if isinstance(other, int):
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -274,7 +210,7 @@ class LaurentPoly:
         return f"{type(self).__name__}({self})"
 
     def to_json(self) -> list[list[int]]:
-        return [[e, c.real, c.imag] for e, c in self.terms()]
+        return [[e, c, 0] for e, c in self.terms()]
 
 
 def _ones(bits: int, count: int) -> int:
@@ -352,7 +288,7 @@ def _room_masks(bits: int, window: int) -> tuple[int, int, int]:
     return t, ones << t, ones * ((1 << bits) - (2 << t))
 
 
-def _as_poly(value: Union[LaurentPoly, Coeff]) -> LaurentPoly:
+def _as_poly(value: LaurentPoly | int) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
     return LaurentPoly({0: value})
@@ -366,19 +302,15 @@ A_INV = LaurentPoly.monomial(-1)
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-def _render_terms(terms: list[tuple[int, Coeff]], power: Callable[[int], str]) -> str:
+def _render_terms(terms: list[tuple[int, int]], power: Callable[[int], str]) -> str:
     """Canonical text of ``(exponent, coefficient)`` terms in the given order.
 
     ``power(exp)`` writes the variable raised to a nonzero exponent.  A
-    coefficient of 1 is elided, the exponent 0 leaves the bare coefficient,
-    and properly complex coefficients render ``(x+yi)``.
+    coefficient of 1 is elided and the exponent 0 leaves the bare coefficient.
     """
     parts: list[str] = []
     for exp, coeff in terms:
-        if coeff.imag == 0:
-            sign, scalar = ("-" if coeff.real < 0 else "+"), str(abs(coeff.real))
-        else:
-            sign, scalar = "+", str(coeff)
+        sign, scalar = ("-" if coeff < 0 else "+"), str(abs(coeff))
         if exp == 0:
             body = scalar
         elif scalar == "1":
@@ -418,7 +350,7 @@ class JonesPoly(LaurentPoly):
             raise ValueError("cannot evaluate at t = 0")
         return super().evaluate(complex(t) ** 0.25)
 
-    def terms(self) -> list[tuple[int, Coeff]]:
+    def terms(self) -> list[tuple[int, int]]:
         """Terms in ascending t-exponent order."""
         return sorted(self._terms.items())
 

@@ -11,6 +11,12 @@ Two constructions live here, both over exact Laurent coefficients:
   v_k = iA W_k - iA^-1 W_{k+1} via U_k = |v_k><v_k| (formal transpose, no
   conjugation), whose braid images realize the Burau-type representation.
 
+Both are computed over Z: M = i*M' with the integer matrix
+M' = [[0, A], [-A^-1, 0]], and each use of M takes its entries in pairs, so
+each i^2 becomes a sign.  A TL diagram with k caps has k cups, so its image
+is (-1)^k times the same product over M'; eta = -M' M'^t; and
+|v_k><v_k| = -|v'_k><v'_k| with v'_k = A W_k - A^-1 W_{k+1}.
+
 Tensor index order: strand 1 is the most significant bit of the row/column
 index, i.e. rows and columns are labelled by bit strings in lexicographic
 order.
@@ -23,8 +29,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .braid import BraidWord
-from .errors import InvariantError, SizeLimitError
-from .laurent import A, A_INV, GaussianInt, LaurentPoly, ONE, ZERO
+from .errors import SizeLimitError
+from .laurent import A, A_INV, LaurentPoly, ONE, ZERO
 from .tl import TLDiagram, TLElement, generator_diagram
 
 __all__ = [
@@ -133,14 +139,8 @@ def trace_product(x: SymbolicMatrix, y: SymbolicMatrix) -> LaurentPoly:
     return sum((a * ys[j, i] for (i, j), a in x.entries.items() if (j, i) in ys), ZERO)
 
 
-#: The 2x2 cup/cap matrix, used with both upper and lower indices.
-_M = SymbolicMatrix(
-    2,
-    {
-        (0, 1): LaurentPoly.monomial(1, GaussianInt(0, 1)),
-        (1, 0): LaurentPoly.monomial(-1, GaussianInt(0, -1)),
-    },
-)
+#: M' = M/i for the 2x2 cup/cap matrix M, used with both upper and lower indices.
+_M = SymbolicMatrix(2, {(0, 1): A, (1, 0): -A_INV})
 
 
 class ElementaryTensors(NamedTuple):
@@ -160,9 +160,10 @@ def exact_factor(identity, u, g: int):
 
 
 def elementary_tensors() -> ElementaryTensors:
-    """The cup/cap matrix M, the strand closer eta = M M^t, and the 4x4
-    crossing matrix R^{ab}_{cd} = A M^{ab} M_{cd} + A^-1 delta^a_c delta^b_d."""
-    eta = _M * _M.transpose()
+    """M' = [[0, A], [-A^-1, 0]], the cup/cap matrix M = i*M' without its
+    factor i; the strand closer eta = M M^t = -M' M'^t; and the 4x4 crossing
+    matrix R^{ab}_{cd} = A M^{ab} M_{cd} + A^-1 delta^a_c delta^b_d."""
+    eta = (_M * _M.transpose()).scale(-1)
     r = exact_factor(SymbolicMatrix.identity(4), u_tensor(2, 1), -1)
     return ElementaryTensors(SymbolicMatrix(2, _M.entries), eta, r)
 
@@ -203,25 +204,19 @@ def _strand_closer(n: int) -> SymbolicMatrix:
 
 
 def z_amplitude(b: BraidWord) -> LaurentPoly:
-    """Trace(eta^(tensor n) * rho(b)) = delta * <closure(b)>.
-
-    The entries of M carry i, which must cancel in the trace; a nonzero
-    imaginary coefficient signals a bug.
-    """
+    """Trace(eta^(tensor n) * rho(b)) = delta * <closure(b)>."""
     rho = rho_matrix(b)  # first, so its guards bound _strand_closer's cache
-    amplitude = trace_product(_strand_closer(b.strands), rho)
-    if not amplitude.is_real:
-        raise InvariantError(f"tensor trace has nonzero imaginary part: {amplitude}")
-    return amplitude
+    return trace_product(_strand_closer(b.strands), rho)
 
 
 def burau_generator(n: int, k: int) -> SymbolicMatrix:
     """Projector form of U_k on C^n: |v_k><v_k| with
-    v_k = M^{01} W_k + M^{10} W_{k+1} = iA W_k - iA^-1 W_{k+1}."""
+    v_k = M^{01} W_k + M^{10} W_{k+1} = iA W_k - iA^-1 W_{k+1}, that is
+    -|v'_k><v'_k| for v'_k = i^-1 v_k, whose entries are those of M'."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} invalid for {n} strands")
     v = {k - 1: _M[0, 1], k: _M[1, 0]}
-    return SymbolicMatrix(n, {(i, j): a * b for i, a in v.items() for j, b in v.items()})
+    return SymbolicMatrix(n, {(i, j): -a * b for i, a in v.items() for j, b in v.items()})
 
 
 def burau_rho(b: BraidWord) -> SymbolicMatrix:
@@ -232,7 +227,7 @@ def burau_rho(b: BraidWord) -> SymbolicMatrix:
 
 
 #: The bit pairs an arc between points p < q may carry, each with its factor:
-#: a cap or cup carries 01 or 10, weighted by M, and a through strand equal
+#: a cap or cup carries 01 or 10, weighted by M', and a through strand equal
 #: bits, weighted 1 (None: the entry is kept, not multiplied).
 _ARC_LABELS = tuple((a, b, m) for (a, b), m in _M.entries.items())
 _THROUGH_LABELS = ((0, 0, None), (1, 1, None))
@@ -245,7 +240,8 @@ def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
     M^{a_p a_q}; an arc between bottom points contributes M_{b_p b_q}; a
     through strand forces its two bit labels equal.  Each arc takes one of
     two labellings, so the image has exactly 2^n nonzero entries, built arc
-    by arc.
+    by arc.  Each entry starts at i^(2k) = (-1)^k for the k caps and k cups
+    and takes the arcs' factors from M' = M/i.
     """
     n = diagram.n
 
@@ -253,7 +249,7 @@ def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
         # Top point p is row bit n-1-p, bottom point n+k column bit n-1-k.
         return (bit << (n - 1 - p), 0) if p < n else (0, bit << (2 * n - 1 - p))
 
-    entries = {(0, 0): ONE}
+    entries = {(0, 0): -ONE if sum(q < n for _, q in diagram.arcs()) % 2 else ONE}
     for p, q in diagram.arcs():
         labels = _THROUGH_LABELS if p < n <= q else _ARC_LABELS
         grown = {}

@@ -1,20 +1,57 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
-from braidket import BraidWord, GaussianInt, LaurentPoly
-
-gaussian_ints = st.builds(
-    GaussianInt, st.integers(-9, 9), st.integers(-9, 9)
-)
-# Plain ints and Gaussians mixed, so sums, products and quotients meet an
-# int on either side, and Gaussians with imaginary part 0 collapse to ints.
-coefficients = st.one_of(st.integers(-9, 9), gaussian_ints)
+from braidket import BraidWord, LaurentPoly, SymbolicMatrix
 
 laurent_polys = st.dictionaries(
-    st.integers(-20, 20), coefficients, max_size=6
+    st.integers(-20, 20), st.integers(-9, 9), max_size=6
 ).map(LaurentPoly)
+
+
+@dataclass(frozen=True, slots=True)
+class GaussianInt:
+    """real + imag*i, for the oracle's cup/cap matrix M_I.
+
+    Takes an int on either side and returns an int when the result is real,
+    so LaurentPoly arithmetic carries it by duck typing and a real product
+    compares equal to the package's int one.
+    """
+
+    real: int
+    imag: int = 0
+
+    def __add__(self, other):
+        return _gauss(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _gauss(-self.real, -self.imag)
+
+    def __mul__(self, other):
+        return _gauss(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return self.real != 0 or self.imag != 0
+
+
+def _gauss(real, imag):
+    return GaussianInt(real, imag) if imag else real
+
+
+I = GaussianInt(0, 1)
+
+#: The paper's cup/cap matrix M = [[0, iA], [-iA^-1, 0]]; the package
+#: computes with M' = M/i.
+M_I = SymbolicMatrix(2, {(0, 1): LaurentPoly.monomial(1, I), (1, 0): LaurentPoly.monomial(-1, -I)})
 
 
 @st.composite

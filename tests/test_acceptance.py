@@ -197,13 +197,16 @@ def test_criterion_09_phase_loss_witness(report):
 
 
 def test_criterion_10_realness(report):
+    def integral(poly):
+        return all(type(c) is int for _, c in poly.terms())
+
     start = time.time()
     ok = True
     for word in random_words(707, 60, max_strands=4, max_length=7):
-        ok = ok and bracket_via_trace(word).is_real
-        ok = ok and bracket_state_sum(closure_to_diagram(word)).is_real
-        ok = ok and z_amplitude(word).is_real
+        ok = ok and integral(bracket_via_trace(word))
+        ok = ok and integral(bracket_state_sum(closure_to_diagram(word)))
+        ok = ok and integral(z_amplitude(word))
     diagram = closure_to_diagram(TREFOIL)
-    ok = ok and bracket_state_sum(add_curl(diagram, 1)).is_real
-    ok = ok and normalize(diagram)[0].is_real
-    report(10, "every computed bracket has zero Gaussian-imaginary part", ok)
+    ok = ok and integral(bracket_state_sum(add_curl(diagram, 1)))
+    ok = ok and integral(normalize(diagram)[0])
+    report(10, "every computed bracket has plain integer coefficients", ok)

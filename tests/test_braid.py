@@ -343,7 +343,7 @@ class TestBracketViaTrace:
     @given(braid_words(max_strands=4, max_length=6))
     @settings(max_examples=40, deadline=None)
     def test_real_coefficients(self, word):
-        assert bracket_via_trace(word).is_real
+        assert all(type(c) is int for _, c in bracket_via_trace(word).terms())
 
     def test_markov_stabilization(self):
         for word in random_words(5, 25, max_strands=4, max_length=6):

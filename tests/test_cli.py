@@ -243,7 +243,7 @@ class TestBracketCommand:
 
     def test_internal_check_failure_exit_code(self, capsys, monkeypatch):
         def broken(word):
-            raise InvariantError("bracket has nonzero imaginary part")
+            raise InvariantError("planted internal check failure")
 
         monkeypatch.setattr(braidket.cli, "bracket_via_trace", broken)
         code, out, err = run_cli(capsys, ["bracket", "--strands", "2", "--word", "1 1 1"])

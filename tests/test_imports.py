@@ -120,7 +120,7 @@ EXPORTS = {
         "ParseError",
         "SizeLimitError",
     ],
-    "laurent": ["A", "A_INV", "DELTA", "ONE", "ZERO", "GaussianInt", "JonesPoly", "LaurentPoly", "to_jones_variable"],
+    "laurent": ["A", "A_INV", "DELTA", "ONE", "ZERO", "JonesPoly", "LaurentPoly", "to_jones_variable"],
     "matrixrep": [
         "ElementaryTensors",
         "SymbolicMatrix",

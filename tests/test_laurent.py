@@ -10,8 +10,8 @@ from braidket import (
     A_INV,
     DELTA,
     ONE,
-    GaussianInt,
     LaurentPoly,
+    SymbolicMatrix,
     bracket_by_contraction,
     bracket_state_sum,
     bracket_via_trace,
@@ -27,53 +27,33 @@ from braidket import (
 )
 from braidket.errors import ExactDivisionError
 from braidket.laurent import _t_power
-from conftest import braid_words, laurent_polys
+from conftest import I, M_I, GaussianInt, braid_words, laurent_polys
 
-IA = LaurentPoly.monomial(1, GaussianInt(0, 1))
+IA = LaurentPoly.monomial(1, I)
 
 
+# The test oracle's Gaussian integers (conftest) must collapse to ints when
+# real, or no value built from M_I would equal the package's int one.
 class TestGaussianInt:
     def test_i_squared_is_minus_one(self):
-        square = GaussianInt(0, 1) * GaussianInt(0, 1)
+        square = I * I
         assert type(square) is int and square == -1
-
-    def test_divexact(self):
-        quotient = GaussianInt(5, 5).divexact(GaussianInt(1, 1))
-        assert type(quotient) is int and quotient == 5
-        with pytest.raises(ExactDivisionError):
-            GaussianInt(1, 0).divexact(GaussianInt(1, 1))
 
     def test_real_result_is_an_int(self):
         total = GaussianInt(2, 5) + GaussianInt(1, -5)
         assert type(total) is int and total == 3
 
-    def test_int_on_either_side(self):
-        i = GaussianInt(0, 1)
-        assert 2 * i == i * 2 == GaussianInt(0, 2)
-        assert 1 + i == i + 1 == GaussianInt(1, 1)
-        assert 1 - i == GaussianInt(1, -1) and i - 1 == GaussianInt(-1, 1)
-        assert GaussianInt.divexact(4, 2) == 2
-
 
 class TestCoefficientTypes:
-    def test_real_gaussian_is_stored_as_int(self):
-        p = LaurentPoly({0: GaussianInt(3, 0)})
-        (_, c), = p.terms()
-        assert type(c) is int and c == 3
-        assert p == LaurentPoly({0: 3}) and hash(p) == hash(LaurentPoly({0: 3}))
-        assert str(p) == "3"
-        assert p.to_json() == [[0, 3, 0]]
-
     def test_constant_compares_like_its_coefficient(self):
-        i = GaussianInt(0, 1)
-        assert LaurentPoly.monomial(0, i) == i and i == LaurentPoly.monomial(0, i)
-        assert hash(LaurentPoly.monomial(0, i)) == hash(i)
+        assert LaurentPoly.monomial(0, 3) == 3 and 3 == LaurentPoly.monomial(0, 3)
+        assert hash(LaurentPoly.monomial(0, 3)) == hash(3)
         assert LaurentPoly.one() == 1 and hash(LaurentPoly.one()) == hash(1)
         assert LaurentPoly.zero() == 0 and hash(LaurentPoly.zero()) == hash(0)
-        assert LaurentPoly.monomial(1, i) != i
+        assert LaurentPoly.monomial(1, 3) != 3
 
-    # Only the cup/cap matrix M carries i; every value built from it that is
-    # real by construction must hold plain ints.
+    # The cup/cap matrix is i*M' with M' integer; every value, M' included,
+    # must hold plain ints.
 
     @given(braid_words())
     @settings(max_examples=30, deadline=None)
@@ -98,9 +78,11 @@ class TestCoefficientTypes:
         polys = [p for m in matrices for p in m.entries.values()]
         assert all(type(c) is int for p in polys for _, c in p.terms())
 
-    def test_cup_cap_matrix_keeps_i(self):
-        entries = elementary_tensors().M.entries.values()
-        assert all(type(c) is GaussianInt and c.imag for p in entries for _, c in p.terms())
+    def test_cup_cap_matrix_is_m_over_i(self):
+        m = elementary_tensors().M
+        assert m == SymbolicMatrix(2, {(0, 1): A, (1, 0): -A_INV})
+        assert m.scale(LaurentPoly.monomial(0, I)) == M_I
+        assert all(type(c) is int for p in m.entries.values() for _, c in p.terms())
 
 
 class TestRingArithmetic:
@@ -138,6 +120,23 @@ class TestRingArithmetic:
         if q.is_zero:
             return
         assert (p * q).divexact(q) == p
+
+    def test_divexact_rejects_an_inexact_coefficient(self):
+        with pytest.raises(ExactDivisionError):
+            (2 * A).divexact(3 * ONE)
+        with pytest.raises(ExactDivisionError):
+            (-3 * A).divexact(2 * ONE)
+        # floor division rounds -3/2 to -2 with remainder 1; the sign must
+        # not hide it, and an exact negative quotient must keep its sign.
+        assert (-4 * A).divexact(2 * ONE) == -2 * A
+
+    def test_divexact_rejects_a_remainder(self):
+        with pytest.raises(ExactDivisionError, match="left a remainder"):
+            (A + ONE).divexact(DELTA)
+
+    def test_divexact_rejects_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            A.divexact(LaurentPoly.zero())
 
 
 class TestEvaluate:
@@ -184,9 +183,9 @@ class TestJonesVariable:
         assert str(to_jones_variable(f)) == "-t^(1/2) - t^(5/2)"
 
     def test_json_ascending(self):
-        f = LaurentPoly({-4: 1, -12: 1, -16: -1, 2: GaussianInt(2, -3)})
-        assert to_jones_variable(f).to_json() == [[-2, 2, -3], [4, 1, 0], [12, 1, 0], [16, -1, 0]]
-        assert str(to_jones_variable(f)) == "(2-3i)*t^(-1/2) + t + t^3 - t^4"
+        f = LaurentPoly({-4: 1, -12: 1, -16: -1, 2: -3})
+        assert to_jones_variable(f).to_json() == [[-2, -3, 0], [4, 1, 0], [12, 1, 0], [16, -1, 0]]
+        assert str(to_jones_variable(f)) == "-3*t^(-1/2) + t + t^3 - t^4"
 
     def test_t_power_spells_quarters_as_fraction_does(self):
         for quarters in range(-4001, 4002):
@@ -214,10 +213,6 @@ class TestRendering:
         assert str(2 * A) == "2*A^1"
         assert str(DELTA) == "-A^2 - A^-2"
         assert str(LaurentPoly({0: -3})) == "-3"
-
-    def test_gaussian_coefficients(self):
-        assert str(IA) == "(0+1i)*A^1"
-        assert str(LaurentPoly({0: GaussianInt(2, -3), 2: 5})) == "5*A^2 + (2-3i)"
 
     def test_json_descending(self):
         poly = LaurentPoly({5: -1, -3: -1, -7: 1})
