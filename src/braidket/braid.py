@@ -11,11 +11,25 @@ which makes the two images inverse to each other in TL_n.  The bracket of the
 standard closure is recovered from the Markov trace: TR(rho(b)) equals
 delta * <closure(b)>, and the division by delta is performed exactly, so the
 identity itself acts as a runtime check.
+
+The trace is invariant under the braid relations and Markov's moves, so
+``bracket_via_trace`` first rewrites a word of 4 or more strands to a shorter
+one on no more strands (``_simplify``), applying until none fires: far
+cancellation (sigma_i^e meets a later sigma_i^-e across letters j with
+|j - i| >= 2, which commute with it), the same across the word's end
+(conjugation), and destabilization of a top or bottom generator used once,
+which deletes that letter and its strand and leaves a curl -A^(+-3).  It does
+so only when a bound on (n, L) alone proves that the given word passes both
+``MAX_TL_COST`` checks, so every word the guards stop reaches them as given.
+Words of at most 3 strands are traced as given: TL_3 has 5 diagrams, so the
+rewrite would cost more than it saves.  ``rho_tl`` and the other
+representations also take the word as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .diagram import Crossing, LinkDiagram
 from .errors import ParseError, SizeLimitError
@@ -140,7 +154,7 @@ def _fold(b: BraidWord, traced: bool = False):
                     wider = min(2 * bits, proven)
                     state = {d: _widen(x, bits, wider) for d, x in state.items()}
                     bits = wider
-            if 2 * len(state) * (2 * n + bits * window // 64) > MAX_TL_COST:
+            if _fold_cost(len(state), n, bits, window) > MAX_TL_COST:
                 raise SizeLimitError(
                     f"TL product of {length} letters on {n} strands exceeds the "
                     f"{MAX_TL_COST} cost guard at {len(state)} live diagrams"
@@ -170,11 +184,21 @@ def _fold(b: BraidWord, traced: bool = False):
     return table, state, bits
 
 
+def _fold_cost(live: int, n: int, bits: int, window: int) -> int:
+    """The fold's cost before a letter (``MAX_TL_COST``)."""
+    return 2 * live * (2 * n + bits * window // 64)
+
+
+def _trace_cost(n: int, length: int, bits: int) -> int:
+    """The cost of the trace's Horner loop, n+1 steps on 3L+1+2n digits."""
+    return (n + 1) * (3 * length + 1 + 2 * n) * bits // 64
+
+
 def _check_trace_cost(b: BraidWord, bits: int) -> None:
-    """Raise SizeLimitError when the trace's Horner loop at this digit width,
-    n+1 steps on 3L+1+2n digits, exceeds MAX_TL_COST."""
+    """Raise SizeLimitError when the trace's Horner loop at this digit width
+    exceeds MAX_TL_COST."""
     n, length = b.strands, len(b.letters)
-    if (n + 1) * (3 * length + 1 + 2 * n) * bits // 64 > MAX_TL_COST:
+    if _trace_cost(n, length, bits) > MAX_TL_COST:
         raise SizeLimitError(
             f"trace of {length} letters on {n} strands exceeds the "
             f"{MAX_TL_COST} cost guard at {bits}-bit digits"
@@ -191,7 +215,82 @@ def rho_tl(b: BraidWord) -> TLElement:
 
 
 def bracket_via_trace(b: BraidWord) -> LaurentPoly:
-    """Bracket polynomial of the standard closure, via the Markov trace.
+    """Bracket polynomial of the standard closure, via the Markov trace of
+    the word as ``_simplify`` shortens it (module docstring)."""
+    if b.strands > 3 and _within_guards(b.strands, len(b.letters)):
+        return _trace_bracket(*_simplify(b))
+    return _trace_bracket(b)
+
+
+def _within_guards(n: int, length: int) -> bool:
+    """Whether every word of ``length`` letters on ``n`` strands passes both
+    MAX_TL_COST checks: each at the proven width L+n+2, the fold's with at
+    most min(2^L, Catalan(n)) live diagrams.  The trace's is tested first,
+    so a huge n forms no Catalan number."""
+    bits = length + n + 2
+    if _trace_cost(n, length, bits) > MAX_TL_COST:
+        return False
+    live = min(1 << length, comb(2 * n, n) // (n + 1))
+    return _fold_cost(live, n, bits, 3 * length + 1) <= MAX_TL_COST
+
+
+def _simplify(b: BraidWord) -> tuple[BraidWord, int]:
+    """A word w and a curl c with <closure(b)> = (-A^3)^c <closure(w)>,
+    w on no more strands and letters than b (module docstring).
+
+    An untouched top or bottom strand is a free loop: it stays as an
+    untouched top strand, so the trace counts it as it does in b.
+    """
+    letters, strands, free, curl = list(b.letters), b.strands, 0, 0
+    while True:
+        before = len(letters), strands
+        stack: list[int] = []
+        for g in letters:
+            _push(stack, g)
+        # One turn of conjugations: each first letter moves to the end.
+        head, turn = 0, len(stack)
+        while head < min(turn, len(stack)):
+            head += 1
+            _push(stack, stack[head - 1], head)
+        letters = stack[head:]
+        while strands > 1:
+            # The top generator, then the bottom one: if used at most once,
+            # it goes, and its strand with it (or moves to the top, free).
+            for i in (strands - 1, 1):
+                uses = [k for k, g in enumerate(letters) if abs(g) == i]
+                if len(uses) < 2:
+                    break
+            else:
+                break
+            if uses:
+                curl += 1 if letters[uses[0]] > 0 else -1
+                del letters[uses[0]]
+            else:
+                free += 1
+            if i == 1:
+                letters = [g - 1 if g > 0 else g + 1 for g in letters]
+            strands -= 1
+        if (len(letters), strands) == before:
+            return BraidWord(strands + free, tuple(letters)), curl
+
+
+def _push(stack: list[int], g: int, floor: int = 0) -> None:
+    """Append g to the word ``stack[floor:]``, or delete the nearest -g in it
+    when every letter after that one commutes with g (is two or more
+    generators away)."""
+    i = abs(g)
+    for k in range(len(stack) - 1, floor - 1, -1):
+        if stack[k] == -g:
+            del stack[k]
+            return
+        if abs(abs(stack[k]) - i) < 2:
+            break
+    stack.append(g)
+
+
+def _trace_bracket(b: BraidWord, curl: int = 0) -> LaurentPoly:
+    """(-A^3)^curl times the bracket of b's closure, from the Markov trace of
+    b's letters as given.
 
     TR(rho(b)) is always divisible by delta; the quotient is the bracket.
     A remainder signals a bug.
@@ -209,7 +308,10 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     packed = 0
     for m in range(n, -1, -1):
         packed = (by_loops[m] << (n - m) * bits) + _times_delta(packed << bits, bits)
-    trace = _unpack(packed, bits, -3 * len(b.letters) - 2 * n)
+    # (-A^3)^curl is a sign and a shift of the lowest exponent.
+    if curl % 2:
+        packed = -packed
+    trace = _unpack(packed, bits, 3 * curl - 3 * len(b.letters) - 2 * n)
     return trace.divexact(DELTA)
 
 

@@ -57,7 +57,7 @@ M_I = SymbolicMatrix(2, {(0, 1): LaurentPoly.monomial(1, I), (1, 0): LaurentPoly
 @st.composite
 def braid_words(draw, min_strands=2, max_strands=4, max_length=8):
     n = draw(st.integers(min_strands, max_strands))
-    length = draw(st.integers(0, max_length))
+    length = draw(st.integers(0, max_length if n > 1 else 0))
     alphabet = [s * i for i in range(1, n) for s in (1, -1)]
     letters = tuple(draw(st.sampled_from(alphabet)) for _ in range(length))
     return BraidWord(n, letters)

@@ -14,6 +14,8 @@ from braidket import (
     BraidWord,
     LaurentPoly,
     TLElement,
+    bracket_by_contraction,
+    bracket_state_sum,
     bracket_via_trace,
     closure_to_diagram,
     exponent_sum,
@@ -23,6 +25,7 @@ from braidket import (
     parse_braid,
     rho_tl,
 )
+from braidket.braid import _trace_bracket
 from braidket.errors import ParseError, SizeLimitError
 from braidket.laurent import _ones, _room, _times_delta, _unpack, _widen
 from braidket.matrixrep import exact_factor
@@ -345,21 +348,100 @@ class TestBracketViaTrace:
     def test_real_coefficients(self, word):
         assert all(type(c) is int for _, c in bracket_via_trace(word).terms())
 
+    # The Markov moves are checked on the trace of the words as given:
+    # bracket_via_trace would rewrite both sides to the same word.
     def test_markov_stabilization(self):
         for word in random_words(5, 25, max_strands=4, max_length=6):
             n = word.strands
-            base = bracket_via_trace(word)
+            base = _trace_bracket(word)
             up = BraidWord(n + 1, word.letters + (n,))
             down = BraidWord(n + 1, word.letters + (-n,))
-            assert bracket_via_trace(up) == LaurentPoly.monomial(3, -1) * base
-            assert bracket_via_trace(down) == LaurentPoly.monomial(-3, -1) * base
+            assert _trace_bracket(up) == LaurentPoly.monomial(3, -1) * base
+            assert _trace_bracket(down) == LaurentPoly.monomial(-3, -1) * base
 
     def test_conjugation_invariance(self, rng):
         for word in random_words(6, 20, max_strands=4, max_length=5):
             n = word.strands
             g = rng.choice([s * i for i in range(1, n) for s in (1, -1)])
             conjugated = BraidWord(n, (g,) + word.letters + (-g,))
-            assert bracket_via_trace(conjugated) == bracket_via_trace(word)
+            assert _trace_bracket(conjugated) == _trace_bracket(word)
+
+
+class TestSimplify:
+    """The braid and Markov moves bracket_via_trace applies before the trace."""
+
+    @given(braid_words(min_strands=1, max_strands=8, max_length=30))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_trace_of_the_word_as_given(self, word):
+        bracket = bracket_via_trace(word)
+        assert bracket == _trace_bracket(word)
+        # The brute-force state sum takes about 1 s at 16 crossings, so it
+        # checks the short words and the contracted one the rest.
+        closure = closure_to_diagram(word)
+        if len(word.letters) <= 12:
+            assert bracket == bracket_state_sum(closure)
+        if len(word.letters) <= 28:
+            assert bracket == bracket_by_contraction(closure)
+
+    @pytest.mark.parametrize(
+        "word, simplified, curl",
+        [
+            # sigma_1 sigma_3 sigma_1^-1 is sigma_3; the rest stays.
+            ((4, (2, 1, 3, -1, 2, 3, 1, 3, 1, 2)), (4, (2, 3, 2, 3, 1, 3, 1, 2)), 0),
+            # sigma_2 lies between sigma_1 and sigma_1^-1 either way round.
+            ((4, (1, 2, -1, 2, 3, 3, 1)), (4, (1, 2, -1, 2, 3, 3, 1)), 0),
+            # -1 meets the 1 near the end across the word's end (past a 3);
+            # the ten conjugations turn the eight letters left by one more.
+            ((4, (-1, 2, 1, 2, 1, 3, 2, 3, 1, 3)), (4, (1, 2, 1, 3, 2, 3, 3, 2)), 0),
+            # A top generator used once, of either sign, leaves with its strand.
+            ((4, (1, 2, 1, 2, 3)), (3, (1, 2, 1, 2)), 1),
+            ((4, (1, 2, 1, 2, -3)), (3, (1, 2, 1, 2)), -1),
+            # So does a bottom one, and the other indices move down.
+            ((4, (3, 2, 3, 2, 1)), (3, (2, 1, 2, 1)), 1),
+            ((4, (3, 2, 3, 2, -1)), (3, (2, 1, 2, 1)), -1),
+            # Generators used twice stay.
+            ((4, (1, 2, 1, 2, 3, 2, -3)), (4, (1, 2, 1, 2, 3, 2, -3)), 0),
+            ((4, (1, 2, -1, 3, 2, 3)), (4, (1, 2, -1, 3, 2, 3)), 0),
+            # sigma_4 and sigma_1 are unused: strands 5 and 1 are free loops;
+            # the bottom one moves to the top and the rest move down.
+            ((5, (2, 3, 2, 3)), (5, (1, 2, 1, 2)), 0),
+            # Every generator once: one strand left, four positive curls.
+            ((5, (1, 2, 3, 4)), (1, ()), 4),
+        ],
+    )
+    def test_hand_checked_rewrites(self, word, simplified, curl):
+        word = BraidWord(*word)
+        assert braidket.braid._simplify(word) == (BraidWord(*simplified), curl)
+        assert bracket_via_trace(word) == _trace_bracket(word)
+
+    @pytest.fixture
+    def folded(self, monkeypatch):
+        """The words ``_fold`` is called with, in order."""
+        words, fold = [], braidket.braid._fold
+
+        def spy(b, traced=False):
+            words.append(b)
+            return fold(b, traced)
+
+        monkeypatch.setattr(braidket.braid, "_fold", spy)
+        return words
+
+    def test_words_past_the_static_bound_reach_the_fold_as_given(self, folded):
+        # 2^20 live diagrams of 20 strands could trip MAX_TL_COST; these do not.
+        wide = BraidWord(20, (1, -1) * 10)
+        assert bracket_via_trace(wide) == DELTA**19
+        guarded = BraidWord(40, tuple(range(1, 40, 2)))
+        with pytest.raises(SizeLimitError, match="cost guard"):
+            bracket_via_trace(guarded)
+        # Within the bound the same letters cancel before the fold.
+        narrow = BraidWord(6, (1, -1) * 10)
+        assert bracket_via_trace(narrow) == DELTA**5
+        assert folded == [wide, guarded, BraidWord(6, ())]
+
+    def test_three_strand_words_reach_the_fold_as_given(self, folded):
+        word = BraidWord(3, (1, -1, 2))
+        assert bracket_via_trace(word) == LaurentPoly.monomial(3, -1) * DELTA
+        assert folded == [word]
 
 
 class TestClosureToDiagram:
