@@ -1,4 +1,5 @@
-"""Braid words, their Temperley-Lieb images, and bracket evaluation by trace.
+"""Braid words, their Temperley-Lieb images, and bracket evaluation by trace
+or by contraction of the closure.
 
 A braid word on n strands is a sequence of nonzero integers g with
 1 <= |g| <= n-1; positive g means the Artin generator sigma_|g|, negative its
@@ -24,6 +25,18 @@ so only when a bound on (n, L) alone proves that the given word passes both
 Words of at most 3 strands are traced as given: TL_3 has 5 diagrams, so the
 rewrite would cost more than it saves.  ``rho_tl`` and the other
 representations also take the word as given.
+
+``closure_bracket``, which serves braid input on the command line, picks
+the cheaper of two exact engines for each word.  Every cut of the fold
+carries 2n open ends, while a closure contracted crossing by crossing in the
+greedy order of ``diagram._contraction_steps`` may carry far fewer: the
+torus words (sigma_1 ... sigma_(n-1))^k close to T(n, k) = T(k, n).  So
+after ``_simplify`` the closure of the shortened word is contracted, its
+curl a sign and a shift, when its widest cut has at most as many open ends
+as the word has strands and it has at most ``MAX_CROSSINGS`` crossings and
+free loops, the contraction's guards.  Otherwise, and for the words
+``bracket_via_trace`` traces as given, the word is traced as
+``bracket_via_trace`` traces it, which stays a pure trace.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .diagram import Crossing, LinkDiagram
+from .diagram import MAX_CROSSINGS, Crossing, LinkDiagram, _contract, _contraction_steps
 from .errors import ParseError, SizeLimitError
 from .laurent import (
     DELTA,
@@ -50,6 +63,7 @@ __all__ = [
     "exponent_sum",
     "rho_tl",
     "bracket_via_trace",
+    "closure_bracket",
     "closure_to_diagram",
 ]
 
@@ -222,6 +236,21 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     return _trace_bracket(b)
 
 
+def closure_bracket(b: BraidWord) -> tuple[LaurentPoly, str]:
+    """Bracket polynomial of the standard closure and the engine that made
+    it: "contracted" or "trace" (module docstring)."""
+    if b.strands <= 3 or not _within_guards(b.strands, len(b.letters)):
+        return _trace_bracket(b), "trace"
+    w, curl = _simplify(b)
+    if len(w.letters) <= MAX_CROSSINGS:
+        slots, free_loops = _closure(w)
+        if free_loops <= MAX_CROSSINGS:
+            steps = _contraction_steps(slots)
+            if max((len(frontier) for _, frontier in steps), default=0) <= w.strands:
+                return _contract(steps, free_loops, curl), "contracted"
+    return _trace_bracket(w, curl), "trace"
+
+
 def _within_guards(n: int, length: int) -> bool:
     """Whether every word of ``length`` letters on ``n`` strands passes both
     MAX_TL_COST checks: each at the proven width L+n+2, the fold's with at
@@ -327,28 +356,34 @@ def closure_to_diagram(b: BraidWord) -> LinkDiagram:
     slots 0-1 and 2-3, these choices make the state sum of the closure agree
     with the Markov-trace bracket.
     """
+    slots, free_loops = _closure(b)
+    crossings = tuple(Crossing(s, 1 if g > 0 else -1) for s, g in zip(slots, b.letters))
+    return LinkDiagram(crossings, free_loops)
+
+
+def _closure(b: BraidWord) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
+    """The slots of each crossing of ``closure_to_diagram(b)`` and its free
+    loops, without the diagram's checks: the closure is planar by
+    construction."""
     n = b.strands
     current = list(range(n))
     next_label = n
-    raw: list[tuple[tuple[int, int, int, int], int]] = []
+    raw: list[tuple[int, int, int, int]] = []
     for g in b.letters:
         i = abs(g)
         left_in, right_in = current[i - 1], current[i]
         left_out, right_out = next_label, next_label + 1
         next_label += 2
         if g > 0:
-            slots = (left_in, left_out, right_out, right_in)
+            raw.append((left_in, left_out, right_out, right_in))
         else:
-            slots = (right_in, left_in, left_out, right_out)
-        raw.append((slots, 1 if g > 0 else -1))
+            raw.append((right_in, left_in, left_out, right_out))
         current[i - 1], current[i] = left_out, right_out
 
     # Close up: the final arc at each strand position is the initial one.
     # current[k] is k or a label that occurs nowhere else, so renaming it
     # to k joins the two.
     closing = {current[k]: k for k in range(n)}
-    crossings = tuple(
-        Crossing(tuple(closing.get(s, s) for s in slots), sign) for slots, sign in raw
-    )
+    slots = tuple(tuple(closing.get(s, s) for s in crossing) for crossing in raw)
     free_loops = sum(1 for k in range(n) if current[k] == k)
-    return LinkDiagram(crossings, free_loops)
+    return slots, free_loops

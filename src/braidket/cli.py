@@ -19,7 +19,7 @@ import sys
 from functools import lru_cache
 
 from . import qsim, unitary3, verify
-from .braid import _parse_tokens, bracket_via_trace, closure_to_diagram, exponent_sum, parse_braid
+from .braid import _parse_tokens, closure_bracket, closure_to_diagram, exponent_sum, parse_braid
 from .diagram import (
     LinkDiagram,
     bracket_by_contraction,
@@ -117,9 +117,9 @@ def _bracket_and_writhe(args) -> tuple[LaurentPoly, int]:
     if args.strands is None:
         raise ParseError("--word requires --strands")
     word = parse_braid(args.word, args.strands)
-    bracket = bracket_via_trace(word)
+    bracket, engine = closure_bracket(word)
     if args.check:
-        _check_state_sum(closure_to_diagram(word), bracket, "trace")
+        _check_state_sum(closure_to_diagram(word), bracket, engine)
     return bracket, exponent_sum(word)
 
 

@@ -194,25 +194,55 @@ def bracket_state_sum(diagram: LinkDiagram) -> LaurentPoly:
 
 
 def _contraction_steps(
-    crossings: tuple[Crossing, ...],
-) -> list[tuple[Crossing, tuple[int, ...]]]:
-    """Crossings in contraction order, each with the sorted open arc labels
-    (met once so far) after it.  Each next crossing shares the most labels
-    with the open ones, ties going to the lowest index."""
-    remaining = list(range(len(crossings)))
+    crossings: tuple[tuple[int, int, int, int], ...],
+) -> list[tuple[tuple[int, int, int, int], tuple[int, ...]]]:
+    """Crossings' slots in contraction order, each with the sorted open arc
+    labels (met once so far) after it.  Each next crossing shares the most
+    labels with the open ones, ties going to the lowest index.
+
+    ``shared[i]`` counts the open labels of crossing i; a label opens at one
+    end of its arc and raises the count of the crossing at the other end,
+    and once that crossing is contracted the count no longer matters.
+    """
+    holders: dict[int, list[int]] = {}
+    for i, slots in enumerate(crossings):
+        for s in slots:
+            holders.setdefault(s, []).append(i)
+    shared = [0] * len(crossings)
     frontier: set[int] = set()
     steps = []
-    while remaining:
-        best = max(remaining, key=lambda i: (len(frontier.intersection(crossings[i].slots)), -i))
-        remaining.remove(best)
-        for s in crossings[best].slots:
-            frontier ^= {s}
-        steps.append((crossings[best], tuple(sorted(frontier))))
+    for _ in crossings:
+        best = shared.index(max(shared))
+        shared[best] = -1
+        slots = crossings[best]
+        for s in slots:
+            if s in frontier:
+                frontier.remove(s)
+            else:
+                frontier.add(s)
+                for i in holders[s]:
+                    if i != best:
+                        shared[i] += 1
+        steps.append((slots, tuple(sorted(frontier))))
     return steps
 
 
 def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
-    """Bracket polynomial by contracting the state sum one crossing at a time.
+    """Bracket polynomial by contracting the state sum one crossing at a time
+    (``_contract``)."""
+    if diagram.is_empty:
+        raise ValueError("the empty diagram has no bracket")
+    _check_size(diagram, MAX_CROSSINGS)
+    slots = tuple(c.slots for c in diagram.crossings)
+    return _contract(_contraction_steps(slots), diagram.free_loops)
+
+
+def _contract(
+    steps: list[tuple[tuple[int, ...], tuple[int, ...]]], free_loops: int, curl: int = 0
+) -> LaurentPoly:
+    """(-A^3)^curl times the bracket of the diagram whose crossings' slots
+    come in the order of ``steps`` (``_contraction_steps``), with
+    ``free_loops`` more loops.
 
     After some crossings are smoothed, the open arc ends (labels met once so
     far) are paired by the paths through them; partial states with the same
@@ -226,16 +256,13 @@ def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
     exponent turns negative.  Each smoothing choice and each loop at most
     doubles the sum of the coefficients' absolute values, as do the k free
     loops of the start value (B delta)^k, so 3N + k + 2 bits hold every digit.
+    The curl is a sign and a shift of the lowest exponent.
     """
-    if diagram.is_empty:
-        raise ValueError("the empty diagram has no bracket")
-    _check_size(diagram, MAX_CROSSINGS)
-    n, k = len(diagram.crossings), diagram.free_loops
+    n, k = len(steps), free_loops
     bits = 3 * n + k + 2
     frontier: tuple[int, ...] = ()
     entries = {(): _times_delta(1 << bits, bits) ** k}
-    for crossing, next_frontier in _contraction_steps(diagram.crossings):
-        s0, s1, s2, s3 = crossing.slots
+    for (s0, s1, s2, s3), next_frontier in steps:
         smoothings = ((((s0, s1), (s2, s3)), 3 * bits), (((s0, s3), (s1, s2)), 2 * bits))
         merged: dict[tuple[int, ...], int] = {}
         for key, packed in entries.items():
@@ -255,7 +282,9 @@ def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
                 merged[pairing] = merged.get(pairing, 0) + value
         entries, frontier = merged, next_frontier
     (packed,) = entries.values()
-    return _unpack(packed, bits, -5 * n - 2 * k).divexact(DELTA)
+    if curl % 2:
+        packed = -packed
+    return _unpack(packed, bits, 3 * curl - 5 * n - 2 * k).divexact(DELTA)
 
 
 def writhe(diagram: LinkDiagram) -> int:

@@ -25,7 +25,7 @@ from braidket import (
     parse_braid,
     rho_tl,
 )
-from braidket.braid import _trace_bracket
+from braidket.braid import _trace_bracket, closure_bracket
 from braidket.errors import ParseError, SizeLimitError
 from braidket.laurent import _ones, _room, _times_delta, _unpack, _widen
 from braidket.matrixrep import exact_factor
@@ -442,6 +442,81 @@ class TestSimplify:
         word = BraidWord(3, (1, -1, 2))
         assert bracket_via_trace(word) == LaurentPoly.monomial(3, -1) * DELTA
         assert folded == [word]
+
+
+def torus_word(strands: int, times: int) -> BraidWord:
+    """(sigma_1 ... sigma_(n-1))^k, whose closure is the torus link T(n, k)."""
+    return BraidWord(strands, tuple(range(1, strands)) * times)
+
+
+@st.composite
+def torus_words(draw):
+    n = draw(st.integers(2, 9))
+    return torus_word(n, draw(st.integers(0, 30 // (n - 1))))
+
+
+class TestClosureBracket:
+    """closure_bracket contracts the closure of the simplified word when its
+    greedy sweep is no wider than the word's strands, and traces it else."""
+
+    @given(st.one_of(braid_words(min_strands=1, max_strands=9, max_length=30), torus_words()))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_equals_both_traces(self, word):
+        bracket, engine = closure_bracket(word)
+        assert engine in ("trace", "contracted")
+        assert bracket == bracket_via_trace(word) == _trace_bracket(word)
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """The words ``_fold`` and the closures ``_closure`` are called with,
+        and the calls of ``_contract``, in order."""
+        calls = {"_fold": [], "_closure": [], "_contract": []}
+        for name, record in calls.items():
+            original = getattr(braidket.braid, name)
+
+            def spy(b, *args, original=original, record=record, **kwargs):
+                record.append(b)
+                return original(b, *args, **kwargs)
+
+            monkeypatch.setattr(braidket.braid, name, spy)
+        return calls
+
+    def test_narrow_torus_closure_is_contracted(self, engines):
+        # T(9, 3) = T(3, 9): the greedy sweep of its 24 crossings keeps at
+        # most 6 ends open, where the TL_9 fold carries 3,281 diagrams.
+        word = torus_word(9, 3)
+        bracket, engine = closure_bracket(word)
+        assert (bracket, engine) == (_trace_bracket(word), "contracted")
+        assert engines["_closure"] == [word]
+        assert len(engines["_contract"]) == 1 and engines["_fold"] == [word]
+
+    def test_closure_wider_than_its_strands_is_traced(self, engines):
+        # The greedy sweep of (sigma_1 ... sigma_5)^4 keeps 8 ends open.
+        word = torus_word(6, 4)
+        steps = braidket.braid._contraction_steps(braidket.braid._closure(word)[0])
+        assert max(len(frontier) for _, frontier in steps) == 8
+        assert closure_bracket(word) == (bracket_via_trace(word), "trace")
+        assert engines["_closure"] == [word, word]
+        assert engines["_contract"] == [] and engines["_fold"] == [word, word]
+
+    @pytest.mark.parametrize("word", [torus_word(3, 10), BraidWord(3, (1, -2, 1, 2)), BraidWord(2, (1,) * 5)])
+    def test_three_strand_words_build_no_closure(self, engines, word):
+        assert closure_bracket(word) == (_trace_bracket(word), "trace")
+        assert engines == {"_fold": [word, word], "_closure": [], "_contract": []}
+
+    @pytest.mark.parametrize(
+        "word, simplified, closures",
+        [
+            # 32 of its 34 strands are free loops, past the 28-loop guard.
+            (BraidWord(35, (1, 2, 1)), BraidWord(34, (1, 1)), 1),
+            # 30 letters, past the 28-crossing guard, so no closure is built.
+            (torus_word(7, 5), torus_word(7, 5), 0),
+        ],
+    )
+    def test_words_past_a_contraction_guard_are_traced(self, engines, word, simplified, closures):
+        assert closure_bracket(word) == (_trace_bracket(word), "trace")
+        assert engines["_closure"] == [simplified] * closures and engines["_contract"] == []
+        assert engines["_fold"] == [simplified, word]
 
 
 class TestClosureToDiagram:

@@ -28,6 +28,7 @@ from braidket import (
     sample_shots,
     unitary_generators,
 )
+from braidket.braid import _trace_bracket
 from braidket.cli import main
 from braidket.errors import InvariantError, ParseError
 from braidket.tl import diagram_table
@@ -245,10 +246,41 @@ class TestBracketCommand:
         def broken(word):
             raise InvariantError("planted internal check failure")
 
-        monkeypatch.setattr(braidket.cli, "bracket_via_trace", broken)
+        monkeypatch.setattr(braidket.cli, "closure_bracket", broken)
         code, out, err = run_cli(capsys, ["bracket", "--strands", "2", "--word", "1 1 1"])
         assert (code, out) == (3, "")
         assert "internal check failed" in err
+
+    @pytest.mark.parametrize(
+        "strands, word, engine, patched",
+        [
+            (3, "1 -2 1", "trace", "_trace_bracket"),
+            # The closure of (sigma_1 ... sigma_4)^2 sweeps at most 4 open ends.
+            (5, "1 2 3 4 1 2 3 4", "contracted", "_contract"),
+        ],
+    )
+    def test_check_mismatch_names_the_engine(self, capsys, monkeypatch, strands, word, engine, patched):
+        assert braidket.braid.closure_bracket(parse_braid(word, strands))[1] == engine
+        monkeypatch.setattr(braidket.braid, patched, lambda *args: DELTA)
+        argv = ["bracket", "--strands", str(strands), "--word", word]
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out) == (0, f"{DELTA}\n")
+        code, out, err = run_cli(capsys, argv + ["--check"])
+        assert (code, out) == (3, "")
+        assert f"disagrees with {engine} bracket {DELTA}" in err
+
+    @pytest.mark.parametrize(
+        "strands, word",
+        [
+            # 32 free loops after _simplify, past the contraction's 28-loop guard.
+            (35, "1 2 1"),
+            # 30 letters after _simplify, past its 28-crossing guard.
+            (7, " ".join(["1 2 3 4 5 6"] * 5)),
+        ],
+    )
+    def test_words_past_a_contraction_guard_print_the_trace(self, capsys, strands, word):
+        code, out, err = run_cli(capsys, ["bracket", "--strands", str(strands), "--word", word])
+        assert (code, out, err) == (0, f"{_trace_bracket(parse_braid(word, strands))}\n", "")
 
     def test_check_on_pd_input_stops_at_the_oracle_guard(self, capsys, tmp_path):
         # 20 crossings are well within the contraction but past the
@@ -296,7 +328,11 @@ class TestBracketCommand:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, ["bracket", "--strands", "40", "--word", word])
         assert time.perf_counter() - start < 5
-        assert (code, out) == (2, "") and "cost guard" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: TL product of 20 letters on 40 strands exceeds the 5000000 cost guard "
+            "at 32768 live diagrams\n"
+        )
         table = diagram_table(40)
         assert table.pairings == [table.pairings[table.identity]]
 
@@ -314,7 +350,11 @@ class TestBracketCommand:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, [verb, "--strands", "4000", "--word", ""])
         assert time.perf_counter() - start < 1
-        assert (code, out) == (2, "") and "cost guard" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: trace of 0 letters on 4000 strands exceeds the 5000000 cost guard "
+            "at 4002-bit digits\n"
+        )
 
     def test_huge_empty_word_exits_before_building_a_table(self, capsys, monkeypatch):
         # A table of 10^9 strands would take gigabytes; fail rather than build it.

@@ -30,7 +30,12 @@ from braidket import (
     writhe,
 )
 from braidket._uf import DisjointSet
-from braidket.diagram import MAX_CROSSINGS, MAX_STATE_SUM_CROSSINGS, normalize_bracket
+from braidket.diagram import (
+    MAX_CROSSINGS,
+    MAX_STATE_SUM_CROSSINGS,
+    _contraction_steps,
+    normalize_bracket,
+)
 from braidket.errors import ParseError, SizeLimitError
 from conftest import braid_words, random_words
 
@@ -124,6 +129,21 @@ def moved_closures(draw):
     crossings = draw(st.permutations(diagram.crossings))
     crossings = tuple(Crossing(tuple(new[s] for s in c.slots), c.sign) for c in crossings)
     return LinkDiagram(crossings, diagram.free_loops + draw(st.integers(0, 2)))
+
+
+def contraction_steps_oracle(crossings):
+    """The greedy contraction order by set intersections: each next crossing
+    shares the most labels with the open ones, ties going to the lowest index."""
+    remaining = list(range(len(crossings)))
+    frontier: set[int] = set()
+    steps = []
+    while remaining:
+        best = max(remaining, key=lambda i: (len(frontier.intersection(crossings[i])), -i))
+        remaining.remove(best)
+        for s in crossings[best]:
+            frontier ^= {s}
+        steps.append((crossings[best], tuple(sorted(frontier))))
+    return steps
 
 
 class TestDiagramValidation:
@@ -327,6 +347,28 @@ class TestBracketByContraction:
         elapsed = time.perf_counter() - start
         assert bracket == bracket_via_trace(word)
         assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+class TestContractionSteps:
+    """The counted greedy order equals the set-intersection oracle, ties included."""
+
+    def test_seeded_closures_and_shuffled_codes(self):
+        rng = random.Random(28)
+        for word in random_words(28, 150, max_strands=9, max_length=MAX_CROSSINGS):
+            crossings = [c.slots for c in closure_to_diagram(word).crossings]
+            shuffled = rng.sample(crossings, len(crossings))
+            labels = sorted({s for slots in crossings for s in slots})
+            new = dict(zip(labels, rng.sample(range(3 * len(labels) + 1), len(labels))))
+            relabeled = [tuple(new[s] for s in slots) for slots in shuffled]
+            for code in (crossings, shuffled, relabeled):
+                code = tuple(code)
+                assert _contraction_steps(code) == contraction_steps_oracle(code)
+
+    @given(moved_closures())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_curled_mirrored_and_shuffled_codes(self, diagram):
+        code = tuple(c.slots for c in diagram.crossings)
+        assert _contraction_steps(code) == contraction_steps_oracle(code)
 
 
 class TestWrithe:
