@@ -14,29 +14,27 @@ delta * <closure(b)>, and the division by delta is performed exactly, so the
 identity itself acts as a runtime check.
 
 The trace is invariant under the braid relations and Markov's moves, so
-``bracket_via_trace`` first rewrites a word of 4 or more strands to a shorter
-one on no more strands (``_simplify``), applying until none fires: far
-cancellation (sigma_i^e meets a later sigma_i^-e across letters j with
-|j - i| >= 2, which commute with it), the same across the word's end
-(conjugation), and destabilization of a top or bottom generator used once,
-which deletes that letter and its strand and leaves a curl -A^(+-3).  It does
-so only when a bound on (n, L) alone proves that the given word passes both
-``MAX_TL_COST`` checks, so every word the guards stop reaches them as given.
-Words of at most 3 strands are traced as given: TL_3 has 5 diagrams, so the
-rewrite would cost more than it saves.  ``rho_tl`` and the other
-representations also take the word as given.
+``closure_bracket``, which serves braid input on the command line, first
+rewrites a word of 4 or more strands to a shorter one on no more strands
+(``_simplify``), applying until none fires: far cancellation (sigma_i^e meets
+a later sigma_i^-e across letters j with |j - i| >= 2, which commute with
+it), the same across the word's end (conjugation), and destabilization of a
+top or bottom generator used once, which deletes that letter and its strand
+and leaves a curl -A^(+-3).  It does so only when a bound on (n, L) alone
+proves that the given word passes both ``MAX_TL_COST`` checks, so every word
+the guards stop reaches them as given.  Words of at most 3 strands are
+traced as given: TL_3 has 5 diagrams, so the rewrite would cost more than it
+saves.  ``bracket_via_trace``, ``rho_tl`` and the other representations take
+the word as given, so the tests check the rewrite against them.
 
-``closure_bracket``, which serves braid input on the command line, picks
-the cheaper of two exact engines for each word.  Every cut of the fold
-carries 2n open ends, while a closure contracted crossing by crossing in the
-greedy order of ``diagram._contraction_steps`` may carry far fewer: the
-torus words (sigma_1 ... sigma_(n-1))^k close to T(n, k) = T(k, n).  So
-after ``_simplify`` the closure of the shortened word is contracted, its
-curl a sign and a shift, when its widest cut has at most as many open ends
-as the word has strands and it has at most ``MAX_CROSSINGS`` crossings and
-free loops, the contraction's guards.  Otherwise, and for the words
-``bracket_via_trace`` traces as given, the word is traced as
-``bracket_via_trace`` traces it, which stays a pure trace.
+Then ``closure_bracket`` picks the cheaper of two exact engines for the
+shortened word.  Every cut of the fold carries 2n open ends, while a closure
+contracted crossing by crossing in the greedy order of
+``diagram._contraction_steps`` may carry far fewer: the torus words
+(sigma_1 ... sigma_(n-1))^k close to T(n, k) = T(k, n).  So the closure is
+contracted when it passes the contraction's size guards and its widest cut
+has at most as many open ends as the word has strands; otherwise the word is
+traced.  The curl multiplies either engine's bracket.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .diagram import MAX_CROSSINGS, Crossing, LinkDiagram, _contract, _contraction_steps
+from .diagram import Crossing, LinkDiagram, _contract, _contraction_steps, _oversize, writhe_factor
 from .errors import ParseError, SizeLimitError
 from .laurent import (
     DELTA,
@@ -131,19 +129,18 @@ def exponent_sum(b: BraidWord) -> int:
     return sum(1 if g > 0 else -1 for g in b.letters)
 
 
-def _fold(b: BraidWord, traced: bool = False):
+def _fold(b: BraidWord):
     """A^(3L) rho(b) for the L letters of b, packed: ``(table, state, bits)``.
 
     ``state`` maps ids of the diagram table of TL_n to coefficients in the
     packed form of ``laurent`` (polynomials in B = A^2 at B = 2^bits);
-    diagrams whose coefficient cancels to 0 are dropped.  A ``traced`` fold,
-    one that ``bracket_via_trace`` will trace, checks the trace's cost first.
-    Each letter at most doubles the sum of the coefficients' absolute values:
-    d·U_i is either another diagram, or delta d when d caps the points U_i
-    caps, where d's two terms combine to (A + A^-1 delta) d = -A^-3 d.  So
-    the state sums to at most 2^L, and the trace of ``bracket_via_trace``,
-    which multiplies by delta^m for m <= n, to at most 2^n 2^L: L + n + 2
-    bits are always enough.  Real coefficients are often far smaller (those
+    diagrams whose coefficient cancels to 0 are dropped.  Each letter at
+    most doubles the sum of the coefficients' absolute values: d·U_i is
+    either another diagram, or delta d when d caps the points U_i caps,
+    where d's two terms combine to (A + A^-1 delta) d = -A^-3 d.  So the
+    state sums to at most 2^L, and the trace of ``bracket_via_trace``, which
+    multiplies by delta^m for m <= n, to at most 2^n 2^L: L + n + 2 bits are
+    always enough.  Real coefficients are often far smaller (those
     of 2-strand words grow linearly), so for a word of more than about 64
     letters a narrower width is tried first and checked as the fold goes
     (``_room``); when it runs out of room, the state, exact until then, is
@@ -151,12 +148,7 @@ def _fold(b: BraidWord, traced: bool = False):
     """
     n, length = b.strands, len(b.letters)
     window = 3 * length + 1
-    proven = length + n + 2
-    bits = min(proven, n + _TRIAL_BITS)
-    if traced:
-        # The trace's width is never below this first one, so a word too wide
-        # to trace stops here, before TL_n's table is built.
-        _check_trace_cost(b, bits)
+    bits, proven = _widths(n, length)
     table = diagram_table(n)
     state, safe = {table.identity: 1}, 0
     try:
@@ -198,6 +190,11 @@ def _fold(b: BraidWord, traced: bool = False):
     return table, state, bits
 
 
+def _widths(n: int, length: int) -> tuple[int, int]:
+    """The fold's first digit width and its proven one, L + n + 2."""
+    return min(length + n + 2, n + _TRIAL_BITS), length + n + 2
+
+
 def _fold_cost(live: int, n: int, bits: int, window: int) -> int:
     """The fold's cost before a letter (``MAX_TL_COST``)."""
     return 2 * live * (2 * n + bits * window // 64)
@@ -228,27 +225,19 @@ def rho_tl(b: BraidWord) -> TLElement:
     return TLElement(n, combo)
 
 
-def bracket_via_trace(b: BraidWord) -> LaurentPoly:
-    """Bracket polynomial of the standard closure, via the Markov trace of
-    the word as ``_simplify`` shortens it (module docstring)."""
-    if b.strands > 3 and _within_guards(b.strands, len(b.letters)):
-        return _trace_bracket(*_simplify(b))
-    return _trace_bracket(b)
-
-
 def closure_bracket(b: BraidWord) -> tuple[LaurentPoly, str]:
     """Bracket polynomial of the standard closure and the engine that made
     it: "contracted" or "trace" (module docstring)."""
     if b.strands <= 3 or not _within_guards(b.strands, len(b.letters)):
-        return _trace_bracket(b), "trace"
+        return bracket_via_trace(b), "trace"
     w, curl = _simplify(b)
-    if len(w.letters) <= MAX_CROSSINGS:
-        slots, free_loops = _closure(w)
-        if free_loops <= MAX_CROSSINGS:
-            steps = _contraction_steps(slots)
-            if max((len(frontier) for _, frontier in steps), default=0) <= w.strands:
-                return _contract(steps, free_loops, curl), "contracted"
-    return _trace_bracket(w, curl), "trace"
+    slots, free_loops = _closure(w)
+    steps = None if _oversize(len(slots), free_loops) else _contraction_steps(slots)
+    if steps is not None and max((len(frontier) for _, frontier in steps), default=0) <= w.strands:
+        bracket, engine = _contract(steps, free_loops), "contracted"
+    else:
+        bracket, engine = bracket_via_trace(w), "trace"
+    return writhe_factor(-curl) * bracket, engine
 
 
 def _within_guards(n: int, length: int) -> bool:
@@ -256,7 +245,7 @@ def _within_guards(n: int, length: int) -> bool:
     MAX_TL_COST checks: each at the proven width L+n+2, the fold's with at
     most min(2^L, Catalan(n)) live diagrams.  The trace's is tested first,
     so a huge n forms no Catalan number."""
-    bits = length + n + 2
+    bits = _widths(n, length)[1]
     if _trace_cost(n, length, bits) > MAX_TL_COST:
         return False
     live = min(1 << length, comb(2 * n, n) // (n + 1))
@@ -317,15 +306,18 @@ def _push(stack: list[int], g: int, floor: int = 0) -> None:
     stack.append(g)
 
 
-def _trace_bracket(b: BraidWord, curl: int = 0) -> LaurentPoly:
-    """(-A^3)^curl times the bracket of b's closure, from the Markov trace of
+def bracket_via_trace(b: BraidWord) -> LaurentPoly:
+    """Bracket polynomial of the standard closure, from the Markov trace of
     b's letters as given.
 
     TR(rho(b)) is always divisible by delta; the quotient is the bracket.
     A remainder signals a bug.
     """
     n = b.strands
-    table, state, bits = _fold(b, traced=True)
+    # The trace's width is never below the fold's first one, so a word too
+    # wide to trace stops here, before TL_n's table is built.
+    _check_trace_cost(b, _widths(n, len(b.letters))[0])
+    table, state, bits = _fold(b)
     # TR = sum over m of S_m delta^m, S_m the sum of the coefficients of the
     # diagrams whose closure has m loops.  With delta = -B^-1 (B^2 + 1),
     # Horner's rule gives B^n TR in packed form: each step multiplies by
@@ -337,10 +329,7 @@ def _trace_bracket(b: BraidWord, curl: int = 0) -> LaurentPoly:
     packed = 0
     for m in range(n, -1, -1):
         packed = (by_loops[m] << (n - m) * bits) + _times_delta(packed << bits, bits)
-    # (-A^3)^curl is a sign and a shift of the lowest exponent.
-    if curl % 2:
-        packed = -packed
-    trace = _unpack(packed, bits, 3 * curl - 3 * len(b.letters) - 2 * n)
+    trace = _unpack(packed, bits, -3 * len(b.letters) - 2 * n)
     return trace.divexact(DELTA)
 
 

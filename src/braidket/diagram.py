@@ -131,15 +131,16 @@ class StateSummary:
     loops: int
 
 
-def _check_size(diagram: LinkDiagram, max_crossings: int) -> None:
-    n = len(diagram.crossings)
-    if n > max_crossings:
-        raise SizeLimitError(f"{n} crossings exceeds the {max_crossings}-crossing guard")
+def _oversize(crossings: int, free_loops: int, max_crossings: int = MAX_CROSSINGS) -> str | None:
+    """The message of the first size guard a diagram of ``crossings``
+    crossings and ``free_loops`` free loops trips, or None if it passes them;
+    the contraction's guards unless ``max_crossings`` says otherwise."""
+    if crossings > max_crossings:
+        return f"{crossings} crossings exceeds the {max_crossings}-crossing guard"
     # Free loops add no states, but each is one more factor delta in every term.
-    if diagram.free_loops > MAX_CROSSINGS:
-        raise SizeLimitError(
-            f"{diagram.free_loops} free loops exceeds the {MAX_CROSSINGS}-loop guard"
-        )
+    if free_loops > MAX_CROSSINGS:
+        return f"{free_loops} free loops exceeds the {MAX_CROSSINGS}-loop guard"
+    return None
 
 
 def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
@@ -150,8 +151,9 @@ def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
     B-smooths c (s0-s3, s1-s2); its loops are those of that pairing glued
     to the arcs, which pair each position with the other end of its arc.
     """
-    _check_size(diagram, MAX_STATE_SUM_CROSSINGS)
     n = len(diagram.crossings)
+    if (error := _oversize(n, diagram.free_loops, MAX_STATE_SUM_CROSSINGS)) is not None:
+        raise SizeLimitError(error)
     arcs = _other_ends(diagram.crossings)
     states = []
     for mask in range(1 << n):
@@ -232,17 +234,16 @@ def bracket_by_contraction(diagram: LinkDiagram) -> LaurentPoly:
     (``_contract``)."""
     if diagram.is_empty:
         raise ValueError("the empty diagram has no bracket")
-    _check_size(diagram, MAX_CROSSINGS)
+    if (error := _oversize(len(diagram.crossings), diagram.free_loops)) is not None:
+        raise SizeLimitError(error)
     slots = tuple(c.slots for c in diagram.crossings)
     return _contract(_contraction_steps(slots), diagram.free_loops)
 
 
-def _contract(
-    steps: list[tuple[tuple[int, ...], tuple[int, ...]]], free_loops: int, curl: int = 0
-) -> LaurentPoly:
-    """(-A^3)^curl times the bracket of the diagram whose crossings' slots
-    come in the order of ``steps`` (``_contraction_steps``), with
-    ``free_loops`` more loops.
+def _contract(steps: list[tuple[tuple[int, ...], tuple[int, ...]]], free_loops: int) -> LaurentPoly:
+    """Bracket polynomial of the diagram whose crossings' slots come in the
+    order of ``steps`` (``_contraction_steps``), with ``free_loops`` more
+    loops.
 
     After some crossings are smoothed, the open arc ends (labels met once so
     far) are paired by the paths through them; partial states with the same
@@ -256,7 +257,6 @@ def _contract(
     exponent turns negative.  Each smoothing choice and each loop at most
     doubles the sum of the coefficients' absolute values, as do the k free
     loops of the start value (B delta)^k, so 3N + k + 2 bits hold every digit.
-    The curl is a sign and a shift of the lowest exponent.
     """
     n, k = len(steps), free_loops
     bits = 3 * n + k + 2
@@ -282,9 +282,7 @@ def _contract(
                 merged[pairing] = merged.get(pairing, 0) + value
         entries, frontier = merged, next_frontier
     (packed,) = entries.values()
-    if curl % 2:
-        packed = -packed
-    return _unpack(packed, bits, 3 * curl - 5 * n - 2 * k).divexact(DELTA)
+    return _unpack(packed, bits, -5 * n - 2 * k).divexact(DELTA)
 
 
 def writhe(diagram: LinkDiagram) -> int:

@@ -168,11 +168,15 @@ def elementary_tensors() -> ElementaryTensors:
     return ElementaryTensors(SymbolicMatrix(2, _M.entries), eta, r)
 
 
+def _check_tensor_strands(n: int) -> None:
+    if n > MAX_TENSOR_STRANDS:
+        raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
+
+
 def u_tensor(n: int, i: int) -> SymbolicMatrix:
     """TL generator U_i on (C^2)^(tensor n): the image of its diagram, so
     identities with one cup-over-cap block U^{ab}_{cd} = M^{ab} M_{cd}."""
-    if n > MAX_TENSOR_STRANDS:
-        raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
+    _check_tensor_strands(n)
     if n < 2 or not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} invalid for {n} strands")
     return _diagram_tensor_image(generator_diagram(n, i))
@@ -188,8 +192,7 @@ def _tensor_factor(n: int, g: int) -> SymbolicMatrix:
 
 def rho_matrix(b: BraidWord) -> SymbolicMatrix:
     """Tensor image of a braid word: per-letter factors A*I + A^-1*U_i."""
-    if b.strands > MAX_TENSOR_STRANDS:
-        raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
+    _check_tensor_strands(b.strands)
     if len(b.letters) > MAX_TENSOR_WORD:
         raise SizeLimitError(f"tensor word length guarded to {MAX_TENSOR_WORD}")
     factors = (_tensor_factor(b.strands, g) for g in b.letters)
@@ -263,7 +266,6 @@ def _diagram_tensor_image(diagram: TLDiagram) -> SymbolicMatrix:
 
 def tl_tensor_image(element: TLElement) -> SymbolicMatrix:
     """Tensor image of a TL element (linear extension over its diagrams)."""
-    if element.n > MAX_TENSOR_STRANDS:
-        raise SizeLimitError(f"tensor representation guarded to {MAX_TENSOR_STRANDS} strands")
+    _check_tensor_strands(element.n)
     images = (_diagram_tensor_image(d).scale(coeff) for d, coeff in element.combo.items())
     return sum(images, SymbolicMatrix.zeros(2**element.n))

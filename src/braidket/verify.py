@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import BraidWord, bracket_via_trace, closure_to_diagram, rho_tl
+from .braid import BraidWord, bracket_via_trace, closure_bracket, closure_to_diagram, rho_tl
 from .diagram import bracket_by_contraction, bracket_state_sum
 from .errors import SizeLimitError
 from .laurent import DELTA
@@ -161,11 +161,13 @@ def random_braid(rng: random.Random, max_strands: int, max_length: int) -> Braid
 
 
 def suite_cross_representation(n: int) -> SuiteResult:
-    """State sum, contraction, Markov and tensor traces agree on 20 random closures."""
+    """State sum, contraction, router, Markov and tensor traces agree on 20 random closures."""
     rng = random.Random(11)
     for _ in range(20):
         word = random_braid(rng, max_strands=min(n, 4), max_length=6)
         via_trace = bracket_via_trace(word)
+        if closure_bracket(word)[0] != via_trace:
+            return SuiteResult("cross-representation", False, f"closure bracket mismatch: {word}")
         diagram = closure_to_diagram(word)
         if via_trace != bracket_state_sum(diagram):
             return SuiteResult("cross-representation", False, f"state sum mismatch: {word}")

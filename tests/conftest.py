@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from braidket import BraidWord, LaurentPoly, SymbolicMatrix
+from braidket import BraidWord, JonesPoly, LaurentPoly, SymbolicMatrix
 
 laurent_polys = st.dictionaries(
     st.integers(-20, 20), st.integers(-9, 9), max_size=6
@@ -52,6 +52,26 @@ I = GaussianInt(0, 1)
 #: The paper's cup/cap matrix M = [[0, iA], [-iA^-1, 0]]; the package
 #: computes with M' = M/i.
 M_I = SymbolicMatrix(2, {(0, 1): LaurentPoly.monomial(1, I), (1, 0): LaurentPoly.monomial(-1, -I)})
+
+
+def torus_knot_jones(p: int, q: int) -> JonesPoly:
+    """V(t) of the torus knot T(p, q), gcd(p, q) = 1, from the closed form
+    t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2) (Jones,
+    Ann. of Math. 126, 1987), in quarter exponents as ``JonesPoly`` keeps them.
+
+    The division is exact: the quotient's coefficient at t^k is the
+    numerator's plus the quotient's at t^(k-2), and the two left over at
+    t^(p+q-1) and t^(p+q) must vanish.
+    """
+    numerator = [0] * (p + q + 1)
+    for k, c in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
+        numerator[k] += c
+    quotient: list[int] = []
+    for k, c in enumerate(numerator):
+        quotient.append(c + (quotient[k - 2] if k >= 2 else 0))
+    assert quotient[-2:] == [0, 0], f"1 - t^2 does not divide the numerator of T({p}, {q})"
+    shift = (p - 1) * (q - 1) // 2
+    return JonesPoly({4 * (shift + k): c for k, c in enumerate(quotient) if c})
 
 
 @st.composite

@@ -1,6 +1,6 @@
 import functools
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +25,12 @@ from braidket import (
     parse_braid,
     rho_tl,
 )
-from braidket.braid import _trace_bracket, closure_bracket
+from braidket.braid import closure_bracket
 from braidket.errors import ParseError, SizeLimitError
 from braidket.laurent import _ones, _room, _times_delta, _unpack, _widen
 from braidket.matrixrep import exact_factor
-from conftest import braid_words, random_words
+from braidket.diagram import normalize_bracket, writhe_factor
+from conftest import braid_words, random_words, torus_knot_jones
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
 
@@ -349,32 +350,33 @@ class TestBracketViaTrace:
         assert all(type(c) is int for _, c in bracket_via_trace(word).terms())
 
     # The Markov moves are checked on the trace of the words as given:
-    # bracket_via_trace would rewrite both sides to the same word.
+    # closure_bracket would rewrite both sides to the same word.
     def test_markov_stabilization(self):
         for word in random_words(5, 25, max_strands=4, max_length=6):
             n = word.strands
-            base = _trace_bracket(word)
+            base = bracket_via_trace(word)
             up = BraidWord(n + 1, word.letters + (n,))
             down = BraidWord(n + 1, word.letters + (-n,))
-            assert _trace_bracket(up) == LaurentPoly.monomial(3, -1) * base
-            assert _trace_bracket(down) == LaurentPoly.monomial(-3, -1) * base
+            assert bracket_via_trace(up) == LaurentPoly.monomial(3, -1) * base
+            assert bracket_via_trace(down) == LaurentPoly.monomial(-3, -1) * base
 
     def test_conjugation_invariance(self, rng):
         for word in random_words(6, 20, max_strands=4, max_length=5):
             n = word.strands
             g = rng.choice([s * i for i in range(1, n) for s in (1, -1)])
             conjugated = BraidWord(n, (g,) + word.letters + (-g,))
-            assert _trace_bracket(conjugated) == _trace_bracket(word)
+            assert bracket_via_trace(conjugated) == bracket_via_trace(word)
 
 
 class TestSimplify:
-    """The braid and Markov moves bracket_via_trace applies before the trace."""
+    """The braid and Markov moves closure_bracket applies before either engine."""
 
     @given(braid_words(min_strands=1, max_strands=8, max_length=30))
     @settings(max_examples=150, deadline=None)
     def test_equals_the_trace_of_the_word_as_given(self, word):
-        bracket = bracket_via_trace(word)
-        assert bracket == _trace_bracket(word)
+        simplified, curl = braidket.braid._simplify(word)
+        bracket = writhe_factor(-curl) * bracket_via_trace(simplified)
+        assert bracket == bracket_via_trace(word)
         # The brute-force state sum takes about 1 s at 16 crossings, so it
         # checks the short words and the contracted one the rest.
         closure = closure_to_diagram(word)
@@ -412,36 +414,40 @@ class TestSimplify:
     def test_hand_checked_rewrites(self, word, simplified, curl):
         word = BraidWord(*word)
         assert braidket.braid._simplify(word) == (BraidWord(*simplified), curl)
-        assert bracket_via_trace(word) == _trace_bracket(word)
+        assert closure_bracket(word)[0] == bracket_via_trace(word)
 
     @pytest.fixture
-    def folded(self, monkeypatch):
-        """The words ``_fold`` is called with, in order."""
-        words, fold = [], braidket.braid._fold
+    def engines(self, monkeypatch):
+        """The calls of ``_fold`` and ``_contract``, each as its name and
+        arguments, in order."""
+        calls = []
+        for name in ("_fold", "_contract"):
+            original = getattr(braidket.braid, name)
 
-        def spy(b, traced=False):
-            words.append(b)
-            return fold(b, traced)
+            def spy(*args, original=original, name=name):
+                calls.append((name, *args))
+                return original(*args)
 
-        monkeypatch.setattr(braidket.braid, "_fold", spy)
-        return words
+            monkeypatch.setattr(braidket.braid, name, spy)
+        return calls
 
-    def test_words_past_the_static_bound_reach_the_fold_as_given(self, folded):
+    def test_words_past_the_static_bound_reach_the_fold_as_given(self, engines):
         # 2^20 live diagrams of 20 strands could trip MAX_TL_COST; these do not.
         wide = BraidWord(20, (1, -1) * 10)
-        assert bracket_via_trace(wide) == DELTA**19
+        assert closure_bracket(wide) == (DELTA**19, "trace")
         guarded = BraidWord(40, tuple(range(1, 40, 2)))
         with pytest.raises(SizeLimitError, match="cost guard"):
-            bracket_via_trace(guarded)
-        # Within the bound the same letters cancel before the fold.
+            closure_bracket(guarded)
+        # Within the bound the same letters cancel, and the closure of the
+        # empty word that is left, 6 free loops, is contracted.
         narrow = BraidWord(6, (1, -1) * 10)
-        assert bracket_via_trace(narrow) == DELTA**5
-        assert folded == [wide, guarded, BraidWord(6, ())]
+        assert closure_bracket(narrow) == (DELTA**5, "contracted")
+        assert engines == [("_fold", wide), ("_fold", guarded), ("_contract", [], 6)]
 
-    def test_three_strand_words_reach_the_fold_as_given(self, folded):
+    def test_three_strand_words_reach_the_fold_as_given(self, engines):
         word = BraidWord(3, (1, -1, 2))
-        assert bracket_via_trace(word) == LaurentPoly.monomial(3, -1) * DELTA
-        assert folded == [word]
+        assert closure_bracket(word) == (LaurentPoly.monomial(3, -1) * DELTA, "trace")
+        assert engines == [("_fold", word)]
 
 
 def torus_word(strands: int, times: int) -> BraidWord:
@@ -464,7 +470,7 @@ class TestClosureBracket:
     def test_equals_both_traces(self, word):
         bracket, engine = closure_bracket(word)
         assert engine in ("trace", "contracted")
-        assert bracket == bracket_via_trace(word) == _trace_bracket(word)
+        assert bracket == bracket_via_trace(word)
 
     @pytest.fixture
     def engines(self, monkeypatch):
@@ -486,7 +492,7 @@ class TestClosureBracket:
         # most 6 ends open, where the TL_9 fold carries 3,281 diagrams.
         word = torus_word(9, 3)
         bracket, engine = closure_bracket(word)
-        assert (bracket, engine) == (_trace_bracket(word), "contracted")
+        assert (bracket, engine) == (bracket_via_trace(word), "contracted")
         assert engines["_closure"] == [word]
         assert len(engines["_contract"]) == 1 and engines["_fold"] == [word]
 
@@ -501,22 +507,78 @@ class TestClosureBracket:
 
     @pytest.mark.parametrize("word", [torus_word(3, 10), BraidWord(3, (1, -2, 1, 2)), BraidWord(2, (1,) * 5)])
     def test_three_strand_words_build_no_closure(self, engines, word):
-        assert closure_bracket(word) == (_trace_bracket(word), "trace")
+        assert closure_bracket(word) == (bracket_via_trace(word), "trace")
         assert engines == {"_fold": [word, word], "_closure": [], "_contract": []}
 
     @pytest.mark.parametrize(
-        "word, simplified, closures",
+        "word, simplified",
         [
             # 32 of its 34 strands are free loops, past the 28-loop guard.
-            (BraidWord(35, (1, 2, 1)), BraidWord(34, (1, 1)), 1),
-            # 30 letters, past the 28-crossing guard, so no closure is built.
-            (torus_word(7, 5), torus_word(7, 5), 0),
+            (BraidWord(35, (1, 2, 1)), BraidWord(34, (1, 1))),
+            # 30 letters, past the 28-crossing guard.
+            (torus_word(7, 5), torus_word(7, 5)),
         ],
     )
-    def test_words_past_a_contraction_guard_are_traced(self, engines, word, simplified, closures):
-        assert closure_bracket(word) == (_trace_bracket(word), "trace")
-        assert engines["_closure"] == [simplified] * closures and engines["_contract"] == []
+    def test_words_past_a_contraction_guard_are_traced(self, engines, word, simplified):
+        assert closure_bracket(word) == (bracket_via_trace(word), "trace")
+        assert engines["_closure"] == [simplified] and engines["_contract"] == []
         assert engines["_fold"] == [simplified, word]
+
+
+def torus_variants(p: int, q: int) -> list[BraidWord]:
+    """The word of T(p, q) as given, conjugated by sigma_1, with
+    sigma_1 sigma_1^-1 inserted, and stabilized by sigma_p and by
+    sigma_p^-1: each closes to T(p, q) up to curls that the writhe undoes."""
+    w = torus_word(p, q).letters
+    middle = len(w) // 2
+    return [
+        BraidWord(p, w),
+        BraidWord(p, (1,) + w + (-1,)),
+        BraidWord(p, w[:middle] + (1, -1) + w[middle:]),
+        BraidWord(p + 1, w + (p,)),
+        BraidWord(p + 1, w + (-p,)),
+    ]
+
+
+class TestTorusKnots:
+    """closure_bracket against the closed form of V(T(p, q)) (conftest)."""
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(p, q) for p in range(2, 7) for q in range(1, 10) if gcd(p, q) == 1]
+        # T(3, 500)'s stabilizations (1,001 letters on 4 strands) are within
+        # _within_guards, so destabilized (test_long_word_past_the_gate has one
+        # past it).
+        + [(3, 500)],
+    )
+    def test_words_closing_to_torus_knots(self, p, q):
+        expected = torus_knot_jones(p, q)
+        for word in torus_variants(p, q):
+            bracket, _ = closure_bracket(word)
+            assert normalize_bracket(bracket, exponent_sum(word))[1] == expected
+
+    def test_long_word_past_the_gate(self):
+        # T(3, 1000), 2,000 letters, stabilized onto 4 strands: past
+        # _within_guards, so traced as given, its digits widened on the way.
+        word = BraidWord(4, torus_word(3, 1000).letters + (3,))
+        assert not braidket.braid._within_guards(4, len(word.letters))
+        bracket, _ = closure_bracket(word)
+        assert normalize_bracket(bracket, exponent_sum(word))[1] == torus_knot_jones(3, 1000)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_stabilized_words_are_contracted_with_their_curl(self, sign):
+        # (sigma_1 ... sigma_8)^2 closes to the knot T(9, 2) = T(2, 9).
+        knot = BraidWord(10, torus_word(9, 2).letters + (9 * sign,))
+        bracket, engine = closure_bracket(knot)
+        assert engine == "contracted"
+        assert normalize_bracket(bracket, exponent_sum(knot))[1] == torus_knot_jones(9, 2)
+        # (sigma_1 ... sigma_8)^3 closes to the 3-component link T(9, 3),
+        # where the knot formula does not apply: sigma_9^(+-1) must multiply
+        # the bracket of the trace by -A^(+-3).
+        base = torus_word(9, 3)
+        link = BraidWord(10, base.letters + (9 * sign,))
+        expected = LaurentPoly.monomial(3 * sign, -1) * bracket_via_trace(base)
+        assert closure_bracket(link) == (expected, "contracted")
 
 
 class TestClosureToDiagram:

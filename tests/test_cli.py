@@ -20,6 +20,7 @@ import braidket.verify
 from braidket import (
     DELTA,
     BraidWord,
+    bracket_via_trace,
     closure_to_diagram,
     diagram_to_json,
     evolve,
@@ -28,7 +29,6 @@ from braidket import (
     sample_shots,
     unitary_generators,
 )
-from braidket.braid import _trace_bracket
 from braidket.cli import main
 from braidket.errors import InvariantError, ParseError
 from braidket.tl import diagram_table
@@ -254,7 +254,7 @@ class TestBracketCommand:
     @pytest.mark.parametrize(
         "strands, word, engine, patched",
         [
-            (3, "1 -2 1", "trace", "_trace_bracket"),
+            (3, "1 -2 1", "trace", "bracket_via_trace"),
             # The closure of (sigma_1 ... sigma_4)^2 sweeps at most 4 open ends.
             (5, "1 2 3 4 1 2 3 4", "contracted", "_contract"),
         ],
@@ -280,7 +280,7 @@ class TestBracketCommand:
     )
     def test_words_past_a_contraction_guard_print_the_trace(self, capsys, strands, word):
         code, out, err = run_cli(capsys, ["bracket", "--strands", str(strands), "--word", word])
-        assert (code, out, err) == (0, f"{_trace_bracket(parse_braid(word, strands))}\n", "")
+        assert (code, out, err) == (0, f"{bracket_via_trace(parse_braid(word, strands))}\n", "")
 
     def test_check_on_pd_input_stops_at_the_oracle_guard(self, capsys, tmp_path):
         # 20 crossings are well within the contraction but past the
