@@ -164,35 +164,24 @@ def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
     return states
 
 
-def _sum_tally(tally: dict[tuple[int, int], int]) -> LaurentPoly:
-    """Sum of count * A^shift * delta^(loops - 1) over a (shift, loops) tally.
-
-    Horner's rule in delta = -A^2 - A^-2 on plain integer coefficients; every
-    state has at least one loop, so no power of delta is negative.
-    """
-    levels: dict[int, list[tuple[int, int]]] = {}
-    for (shift, loops), k in tally.items():
-        levels.setdefault(loops, []).append((shift, k))
-    total: Counter = Counter()
-    for loops in range(max(levels), 0, -1):
-        times_delta: Counter = Counter()
-        for exp, c in total.items():
-            times_delta[exp + 2] -= c
-            times_delta[exp - 2] -= c
-        total = times_delta
-        for shift, k in levels.get(loops, ()):
-            total[shift] += k
-    return LaurentPoly(total)
-
-
 def bracket_state_sum(diagram: LinkDiagram) -> LaurentPoly:
-    """Bracket polynomial by brute-force summation over all states."""
+    """Bracket polynomial by brute-force summation over all states.
+
+    States with the same A-power and loop count contribute the same term, so
+    one tally counts them; Horner's rule in delta then sums the loop counts
+    from the largest down.  Every state has at least one loop, so no power
+    of delta is negative.
+    """
     if diagram.is_empty:
         raise ValueError("the empty diagram has no bracket")
-    # States with the same A-power and loop count contribute the same term.
-    return _sum_tally(
-        Counter((s.a_count - s.b_count, s.loops) for s in enumerate_states(diagram))
-    )
+    levels: dict[int, dict[int, int]] = {}
+    tally = Counter((s.a_count - s.b_count, s.loops) for s in enumerate_states(diagram))
+    for (shift, loops), k in tally.items():
+        levels.setdefault(loops, {})[shift] = k
+    total = LaurentPoly.zero()
+    for loops in range(max(levels), 0, -1):
+        total = total * DELTA + LaurentPoly(levels.get(loops))
+    return total
 
 
 def _contraction_steps(
@@ -317,36 +306,21 @@ def add_curl(diagram: LinkDiagram, sign: int) -> LinkDiagram:
     if diagram.is_empty:
         raise ValueError("cannot add a curl to the empty diagram")
 
-    labels = diagram.arc_labels()
-    fresh = (max(labels) + 1) if labels else 0
-    if not diagram.crossings:
-        # A bare loop becomes a one-crossing kink split into arcs d and c.
-        d, c = fresh, fresh + 1
-        slots = (c, c, d, d) if sign > 0 else (d, c, c, d)
-        return LinkDiagram(
-            diagram.crossings + (Crossing(slots, sign),),
-            diagram.free_loops - 1,
-        )
-
-    # Cut the lowest-numbered arc: its second occurrence becomes arc b, and
-    # the kink introduces a small loop arc c.
-    a = labels[0]
-    b, c = fresh, fresh + 1
-    new_crossings = []
-    seen_once = False
-    for crossing in diagram.crossings:
-        slots = []
-        for s in crossing.slots:
-            if s == a and seen_once:
-                slots.append(b)
-            else:
-                if s == a:
-                    seen_once = True
-                slots.append(s)
-        new_crossings.append(Crossing(tuple(slots), crossing.sign))
-    kink = (c, c, a, b) if sign > 0 else (a, c, c, b)
-    new_crossings.append(Crossing(kink, sign))
-    return LinkDiagram(tuple(new_crossings), diagram.free_loops)
+    # Cut the lowest-numbered arc a: its second end becomes arc `fresh`, and
+    # the kink joins the two through a small loop arc c.  Without crossings
+    # a is `fresh` itself, made from one of the free loops.
+    slots = [s for crossing in diagram.crossings for s in crossing.slots]
+    fresh = max(slots, default=-1) + 1
+    a = min(slots, default=fresh)
+    cut = max((p for p, s in enumerate(slots) if s == a), default=-1)
+    slots = [fresh if p == cut else s for p, s in enumerate(slots)]
+    crossings = tuple(
+        Crossing(tuple(slots[4 * i : 4 * i + 4]), crossing.sign)
+        for i, crossing in enumerate(diagram.crossings)
+    )
+    c = fresh + 1
+    kink = (c, c, a, fresh) if sign > 0 else (a, c, c, fresh)
+    return LinkDiagram(crossings + (Crossing(kink, sign),), diagram.free_loops - (not slots))
 
 
 def mirror_diagram(diagram: LinkDiagram) -> LinkDiagram:

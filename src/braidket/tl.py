@@ -317,7 +317,9 @@ def markov_trace(x: TLElement) -> LaurentPoly:
 
 def enumerate_basis(n: int) -> list[TLDiagram]:
     """All Catalan(n) basis diagrams of TL_n (guarded to n <= 8)."""
-    if not 1 <= n <= 8:
+    if n < 1:
+        raise ValueError(f"basis enumeration supports 1 <= n <= 8, got {n}")
+    if n > 8:
         raise SizeLimitError(f"basis enumeration supports 1 <= n <= 8, got {n}")
     boundary = list(range(n)) + list(range(2 * n - 1, n - 1, -1))
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from braidket import BraidWord, JonesPoly, LaurentPoly, SymbolicMatrix
+from braidket import BraidWord, Crossing, JonesPoly, LaurentPoly, LinkDiagram, SymbolicMatrix
 
 laurent_polys = st.dictionaries(
     st.integers(-20, 20), st.integers(-9, 9), max_size=6
@@ -72,6 +72,35 @@ def torus_knot_jones(p: int, q: int) -> JonesPoly:
     assert quotient[-2:] == [0, 0], f"1 - t^2 does not divide the numerator of T({p}, {q})"
     shift = (p - 1) * (q - 1) // 2
     return JonesPoly({4 * (shift + k): c for k, c in enumerate(quotient) if c})
+
+
+def add_curl_oracle(diagram: LinkDiagram, sign: int) -> LinkDiagram:
+    """``add_curl`` in two paths, the oracle for its one: a bare loop becomes
+    a kink of its own, and otherwise a walk over the slots renames the
+    second end of the lowest arc."""
+    labels = diagram.arc_labels()
+    fresh = (max(labels) + 1) if labels else 0
+    if not diagram.crossings:
+        d, c = fresh, fresh + 1
+        slots = (c, c, d, d) if sign > 0 else (d, c, c, d)
+        return LinkDiagram(diagram.crossings + (Crossing(slots, sign),), diagram.free_loops - 1)
+    a = labels[0]
+    b, c = fresh, fresh + 1
+    new_crossings = []
+    seen_once = False
+    for crossing in diagram.crossings:
+        slots = []
+        for s in crossing.slots:
+            if s == a and seen_once:
+                slots.append(b)
+            else:
+                if s == a:
+                    seen_once = True
+                slots.append(s)
+        new_crossings.append(Crossing(tuple(slots), crossing.sign))
+    kink = (c, c, a, b) if sign > 0 else (a, c, c, b)
+    new_crossings.append(Crossing(kink, sign))
+    return LinkDiagram(tuple(new_crossings), diagram.free_loops)
 
 
 @st.composite

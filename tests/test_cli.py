@@ -652,9 +652,10 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_size_guard(self, capsys):
-        code, _, err = run_cli(capsys, ["verify", "--n", "9"])
-        assert code == 2
-        assert "n <= 5" in err
+        for n in ("6", "9"):
+            code, _, err = run_cli(capsys, ["verify", "--n", n])
+            assert code == 2
+            assert "n <= 5" in err
 
     def test_rejects_tiny_n(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--n", "1"])

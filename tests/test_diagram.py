@@ -34,10 +34,11 @@ from braidket.diagram import (
     MAX_CROSSINGS,
     MAX_STATE_SUM_CROSSINGS,
     _contraction_steps,
+    _oversize,
     normalize_bracket,
 )
 from braidket.errors import ParseError, SizeLimitError
-from conftest import braid_words, random_words
+from conftest import add_curl_oracle, braid_words, random_words
 
 UNKNOT = LinkDiagram((), 1)
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
@@ -327,6 +328,13 @@ class TestBracketByContraction:
         with pytest.raises(ValueError, match="empty"):
             bracket_by_contraction(LinkDiagram((), 0))
 
+    def test_state_sum_guard_at_its_bound(self):
+        assert _oversize(MAX_STATE_SUM_CROSSINGS, 0, MAX_STATE_SUM_CROSSINGS) is None
+        assert _oversize(MAX_STATE_SUM_CROSSINGS + 1, 0, MAX_STATE_SUM_CROSSINGS) == (
+            f"{MAX_STATE_SUM_CROSSINGS + 1} crossings exceeds the "
+            f"{MAX_STATE_SUM_CROSSINGS}-crossing guard"
+        )
+
     @pytest.mark.parametrize("strands, free_loops", [(2, 0), (3, 0), (8, 0), (3, MAX_CROSSINGS)])
     def test_widest_packing_agrees_with_the_trace(self, strands, free_loops):
         # The packed width grows with the crossings and the free loops, so it
@@ -423,6 +431,23 @@ class TestAddCurl:
     def test_empty_diagram_rejected(self):
         with pytest.raises(ValueError):
             add_curl(LinkDiagram((), 0), 1)
+
+    @given(
+        braid_words(min_strands=1, max_strands=6, max_length=20),
+        st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_two_path_oracle(self, word, signs, mirrored):
+        # Untouched strands close to free loops and the empty word to bare
+        # loops only; each curl after the first curls a curled diagram.
+        diagram = closure_to_diagram(word)
+        if mirrored:
+            diagram = mirror_diagram(diagram)
+        for sign in signs:
+            curled = add_curl(diagram, sign)
+            assert curled == add_curl_oracle(diagram, sign)
+            diagram = curled
 
 
 class TestMirrorAndChirality:

@@ -231,6 +231,8 @@ class TestRhoMatrix:
             assert rho_matrix(word) == tl_tensor_image(rho_tl(word))
 
     def test_word_length_guard(self):
+        half = rho_matrix(BraidWord(2, (1,) * 6))
+        assert rho_matrix(BraidWord(2, (1,) * 12)) == half * half
         with pytest.raises(SizeLimitError):
             rho_matrix(BraidWord(2, (1,) * 13))
 

@@ -245,10 +245,13 @@ class TestBasisEnumeration:
         assert set(enumerate_basis(2)) == {identity_diagram(2), generator_diagram(2, 1)}
 
     def test_size_guard(self):
+        assert len(enumerate_basis(8)) == 1430
         with pytest.raises(SizeLimitError):
             enumerate_basis(9)
-        with pytest.raises(SizeLimitError):
+        # No strands is invalid input, not a size past the guard.
+        with pytest.raises(ValueError) as invalid:
             enumerate_basis(0)
+        assert not isinstance(invalid.value, SizeLimitError)
 
     @given(st.integers(2, 5), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
