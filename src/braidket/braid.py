@@ -85,9 +85,11 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError("strand count must be at least 1")
-        top, distinct = self.strands - 1, set(self.letters)
-        if 0 in distinct or max(map(abs, distinct), default=0) > top:
-            g = next(g for g in self.letters if g == 0 or abs(g) > top)
+        # Three C passes; a set of the letters would collide on nearly every
+        # insert, as hash(-1) == hash(-2) in CPython.
+        letters, top = self.letters, self.strands - 1
+        if letters and (min(letters) < -top or max(letters) > top or 0 in letters):
+            g = next(g for g in letters if g == 0 or abs(g) > top)
             raise ValueError(
                 f"letter {g} invalid for {self.strands} strands (need 1 <= |letter| <= {top})"
             )
@@ -101,12 +103,16 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     return _parse_tokens(text.split(), strands)
 
 
-def _parse_tokens(tokens: list[str], strands: int) -> BraidWord:
-    """parse_braid on the tokens of a text already split at whitespace."""
+def _parse_tokens(tokens: list[str], strands: int, distinct: set[str] | None = None) -> BraidWord:
+    """parse_braid on the tokens of a text already split at whitespace;
+    ``distinct``, when given, is ``set(tokens)``.
+    """
     if strands < 1:
         raise ParseError("strand count must be at least 1")
     try:
-        return BraidWord(strands, tuple(map(int, tokens)))
+        # A long word repeats a few tokens: int() runs once on each.
+        value = {token: int(token) for token in (set(tokens) if distinct is None else distinct)}
+        return BraidWord(strands, tuple(map(value.__getitem__, tokens)))
     except ValueError:
         pass
     # Only a word that fails walks its tokens, to name the first bad one.

@@ -146,7 +146,8 @@ def cmd_jones(args) -> int:
 def cmd_qsim(args) -> int:
     setup = unitary3.unitary_generators(args.theta)
     tokens = args.word.split()
-    word = _parse_tokens(tokens, 3)
+    distinct = set(tokens)
+    word = _parse_tokens(tokens, 3, distinct)
     if not 0 <= args.prepare <= 1:
         raise ParseError("--prepare must be 0 or 1")
     if args.shots < 1:
@@ -157,7 +158,7 @@ def cmd_qsim(args) -> int:
     counts = [round(pairs[i][args.prepare][0] * args.shots) for i in range(2)]
     # str(word) rebuilds the word letter by letter; the input's own tokens
     # spell it the same way whenever each distinct token is canonical.
-    canonical = all(str(int(token)) == token for token in set(tokens))
+    canonical = all(str(int(token)) == token for token in distinct)
     report = {
         "theta": args.theta,
         "word": " ".join(tokens) if canonical else str(word),

@@ -31,7 +31,8 @@ the last step because x_k = m * 2^11 + r with 0 <= r < 2^11.  So the shots at
 indices <= i are those with x_k < T_i << 11, counted on the raw words, and
 the counts of the indices telescope.  T_i = 2^53 (exactly when c_i >= 1) is
 special-cased as "every shot", because T_i << 11 = 2^64 does not fit in a
-uint64.
+uint64.  T_i = 0 counts no shot, so when every T_i is 0 or 2^53 the state is
+a point mass and no word is drawn.
 """
 
 from __future__ import annotations
@@ -131,12 +132,14 @@ def evolve(j: int, unitary: np.ndarray) -> QState:
 def _draw_chunks(seed: int, first_shot: int, shots: int):
     """Yield the words x_k of shots first_shot.. first_shot + shots - 1 in
     chunks of at most _SHOT_CHUNK; each chunk overwrites the one before.
+
+    Every product and sum below is uint64 array arithmetic, which wraps
+    modulo 2^64 without a warning, so no ``np.errstate`` is needed.
     """
     size = min(_SHOT_CHUNK, shots)
-    with np.errstate(over="ignore"):
-        # Shot k's counter is base + (k - start) * golden: one table of steps
-        # serves every chunk.
-        steps = np.arange(size, dtype=np.uint64) * _GOLDEN
+    # Shot k's counter is base + (k - start) * golden: one table of steps
+    # serves every chunk.
+    steps = np.arange(size, dtype=np.uint64) * _GOLDEN
     words = np.empty(size, dtype=np.uint64)
     scratch = np.empty(size, dtype=np.uint64)
     end = first_shot + shots
@@ -144,13 +147,12 @@ def _draw_chunks(seed: int, first_shot: int, shots: int):
         n = min(_SHOT_CHUNK, end - start)
         x, tmp = words[:n], scratch[:n]
         base = (seed + (start + 1) * int(_GOLDEN)) & _MASK
-        with np.errstate(over="ignore"):
-            np.add(steps[:n], np.uint64(base), out=x)
-            for shift, mix in _FINALIZER:
-                np.right_shift(x, shift, out=tmp)
-                x ^= tmp
-                if mix is not None:
-                    x *= mix
+        np.add(steps[:n], np.uint64(base), out=x)
+        for shift, mix in _FINALIZER:
+            np.right_shift(x, shift, out=tmp)
+            x ^= tmp
+            if mix is not None:
+                x *= mix
         yield x
 
 
@@ -170,10 +172,16 @@ def sample_shots(state: QState, shots: int, seed: int, first_shot: int = 0) -> S
     for c in np.cumsum(state.probabilities())[:-1]:
         threshold = math.ceil(float(c) * 2.0**53)
         limits.append(None if threshold >= 2**53 else np.uint64(threshold << 11))
-    at_most = [0] * len(limits)  # shots with index <= i
-    for x in _draw_chunks(seed, first_shot, shots):
-        for i, limit in enumerate(limits):
-            at_most[i] += len(x) if limit is None else int(np.count_nonzero(x < limit))
+    # Shots with index <= i; limits None and 0 fix theirs, so a point mass
+    # draws nothing.
+    at_most = [shots if limit is None else 0 for limit in limits]
+    drawn = [(i, limit) for i, limit in enumerate(limits) if limit]
+    if drawn:
+        below = np.empty(min(_SHOT_CHUNK, shots), dtype=bool)
+        for x in _draw_chunks(seed, first_shot, shots):
+            hits = below[: len(x)]
+            for i, limit in drawn:
+                at_most[i] += int(np.count_nonzero(np.less(x, limit, out=hits)))
     edges = [0, *at_most, shots]
     counts = tuple(high - low for low, high in zip(edges, edges[1:]))
     return ShotRecord(shots, counts, seed)

@@ -19,17 +19,21 @@ rho(b) is a float product of L letter factors.  One numpy product per letter
 spends nearly all its time in call overhead, so the letters go in blocks of
 _BLOCK: a block's factors are gathered into one stack and halved by batched
 products until one matrix is left, and the block products are folded left to
-right.  The order does not reduce rounding, as L - 1 products round L - 1
-times in any order (Higham, "Accuracy and Stability of Numerical Algorithms",
-ch. 3).  What made long words drift off U(2) was the factors: each is off
-U(2) by about 1e-16, the same way at every occurrence, so the distance of
-their product from U(2) grows like L and passed 1e-10 near 2*10^6 letters.
-From the second block on, the running product X is therefore re-projected
-onto U(2) by one Newton step towards its unitary polar factor,
-X <- (X + X^-H) / 2, which squares its distance from U(2).  The step is
-guarded: X must first pass the unitarity bound _NORM_TOL of qsim.evolve, so
-a wrong factor raises InvariantError instead of being projected away.  Words
-of at most _BLOCK letters are one block and are never projected.
+right.  Every block but the last is full, so their stacks are gathered into
+one (blocks, _BLOCK/4, 2, 2) stack and halved together: each 2x2 product is
+still its own BLAS zgemm call on the same two matrices, so the bits are
+those of halving block by block.  The order does not reduce rounding, as
+L - 1 products round L - 1 times in any order (Higham, "Accuracy and
+Stability of Numerical Algorithms", ch. 3).  What made long words drift off
+U(2) was the factors: each is off U(2) by about 1e-16, the same way at every
+occurrence, so the distance of their product from U(2) grows like L and
+passed 1e-10 near 2*10^6 letters.  From the second block on, the running
+product X is therefore re-projected onto U(2) by one Newton step towards
+its unitary polar factor, X <- (X + X^-H) / 2, which squares its distance
+from U(2).  The step is guarded: X must first pass the unitarity bound
+_NORM_TOL of qsim.evolve, so a wrong factor raises InvariantError instead of
+being projected away.  Words of at most _BLOCK letters are one block and are
+never projected.
 
 A block does not start from its single letters.  The products of every word
 of 1 to 4 letters are built once per angle (UnitarySetup.tables), so a block
@@ -77,7 +81,8 @@ def _unitarity_excess(u: np.ndarray) -> float | None:
 
 
 #: Letters multiplied pairwise before the running product takes them in.  A
-#: block's factors take 16 KiB.  The moduli of an unprojected 1,024-letter
+#: block's four-letter products take 16 KiB, so the full blocks of a
+#: 32,000-letter word take 496 KiB.  The moduli of an unprojected 1,024-letter
 #: product were within 3e-14 of the exact product of its float factors; at
 #: 4,096 letters they were off by up to 1.1e-13.
 _BLOCK = 1 << 10
@@ -169,11 +174,28 @@ def unitary_generators(theta: float) -> UnitarySetup:
 
 
 def _pairwise_product(stack: np.ndarray) -> np.ndarray:
-    """stack[0] @ stack[1] @ ... @ stack[-1], by halving the stack."""
-    while len(stack) > 1:
-        pairs = stack[0 : len(stack) - 1 : 2] @ stack[1::2]
-        stack = np.concatenate((pairs, stack[-1:])) if len(stack) % 2 else pairs
-    return stack[0]
+    """stack[..., 0, :, :] @ ... @ stack[..., -1, :, :], by halving the axis
+    of the factors: one product per stack of (..., k, 2, 2) factors.
+    """
+    while (k := stack.shape[-3]) > 1:
+        pairs = stack[..., 0 : k - 1 : 2, :, :] @ stack[..., 1::2, :, :]
+        stack = np.concatenate((pairs, stack[..., -1:, :, :]), axis=-3) if k % 2 else pairs
+    return stack[..., 0, :, :]
+
+
+def _block_stack(
+    letters: tuple[int, ...], setup: UnitarySetup, blocks: int, size: int
+) -> np.ndarray:
+    """The (blocks, k, 2, 2) stack of table entries that starts the halving
+    of each of the first ``blocks`` blocks of ``size`` letters.
+    """
+    rows = _FACTOR_ROW[np.fromiter(letters, np.intp, blocks * size) + 2].reshape(blocks, size)
+    whole = size - size % 4
+    stack = setup.tables[3][rows[:, :whole].reshape(blocks, whole // 4, 4) @ _DIGITS]
+    if whole < size:
+        rest = setup.tables[size - whole - 1][rows[:, whole:] @ _DIGITS[whole - size :]]
+        stack = np.concatenate((stack, rest[:, None]), axis=1)
+    return stack
 
 
 def _polar_step(x: np.ndarray, letters: int) -> np.ndarray:
@@ -199,25 +221,22 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
     letters = b.letters
     if not letters:
         return np.eye(2, dtype=complex)
-    for start in range(0, len(letters), _BLOCK):
-        block = letters[start : start + _BLOCK]
-        if len(block) <= 4:  # one lookup, copied out of the cached table
-            block_product = setup.tables[len(block) - 1][_table_index(block)].copy()
-        elif len(block) <= 8:  # two lookups and the product the halving makes of them
-            head = setup.tables[3][_table_index(block[:4])]
-            block_product = head @ setup.tables[len(block) - 5][_table_index(block[4:])]
-        else:
-            rows = _FACTOR_ROW[np.fromiter(block, np.intp, len(block)) + 2]
-            whole = len(rows) - len(rows) % 4
-            stack = setup.tables[3][rows[:whole].reshape(-1, 4) @ _DIGITS]
-            if whole < len(rows):
-                rest = setup.tables[len(rows) - whole - 1][_table_index(block[whole:])]
-                stack = np.concatenate((stack, rest[None]))
-            block_product = _pairwise_product(stack)
-        if start == 0:
-            product = block_product
-        else:
-            product = _polar_step(product @ block_product, start + len(block))
+    # Every block but the last is full, and all of them are halved at once.
+    full = (len(letters) - 1) // _BLOCK
+    block_products = []
+    if full:
+        block_products.extend(_pairwise_product(_block_stack(letters, setup, full, _BLOCK)))
+    block = letters[full * _BLOCK :]
+    if len(block) <= 4:  # one lookup, copied out of the cached table
+        block_products.append(setup.tables[len(block) - 1][_table_index(block)].copy())
+    elif len(block) <= 8:  # two lookups and the product the halving makes of them
+        head = setup.tables[3][_table_index(block[:4])]
+        block_products.append(head @ setup.tables[len(block) - 5][_table_index(block[4:])])
+    else:
+        block_products.append(_pairwise_product(_block_stack(block, setup, 1, len(block)))[0])
+    product = block_products[0]
+    for count, block_product in enumerate(block_products[1:], start=2):
+        product = _polar_step(product @ block_product, min(count * _BLOCK, len(letters)))
     return product
 
 

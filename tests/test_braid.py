@@ -91,6 +91,20 @@ class TestParsing:
             BraidWord(3, (1, 5, -4, 0, 5))
         assert str(raised.value) == "letter 5 invalid for 3 strands (need 1 <= |letter| <= 2)"
 
+    # The letter check takes max, min and a search for 0: each of the last
+    # three tails trips one of them alone, and the first bad letter is named.
+    @pytest.mark.parametrize(
+        "tail, bad", [((3, 0), 3), ((0, -3), 0), ((-2, 3), 3), ((2, -3), -3), ((2, 0), 0)]
+    )
+    def test_first_bad_letter_of_a_long_word_is_named(self, tail, bad):
+        with pytest.raises(ValueError) as raised:
+            BraidWord(3, (1,) * 5000 + tail)
+        assert str(raised.value) == f"letter {bad} invalid for 3 strands (need 1 <= |letter| <= 2)"
+
+    def test_valid_letters_at_the_bounds(self):
+        assert BraidWord(3, (1,) * 5000 + (-2, 2)).letters[-2:] == (-2, 2)
+        assert BraidWord(1, ()).letters == ()
+
 
 class TestExponentSum:
     def test_positive_word(self):

@@ -608,6 +608,54 @@ class TestQsimCommand:
         gaps = [abs(p - e) for row, want in zip(printed, exact) for p, e in zip(row, want)]
         assert len(gaps) == 4 and max(gaps) <= 1e-11
 
+    # A long word spelled with +1, 01 and full-width digits: each distinct
+    # token is converted once, and the report echoes the canonical spelling.
+    SPELLINGS = {
+        "1": ("1", "+1", "01"),
+        "-1": ("-1", "-01"),
+        "2": ("2", "\uff12", "+2"),
+        "-2": ("-2", "-\uff12"),
+    }
+
+    @staticmethod
+    def long_tokens(seed):
+        rng = random.Random(seed)
+        return [rng.choice(("1", "-1", "2", "-2")) for _ in range(9000)]
+
+    def test_long_word_spellings_give_the_canonical_record(self, capsys):
+        canonical = self.long_tokens("spellings")
+        rng = random.Random("respell")
+        text = " ".join(rng.choice(self.SPELLINGS[token]) for token in canonical)
+        assert {"+1", "01", "\uff12"} <= set(text.split())
+        argv = ["qsim", "--theta", "0.3", "--shots", "1000", "--seed", "5", "--word"]
+        code, out, err = run_cli(capsys, [*argv, text])
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, [*argv, " ".join(canonical)]) == (code, out, err)
+        assert json.loads(out)["word"] == " ".join(canonical) == str(parse_braid(text, 3))
+
+    @pytest.mark.parametrize("bad", ["x", "0", "3"])
+    def test_bad_token_deep_in_a_long_word(self, capsys, bad):
+        tokens = self.long_tokens("deep")
+        tokens[5000] = bad
+        text = " ".join(tokens)
+        with pytest.raises(ParseError) as caught:
+            parse_braid(text, 3)
+        assert str(caught.value).startswith("token 5001: ")
+        argv = ["qsim", "--theta", "0.2", "--word", text, "--shots", "10"]
+        assert run_cli(capsys, argv) == (1, "", f"error: {caught.value}\n")
+
+    def test_point_masses_sample_no_shots(self, capsys):
+        # rho of the empty word at theta = 0 is the identity, so both columns
+        # are point masses and the guard's 2^30 shots cost no draws.
+        argv = ["qsim", "--theta", "0", "--word", "", "--shots", str(2**30), "--seed", "1"]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["counts"] == [2**30, 0]
+        assert record["estimates"] == record["exact"] == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_negative_theta_in_scientific_notation(self, capsys):
         argv = ["qsim", "--theta=-4.5e-05", "--word", "1 2 -1", "--shots", "100", "--seed", "3"]
         code, out, _ = run_cli(capsys, argv)

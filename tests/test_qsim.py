@@ -170,6 +170,29 @@ class TestSampling:
         assert sample_shots(state, 10000, 9, first_shot=123) == whole
         assert drawn == [997] * 10 + [30]
 
+    def test_draws_need_no_errstate(self, monkeypatch):
+        # uint64 array arithmetic wraps silently, even when every floating
+        # point error raises.
+        half, whole = sample_shots(HALF, 10**6, 1), sample_shots(THREE, 10000, 9, first_shot=123)
+        with np.errstate(all="raise"):
+            assert sample_shots(HALF, 10**6, 1) == half
+            assert sample_shots(THREE, 1000, 5, 2**64 - 1000).counts == (356, 221, 423)
+            monkeypatch.setattr(qsim, "_SHOT_CHUNK", 997)
+            assert sample_shots(THREE, 10000, 9, first_shot=123) == whole
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, -1j, 0.0], [1.0], [0.6, 0.0, 0.8j]],
+    )
+    def test_point_masses_draw_nothing(self, monkeypatch, amplitudes):
+        # Every limit is None or 0, so the counts are fixed without a draw.
+        # The last state draws, to check the spy.
+        state = QState(np.array(amplitudes))
+        expected = reference_counts(state, 5000, 4, first_shot=77)
+        drawn = self._record_draws(monkeypatch)
+        assert sample_shots(state, 5000, 4, first_shot=77).counts == expected
+        assert drawn == ([] if max(state.probabilities()) == 1.0 else [5000])
+
     def test_a_million_shots_draw_in_cache_sized_chunks(self, monkeypatch):
         drawn = self._record_draws(monkeypatch)
         sample_shots(HALF, 10**6, 1)
