@@ -10,8 +10,9 @@ inverse.  The representation used throughout is
 
 which makes the two images inverse to each other in TL_n.  The bracket of the
 standard closure is recovered from the Markov trace: TR(rho(b)) equals
-delta * <closure(b)>, and the division by delta is performed exactly, so the
-identity itself acts as a runtime check.
+delta * <closure(b)>.  The closure of a TL diagram has at least one loop, so
+the bracket is summed directly with one factor of delta fewer per loop, and
+a diagram that closes to no loop fails a runtime check.
 
 The trace is invariant under the braid relations and Markov's moves, so
 ``closure_bracket``, which serves braid input on the command line, first
@@ -43,9 +44,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .diagram import Crossing, LinkDiagram, _contract, _contraction_steps, _oversize, writhe_factor
-from .errors import ParseError, SizeLimitError
+from .errors import InvariantError, ParseError, SizeLimitError
 from .laurent import (
-    DELTA,
     LaurentPoly,
     _TRIAL_BITS,
     _room,
@@ -71,9 +71,10 @@ __all__ = [
 #: coefficient of 3L+1 digits.  The 6-9 strand, 16-30 letter words of the
 #: benchmark's trace-wide workload reach at most 470,896 (a 9-strand,
 #: 30-letter word), under a tenth of this.  ``bracket_via_trace`` also
-#: bounds its Horner loop, n+1 steps on a packed integer of 3L+1+2n digits,
-#: before the fold at the first width and after it at the last, which bounds
-#: wide words that leave the fold small and builds no table for the widest.
+#: bounds its Horner loop, counted as n+1 steps (one more than it takes) on
+#: a packed integer of 3L+1+2n digits, before the fold at the first width
+#: and after it at the last, which bounds wide words that leave the fold
+#: small and builds no table for the widest.
 MAX_TL_COST = 5_000_000
 
 
@@ -145,7 +146,7 @@ def _fold(b: BraidWord):
     either another diagram, or delta d when d caps the points U_i caps,
     where d's two terms combine to (A + A^-1 delta) d = -A^-3 d.  So the
     state sums to at most 2^L, and the trace of ``bracket_via_trace``, which
-    multiplies by delta^m for m <= n, to at most 2^n 2^L: L + n + 2 bits are
+    multiplies by delta^(m-1) for m <= n, to below 2^n 2^L: L + n + 2 bits are
     always enough.  Real coefficients are often far smaller (those
     of 2-strand words grow linearly), so for a word of more than about 64
     letters a narrower width is tried first and checked as the fold goes
@@ -207,7 +208,8 @@ def _fold_cost(live: int, n: int, bits: int, window: int) -> int:
 
 
 def _trace_cost(n: int, length: int, bits: int) -> int:
-    """The cost of the trace's Horner loop, n+1 steps on 3L+1+2n digits."""
+    """A bound on the cost of the trace's Horner loop: n+1 steps, one more
+    than it takes, on 3L+1+2n digits."""
     return (n + 1) * (3 * length + 1 + 2 * n) * bits // 64
 
 
@@ -316,27 +318,31 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     """Bracket polynomial of the standard closure, from the Markov trace of
     b's letters as given.
 
-    TR(rho(b)) is always divisible by delta; the quotient is the bracket.
-    A remainder signals a bug.
+    TR(rho(b)) = sum over m of S_m delta^m, S_m the sum of the coefficients
+    of the diagrams whose closure has m loops, and the bracket is
+    TR / delta = sum over m >= 1 of S_m delta^(m-1).  Every closure has a
+    loop, so a nonzero S_0 signals a bug and raises InvariantError.
     """
     n = b.strands
     # The trace's width is never below the fold's first one, so a word too
     # wide to trace stops here, before TL_n's table is built.
     _check_trace_cost(b, _widths(n, len(b.letters))[0])
     table, state, bits = _fold(b)
-    # TR = sum over m of S_m delta^m, S_m the sum of the coefficients of the
-    # diagrams whose closure has m loops.  With delta = -B^-1 (B^2 + 1),
-    # Horner's rule gives B^n TR in packed form: each step multiplies by
-    # B delta = -(B^2 + 1) and adds B^(n-m) S_m.
     by_loops = [0] * (n + 1)
     for d, x in state.items():
         by_loops[table.closure_loops(d)] += x
+    if by_loops[0]:
+        raise InvariantError(
+            f"trace of {len(b.letters)} letters on {n} strands: a TL diagram closes to no loop"
+        )
     _check_trace_cost(b, bits)
+    # With delta = -B^-1 (B^2 + 1), Horner's rule over m = n .. 1 gives
+    # B^(n-1) <closure(b)> in packed form: each step multiplies by
+    # B delta = -(B^2 + 1) and adds B^(n-m) S_m.
     packed = 0
-    for m in range(n, -1, -1):
+    for m in range(n, 0, -1):
         packed = (by_loops[m] << (n - m) * bits) + _times_delta(packed << bits, bits)
-    trace = _unpack(packed, bits, -3 * len(b.letters) - 2 * n)
-    return trace.divexact(DELTA)
+    return _unpack(packed, bits, -3 * len(b.letters) - 2 * n + 2)
 
 
 def closure_to_diagram(b: BraidWord) -> LinkDiagram:

@@ -48,7 +48,8 @@ EXIT_VERIFY = 5
 
 # Built once per process: main may be called many times in one interpreter.
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(prog="braidket")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -75,7 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the relation suites")
     v.add_argument("--n", type=int, default=3, help="strand bound (2..5)")
-    return parser
+    return parser, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser alone, by the name benchmark/tests calls."""
+    return _parsers()[0]
 
 
 def _read_diagram(path: str) -> LinkDiagram:
@@ -186,16 +192,32 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+_HANDLERS = {"bracket": cmd_bracket, "jones": cmd_jones, "qsim": cmd_qsim, "verify": cmd_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "bracket": cmd_bracket,
-        "jones": cmd_jones,
-        "qsim": cmd_qsim,
-        "verify": cmd_verify,
-    }
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parse hands every token after a command's name to that
+    # command's parser, so parsing them there directly gives the same
+    # namespace without the top-level pass, which costs as much again on a
+    # small call.  Anything else, a leftover token included, takes the
+    # top-level parse, so every usage error and help text still comes from
+    # argparse itself.
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return _run(args)
+    return _run(parser.parse_args(argv))
+
+
+def _run(args: argparse.Namespace) -> int:
+    """The parsed command's handler, its errors mapped to exit codes."""
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE

@@ -19,21 +19,21 @@ rho(b) is a float product of L letter factors.  One numpy product per letter
 spends nearly all its time in call overhead, so the letters go in blocks of
 _BLOCK: a block's factors are gathered into one stack and halved by batched
 products until one matrix is left, and the block products are folded left to
-right.  Every block but the last is full, so their stacks are gathered into
-one (blocks, _BLOCK/4, 2, 2) stack and halved together: each 2x2 product is
-still its own BLAS zgemm call on the same two matrices, so the bits are
-those of halving block by block.  The order does not reduce rounding, as
-L - 1 products round L - 1 times in any order (Higham, "Accuracy and
-Stability of Numerical Algorithms", ch. 3).  What made long words drift off
-U(2) was the factors: each is off U(2) by about 1e-16, the same way at every
-occurrence, so the distance of their product from U(2) grows like L and
-passed 1e-10 near 2*10^6 letters.  From the second block on, the running
-product X is therefore re-projected onto U(2) by one Newton step towards
-its unitary polar factor, X <- (X + X^-H) / 2, which squares its distance
-from U(2).  The step is guarded: X must first pass the unitarity bound
-_NORM_TOL of qsim.evolve, so a wrong factor raises InvariantError instead of
-being projected away.  Words of at most _BLOCK letters are one block and are
-never projected.
+right.  Every block but the last is full, so their stacks are gathered, up
+to _GROUP blocks at a time, into one (blocks, _BLOCK/4, 2, 2) stack and
+halved together: each 2x2 product is still its own BLAS zgemm call on the
+same two matrices, so the bits are those of halving block by block.  The
+order does not reduce rounding, as L - 1 products round L - 1 times in any
+order (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3).
+What made long words drift off U(2) was the factors: each is off U(2) by
+about 1e-16, the same way at every occurrence, so the distance of their
+product from U(2) grows like L and passed 1e-10 near 2*10^6 letters.  From
+the second block on, the running product X is therefore re-projected onto
+U(2) by one Newton step towards its unitary polar factor,
+X <- (X + X^-H) / 2, which squares its distance from U(2).  The step is
+guarded: X must first pass the unitarity bound _NORM_TOL of qsim.evolve, so
+a wrong factor raises InvariantError instead of being projected away.  Words
+of at most _BLOCK letters are one block and are never projected.
 
 A block does not start from its single letters.  The products of every word
 of 1 to 4 letters are built once per angle (UnitarySetup.tables), so a block
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -81,11 +82,15 @@ def _unitarity_excess(u: np.ndarray) -> float | None:
 
 
 #: Letters multiplied pairwise before the running product takes them in.  A
-#: block's four-letter products take 16 KiB, so the full blocks of a
-#: 32,000-letter word take 496 KiB.  The moduli of an unprojected 1,024-letter
-#: product were within 3e-14 of the exact product of its float factors; at
-#: 4,096 letters they were off by up to 1.1e-13.
+#: block's four-letter products take 16 KiB.  The moduli of an unprojected
+#: 1,024-letter product were within 3e-14 of the exact product of its float
+#: factors; at 4,096 letters they were off by up to 1.1e-13.
 _BLOCK = 1 << 10
+
+#: Full blocks halved as one stack, so a word's table entries take at most
+#: 512 KiB at a time.  A word of up to 33,792 letters, such as the
+#: 32,000-letter words of the benchmark's qsim-long workload, is one group.
+_GROUP = 32
 
 #: Row of UnitarySetup.factors for letter g, at g + 2, and the same map as an
 #: array for blocks of more than 8 letters.  No letter is 0, so its entry is
@@ -184,10 +189,11 @@ def _pairwise_product(stack: np.ndarray) -> np.ndarray:
 
 
 def _block_stack(
-    letters: tuple[int, ...], setup: UnitarySetup, blocks: int, size: int
+    letters: Iterable[int], setup: UnitarySetup, blocks: int, size: int
 ) -> np.ndarray:
     """The (blocks, k, 2, 2) stack of table entries that starts the halving
-    of each of the first ``blocks`` blocks of ``size`` letters.
+    of each of the first ``blocks`` blocks of ``size`` letters, which are
+    taken from ``letters`` and no more.
     """
     rows = _FACTOR_ROW[np.fromiter(letters, np.intp, blocks * size) + 2].reshape(blocks, size)
     whole = size - size % 4
@@ -221,11 +227,14 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
     letters = b.letters
     if not letters:
         return np.eye(2, dtype=complex)
-    # Every block but the last is full, and all of them are halved at once.
+    # Every block but the last is full, and they are halved _GROUP at a time,
+    # each group's letters read on from where the last group's ended.
     full = (len(letters) - 1) // _BLOCK
     block_products = []
-    if full:
-        block_products.extend(_pairwise_product(_block_stack(letters, setup, full, _BLOCK)))
+    ahead = iter(letters)
+    for done in range(0, full, _GROUP):
+        stack = _block_stack(ahead, setup, min(_GROUP, full - done), _BLOCK)
+        block_products.extend(_pairwise_product(stack))
     block = letters[full * _BLOCK :]
     if len(block) <= 4:  # one lookup, copied out of the cached table
         block_products.append(setup.tables[len(block) - 1][_table_index(block)].copy())

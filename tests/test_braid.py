@@ -363,6 +363,13 @@ class TestBracketViaTrace:
     def test_real_coefficients(self, word):
         assert all(type(c) is int for _, c in bracket_via_trace(word).terms())
 
+    # The trace sums the bracket directly, one factor of delta fewer per
+    # loop; the exact quotient of the whole Markov trace is the oracle.
+    @given(braid_words(min_strands=1, max_strands=7, max_length=16))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_is_the_markov_trace_divided_by_delta(self, word):
+        assert bracket_via_trace(word) == markov_trace(rho_tl(word)).divexact(DELTA)
+
     # The Markov moves are checked on the trace of the words as given:
     # closure_bracket would rewrite both sides to the same word.
     def test_markov_stabilization(self):

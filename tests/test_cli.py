@@ -251,6 +251,21 @@ class TestBracketCommand:
         assert (code, out) == (3, "")
         assert "internal check failed" in err
 
+    def test_a_diagram_closing_to_no_loop_is_an_internal_error(self, capsys, monkeypatch):
+        # Every closure of a TL diagram has a loop, so the trace sums the
+        # bracket without dividing by delta and checks that instead.
+        closure_loops = braidket.tl.DiagramTable.closure_loops
+
+        def spy(table, d):
+            return 0 if d == table.identity else closure_loops(table, d)
+
+        monkeypatch.setattr(braidket.tl.DiagramTable, "closure_loops", spy)
+        with pytest.raises(InvariantError, match="closes to no loop"):
+            bracket_via_trace(BraidWord(3, (1, 2)))
+        code, out, err = run_cli(capsys, ["bracket", "--strands", "3", "--word", "1 2"])
+        assert (code, out) == (3, "")
+        assert err.startswith("internal check failed: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "strands, word, engine, patched",
         [
@@ -708,3 +723,74 @@ class TestVerifyCommand:
     def test_rejects_tiny_n(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--n", "1"])
         assert code == 1
+
+
+def parse_then_run(argv):
+    """The oracle for main: the full top-level parse, then the handler."""
+    return braidket.cli._run(braidket.cli._parsers()[0].parse_args(argv))
+
+
+class TestArgv:
+    """main hands a known command's tokens straight to its own parser; every
+    argv must still give what the full top-level parse gives."""
+
+    TREFOIL = str(Path(__file__).resolve().parent.parent / "examples" / "trefoil_pd.json")
+    CORPUS = [
+        # The README's command shapes.
+        ["bracket", "--strands", "2", "--word", "1 1 1"],
+        ["jones", "--strands", "2", "--word", "1 1 1"],
+        ["bracket", "--pd", TREFOIL, "--check"],
+        ["bracket", "--strands", "3", "--word", "1 -2 1", "--check"],
+        ["qsim", "--theta", "0.314159", "--word", "1", "--prepare", "0", "--shots", "100000", "--seed", "42"],
+        ["verify", "--n", "4"],
+        # --opt=value, abbreviations and repeated flags.
+        ["bracket", "--strands=3", "--word=1 -2 1"],
+        ["jones", "--strands=2", "--word=-1 -1 -1", "--json"],
+        ["qsim", "--theta=-4.5e-05", "--word", "1 2 -1", "--shots", "100", "--seed", "3"],
+        ["bracket", "--str", "3", "--wo", "1 2"],
+        ["jones", "--st", "2", "--w", "1 1 1", "--j", "--c"],
+        ["qsim", "--th", "0.2", "--wo", "1", "--sh", "10", "--se", "1", "--p", "1"],
+        ["qsim", "--theta", "0.2", "--word", "1", "--s", "10"],
+        ["bracket", "--strands", "2", "--strands", "3", "--word", "1 2"],
+        ["jones", "--strands", "2", "--word", "1", "--word", "1 1 1", "--json", "--json"],
+        # --, and tokens left over for the top-level parser.
+        ["bracket", "--strands", "2", "--word", "1", "--"],
+        ["--", "bracket", "--strands", "2", "--word", "1"],
+        ["bracket", "--", "--strands", "2"],
+        ["bracket", "--strands", "3", "--word", "1", "extra"],
+        ["jones", "extra", "--strands", "2", "--word", "1"],
+        # Help before and after the command.
+        ["-h"],
+        ["-h", "bracket"],
+        ["bracket", "-h"],
+        ["qsim", "--help"],
+        ["bracket", "--strands", "2", "-h"],
+        # Usage errors.
+        [],
+        ["nope"],
+        ["Bracket", "--strands", "2", "--word", "1"],
+        ["bracket", "--nope"],
+        ["--nope", "bracket"],
+        ["bracket", "--strands", "x", "--word", "1"],
+        ["verify", "--n", "2.5"],
+        ["bracket", "--strands"],
+        ["qsim", "--word", "1"],
+        ["qsim", "--theta", "-4.5e-05", "--word", "1"],
+        # Errors of the handlers.
+        ["bracket", "--strands", "3", "--word", "3"],
+        ["verify", "--n", "1"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, run, argv):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code!r})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_main_gives_what_the_full_parse_gives(self, capsys):
+        for argv in self.CORPUS:
+            expected = self.outcome(capsys, parse_then_run, argv)
+            assert self.outcome(capsys, main, argv) == expected, argv

@@ -244,6 +244,10 @@ class TestBlockedProduct:
         word = BraidWord(3, (1, -1, 1, 2, -1, 1, 2))
         with pytest.raises(InvariantError, match="first 6 letters is not unitary"):
             rho_unitary(word, wrong)
+        # Only the last block, one letter long, holds sigma_2: the message
+        # counts the word's 7 letters, not three whole blocks.
+        with pytest.raises(InvariantError, match="first 7 letters is not unitary"):
+            rho_unitary(BraidWord(3, (1,) * 6 + (2,)), wrong)
 
     def test_replaced_factors_rebuild_the_tables(self):
         setup = unitary_generators(0.2)
@@ -336,6 +340,9 @@ class TestProductTables:
     def test_bits_match_the_blocked_pairwise_product(self, theta, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(unitary3, "_BLOCK", block)
+            # Groups of two blocks: the 4,099-letter words cross hundreds of
+            # group boundaries, and the short ones end in a partial group.
+            monkeypatch.setattr(unitary3, "_GROUP", 2)
         setup = unitary_generators(theta)
         rng = random.Random(f"tables:{theta}:{block}")
         for length in self.LENGTHS if block is None else [*range(max(13, 2 * block + 1)), 4099]:
