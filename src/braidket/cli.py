@@ -7,14 +7,17 @@ Subcommands::
     qsim     sample the braiding quantum computer and report a JSON record
     verify   run the algebraic relation suites
 
-Exit codes: 0 success, 1 parse error, 2 size guard, 3 cross-check mismatch
-or failed internal check, 4 invalid angle, 5 verification failure.
+Exit codes: 0 success, 1 parse error or closed stdout, 2 size guard,
+3 cross-check mismatch or failed internal check, 4 invalid angle,
+5 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from functools import lru_cache
 
@@ -48,40 +51,88 @@ EXIT_VERIFY = 5
 
 # Built once per process: main may be called many times in one interpreter.
 @lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, by name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The top-level parser and, for each command, its options' actions by
+    option string (``-h`` not among them)."""
     parser = argparse.ArgumentParser(prog="braidket")
     sub = parser.add_subparsers(dest="command", required=True)
+    actions: dict[str, list[argparse.Action]] = {}
 
     for verb in ("bracket", "jones"):
         p = sub.add_parser(verb, help=f"compute the {verb} output for a link")
-        p.add_argument("--strands", type=int, help="strand count for braid input")
-        p.add_argument("--word", type=str, help="braid word, e.g. '1 1 1'")
-        p.add_argument("--pd", type=str, help="path to a PD diagram JSON file")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument(
-            "--check",
-            action="store_true",
-            help="cross-check the trace or contracted bracket against the brute-force state sum",
-        )
+        actions[verb] = [
+            p.add_argument("--strands", type=int, help="strand count for braid input"),
+            p.add_argument("--word", type=str, help="braid word, e.g. '1 1 1'"),
+            p.add_argument("--pd", type=str, help="path to a PD diagram JSON file"),
+            p.add_argument("--json", action="store_true", help="emit JSON instead of text"),
+            p.add_argument(
+                "--check",
+                action="store_true",
+                help="cross-check the trace or contracted bracket against the brute-force state sum",
+            ),
+        ]
 
     q = sub.add_parser("qsim", help="run the 3-strand braiding computer")
     theta_help = "braiding angle in radians; write a negative one as --theta=-4.5e-05"
-    q.add_argument("--theta", type=float, required=True, help=theta_help)
-    q.add_argument("--word", type=str, required=True, help="3-strand braid word")
-    q.add_argument("--prepare", type=int, default=0, help="basis index to prepare")
-    q.add_argument("--shots", type=int, default=100000)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--json", action="store_true", help="accepted; output is always JSON")
+    actions["qsim"] = [
+        q.add_argument("--theta", type=float, required=True, help=theta_help),
+        q.add_argument("--word", type=str, required=True, help="3-strand braid word"),
+        q.add_argument("--prepare", type=int, default=0, help="basis index to prepare"),
+        q.add_argument("--shots", type=int, default=100000),
+        q.add_argument("--seed", type=int, default=0),
+        q.add_argument("--json", action="store_true", help="accepted; output is always JSON"),
+    ]
 
     v = sub.add_parser("verify", help="run the relation suites")
-    v.add_argument("--n", type=int, default=3, help="strand bound (2..5)")
-    return parser, sub.choices
+    actions["verify"] = [v.add_argument("--n", type=int, default=3, help="strand bound (2..5)")]
+    options = {
+        verb: {option: action for action in group for option in action.option_strings}
+        for verb, group in actions.items()
+    }
+    return parser, options
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """The top-level parser alone, by the name benchmark/tests calls."""
     return _parsers()[0]
+
+
+# A token argparse reads as an option's value on every Python from 3.10 on:
+# one not starting with "-", a negative integer or decimal, or a word with a
+# space such as "-1 2 -1".  "-4.5e-05" is not one: argparse's negative-number
+# rule reads it as an option up to 3.13.0 and as a value in some later
+# releases.
+_VALUE = re.compile(r"-(\d+|\d*\.\d+|\d.* .*)")
+
+
+def _direct(options: dict[str, argparse.Action], tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace ``parse_args`` gives a command's ``tokens``, or None
+    where argparse might read them otherwise.  Each token must be one of the
+    command's option strings, none given twice, each but a flag followed by
+    a value that ``_VALUE`` and the option's type accept, and every required
+    option must be given."""
+    given = {}
+    rest = iter(tokens)
+    for token in rest:
+        action = options.get(token)
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:
+            given[action.dest] = action.const
+            continue
+        value = next(rest, None)
+        if value is None or (value.startswith("-") and _VALUE.fullmatch(value) is None):
+            return None
+        try:
+            given[action.dest] = action.type(value)
+        except (TypeError, ValueError):
+            return None
+    values = {}
+    for action in options.values():
+        if action.required and action.dest not in given:
+            return None
+        values[action.dest] = given.get(action.dest, action.default)
+    return argparse.Namespace(**values)
 
 
 def _read_diagram(path: str) -> LinkDiagram:
@@ -199,25 +250,28 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = _parsers()
     if argv is None:
         argv = sys.argv[1:]
-    # The top-level parse hands every token after a command's name to that
-    # command's parser, so parsing them there directly gives the same
-    # namespace without the top-level pass, which costs as much again on a
-    # small call.  Anything else, a leftover token included, takes the
-    # top-level parse, so every usage error and help text still comes from
-    # argparse itself.
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return _run(args)
+    # argparse costs about as much as a small command's own work.  A known
+    # command's tokens that _direct reads as argparse would, on every Python
+    # it runs on, skip it; anything else, every help text and usage error
+    # included, takes the full top-level parse.
+    options = commands.get(argv[0]) if argv else None
+    if options is not None and (args := _direct(options, argv[1:])) is not None:
+        args.command = argv[0]
+        return _run(args)
     return _run(parser.parse_args(argv))
 
 
 def _run(args: argparse.Namespace) -> int:
     """The parsed command's handler, its errors mapped to exit codes."""
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed, as by `| head -1`.  Python flushes it again at
+        # exit, so point it at devnull first (the Python docs' recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE

@@ -12,8 +12,10 @@ sum
 is the bracket polynomial.  ``bracket_by_contraction`` builds the same sum
 one crossing at a time, merging partial states that pair the open arc ends
 alike, so its cost follows the width of that frontier rather than 2^N;
-``bracket_state_sum`` walks all 2^N states and stays as its oracle.  The
-writhe normalization
+``bracket_state_sum`` visits all 2^N states and stays as its oracle.  It
+walks them depth first, one crossing smoothed per step, keeping the far end
+of each open path, so a chord closes a loop or joins two paths in O(1) and
+is undone on the way back.  The writhe normalization
 f = (-A^3)^(-writhe) * [K] is invariant under all diagram moves, and the
 substitution A = t^(-1/4) turns f into the Jones polynomial.
 """
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
 from .laurent import DELTA, JonesPoly, LaurentPoly, _times_delta, _unpack, to_jones_variable
-from .tl import pairing_loops
 
 __all__ = [
     "Crossing",
@@ -144,23 +145,49 @@ def _oversize(crossings: int, free_loops: int, max_crossings: int = MAX_CROSSING
 
 
 def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
-    """All 2^N smoothing states with their loop counts.
+    """All 2^N smoothing states with their loop counts, in the order of the
+    mask whose bit c is set where crossing c is A-smoothed.
 
-    Slot s of crossing c is position p = 4*c + s.  A state pairs p with
-    p ^ 1 where it A-smooths c (s0-s1, s2-s3) and with p ^ 3 where it
-    B-smooths c (s0-s3, s1-s2); its loops are those of that pairing glued
-    to the arcs, which pair each position with the other end of its arc.
+    Slot s of crossing c is position p = 4*c + s.  The A-smoothing of c
+    joins p with p ^ 1 (s0-s1, s2-s3), the B-smoothing p with p ^ 3 (s0-s3,
+    s1-s2).  A depth-first walk smooths crossing N-1 first and c = 0 last,
+    B before A, keeping in ``ends[p]`` the far end of the open path through
+    each open position p; before any smoothing the paths are the arcs.  A
+    chord (x, y) closes a loop when ``ends[x] == y`` and otherwise joins two
+    paths by two writes, undone on the way back, so each state costs O(1)
+    steps amortized.
     """
     n = len(diagram.crossings)
     if (error := _oversize(n, diagram.free_loops, MAX_STATE_SUM_CROSSINGS)) is not None:
         raise SizeLimitError(error)
-    arcs = _other_ends(diagram.crossings)
-    states = []
-    for mask in range(1 << n):
-        smoothing = [p ^ 1 if mask >> (p >> 2) & 1 else p ^ 3 for p in range(4 * n)]
-        a_count = mask.bit_count()
-        loops = pairing_loops(smoothing, arcs) + diagram.free_loops
-        states.append(StateSummary(a_count, n - a_count, loops))
+    ends = _other_ends(diagram.crossings)
+    states: list[StateSummary] = []
+    made: dict[tuple[int, int], StateSummary] = {}  # one summary per (A count, loops)
+
+    def walk(c: int, a_count: int, loops: int) -> None:
+        if c < 0:
+            key = (a_count, loops)
+            if key not in made:
+                made[key] = StateSummary(a_count, n - a_count, loops)
+            states.append(made[key])
+            return
+        p = 4 * c
+        for a, chords in ((0, ((p, p + 3), (p + 1, p + 2))), (1, ((p, p + 1), (p + 2, p + 3)))):
+            undo = []
+            closed = loops
+            for x, y in chords:
+                end = ends[x]
+                if end == y:
+                    closed += 1
+                else:
+                    other = ends[y]
+                    ends[end], ends[other] = other, end
+                    undo.append((end, x, other, y))
+            walk(c - 1, a_count + a, closed)
+            for end, x, other, y in reversed(undo):
+                ends[end], ends[other] = x, y
+
+    walk(n - 1, 0, diagram.free_loops)
     return states
 
 

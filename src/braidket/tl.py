@@ -16,11 +16,9 @@ multiplies by a generator in closed form: with x = n+i-1, y = n+i, a = p[x]
 and b = p[y], d·U_i is d with one loop when a == y, and otherwise pairs a
 with b and x with y.  The Markov closure glues a diagram to the identity
 pairing (top k to bottom n+k); ``pairing_loops`` counts the loops of that
-gluing, as it counts those of a smoothing state glued to a PD code's arcs
-in ``diagram.enumerate_states``.  ``TLDiagram``
-checks a pairing (an involution, planar) only where it comes from outside,
-a caller's ``TLDiagram(...)``, and where ``braid.rho_tl`` turns table ids
-back into diagrams; the table builds none.
+gluing.  ``TLDiagram`` checks a pairing (an involution, planar) only where
+it comes from outside, a caller's ``TLDiagram(...)``, and where
+``braid.rho_tl`` turns table ids back into diagrams; the table builds none.
 """
 
 from __future__ import annotations

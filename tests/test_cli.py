@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -731,8 +732,9 @@ def parse_then_run(argv):
 
 
 class TestArgv:
-    """main hands a known command's tokens straight to its own parser; every
-    argv must still give what the full top-level parse gives."""
+    """main reads a known command's tokens itself where argparse would read
+    them alike; every argv must still give what the full top-level parse
+    gives."""
 
     TREFOIL = str(Path(__file__).resolve().parent.parent / "examples" / "trefoil_pd.json")
     CORPUS = [
@@ -779,6 +781,56 @@ class TestArgv:
         # Errors of the handlers.
         ["bracket", "--strands", "3", "--word", "3"],
         ["verify", "--n", "1"],
+        # Values that start with "-".
+        ["bracket", "--strands", "3", "--word", "-1 2 -1"],
+        ["bracket", "--strands", "3", "--word", "-1"],
+        ["bracket", "--strands", "3", "--word", ""],
+        ["bracket", "--strands", "3", "--word", "-1\t2"],
+        ["bracket", "--strands", "3", "--word", "-\u0661"],
+        ["bracket", "--strands", "3", "--word", "-"],
+        ["bracket", "--strands", "3", "--word", "--"],
+        ["bracket", "--strands", "3", "--word=-1 2"],
+        ["bracket", "--strands", "3", "--word", "--json"],
+        ["qsim", "--theta", "-0.25", "--word", "1 2", "--shots", "100"],
+        ["qsim", "--theta", "-.25", "--word", "1 2", "--shots", "100"],
+        ["qsim", "--theta", "-1e-3", "--word", "1 2", "--shots", "100"],
+        # Options out of order, and a repeated flag.
+        ["bracket", "--word", "1 -2 1", "--check", "--strands", "3"],
+        ["qsim", "--word", "1 2", "--shots", "100", "--theta", "0.2"],
+        ["qsim", "--shots", "100", "--theta", "0.2", "--word", "1 2"],
+        ["bracket", "--check", "--check", "--strands", "2", "--word", "1"],
+    ]
+    # The README's commands (the corpus's first six) and one argv of each
+    # benchmark kind: main must parse each without argparse.
+    DIRECT = CORPUS[:6] + [
+        ["bracket", "--check", "--strands", "4", "--word", "1 -3 2 -1 3"],
+        ["jones", "--strands", "6", "--word", "1 2 3 4 5 -1 -2 3"],
+        ["jones", "--pd", TREFOIL],
+        [
+            "qsim", "--theta", "-0.43141592653589793", "--word", "1 -1 2 -2 2",
+            "--prepare", "1", "--shots", "1000000", "--seed", "12345",
+        ],
+    ]
+    # argv that argparse may read otherwise, on some Python, than main would
+    # by itself: each must go to argparse.
+    DECLINED = [
+        ["bracket", "--strands", "2", "--strands", "3", "--word", "1 2"],
+        ["bracket", "--check", "--check", "--strands", "2", "--word", "1"],
+        ["bracket", "--strands=3", "--word", "1"],
+        ["bracket", "--str", "3", "--word", "1"],
+        ["bracket", "--strands", "3", "--word", "-1\t2"],
+        ["bracket", "--strands", "3", "--word", "-"],
+        ["bracket", "--strands", "3", "--word", "--"],
+        ["bracket", "--strands", "3", "--word", "--json"],
+        ["bracket", "--strands", "3", "--word", "-h 1"],
+        ["bracket", "--strands", "x", "--word", "1"],
+        ["bracket", "--strands"],
+        ["bracket", "--strands", "3", "--word", "1", "extra"],
+        ["bracket", "-h"],
+        ["qsim", "--theta", "-1e-3", "--word", "1"],
+        ["qsim", "--theta", "-4.5e-05", "--word", "1"],
+        ["qsim", "--word", "1"],
+        ["qsim", "--theta", "0.2"],
     ]
 
     @staticmethod
@@ -794,3 +846,52 @@ class TestArgv:
         for argv in self.CORPUS:
             expected = self.outcome(capsys, parse_then_run, argv)
             assert self.outcome(capsys, main, argv) == expected, argv
+
+    @staticmethod
+    def spy_on_argparse(monkeypatch) -> list:
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        return calls
+
+    def test_common_argv_skip_argparse(self, capsys, monkeypatch):
+        calls = self.spy_on_argparse(monkeypatch)
+        for argv in self.DIRECT:
+            code, out, err = self.outcome(capsys, main, argv)
+            assert (code, err, calls) == (0, "", []), argv
+            assert out
+
+    def test_declined_argv_go_to_argparse(self, capsys, monkeypatch):
+        calls = self.spy_on_argparse(monkeypatch)
+        for argv in self.DECLINED:
+            self.outcome(capsys, main, argv)
+            assert calls, argv
+            calls.clear()
+
+
+class TestClosedStdout:
+    """A command whose stdout is closed exits 1 without a traceback, whether
+    print writes through at once or at the last flush."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_exits_1_quietly(self, unbuffered):
+        src = str(Path(braidket.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "braidket.cli", "jones", "--pd", TestArgv.TREFOIL],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")

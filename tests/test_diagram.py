@@ -115,12 +115,15 @@ def states_oracle(diagram: LinkDiagram) -> list[StateSummary]:
 
 
 @st.composite
-def moved_closures(draw):
-    """Closures of 1-4 strand braids, then curls, mirrors, shuffled crossings
-    and labels, and extra free loops."""
-    word = draw(st.one_of(st.just(BraidWord(1, ())), braid_words(max_strands=4, max_length=6)))
+def moved_closures(draw, max_strands=4, max_length=6, max_moves=3):
+    """Closures of 1 to ``max_strands`` strand braids, then up to
+    ``max_moves`` curls and mirrors, shuffled crossings and labels, and extra
+    free loops."""
+    words = braid_words(max_strands=max_strands, max_length=max_length)
+    word = draw(st.one_of(st.just(BraidWord(1, ())), words))
     diagram = closure_to_diagram(word)
-    for move in draw(st.lists(st.sampled_from(["curl+", "curl-", "mirror"]), max_size=3)):
+    moves = st.lists(st.sampled_from(["curl+", "curl-", "mirror"]), max_size=max_moves)
+    for move in draw(moves):
         if move == "mirror":
             diagram = mirror_diagram(diagram)
         else:
@@ -230,9 +233,11 @@ class TestEnumerateStates:
         with pytest.raises(SizeLimitError, match="free loops"):
             enumerate_states(LinkDiagram((), k + 1))
 
-    @given(moved_closures())
-    @settings(max_examples=80, deadline=None)
+    @given(moved_closures(max_strands=5, max_length=12, max_moves=2))
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_matches_union_find_oracle(self, diagram):
+        # Up to 14 crossings, so the walk's undo, its loop count and its
+        # B-before-A order all show in the state list.
         assert enumerate_states(diagram) == states_oracle(diagram)
 
     def test_uses_no_union_find(self, monkeypatch):
