@@ -158,42 +158,39 @@ def _fold(b: BraidWord):
     bits, proven = _widths(n, length)
     table = diagram_table(n)
     state, safe = {table.identity: 1}, 0
-    try:
-        for done, g in enumerate(b.letters):
-            while done == safe and bits < proven:
-                room = _room(state, bits, n, window)
-                safe += room
-                if not room:
-                    wider = min(2 * bits, proven)
-                    state = {d: _widen(x, bits, wider) for d, x in state.items()}
-                    bits = wider
-            if _fold_cost(len(state), n, bits, window) > MAX_TL_COST:
-                raise SizeLimitError(
-                    f"TL product of {length} letters on {n} strands exceeds the "
-                    f"{MAX_TL_COST} cost guard at {len(state)} live diagrams"
-                )
-            # A^3 rho(sigma_i) = B^2*1 + B*U_i, A^3 rho(sigma_i^-1) = B*1 + B^2*U_i.
-            # When d caps the points U_i caps, d·U_i = delta d and the two
-            # terms are one: (B^2 - B^2 - 1) d = -d, or (B - B^3 - B) d = -B^3 d.
-            i = abs(g)
-            action = table.actions[i]
-            keep, through, loop = (2 * bits, bits, 0) if g > 0 else (bits, 2 * bits, 3 * bits)
-            out: dict[int, int] = {}
-            for d, x in state.items():
-                e = action.get(d)
-                if e is None:
-                    e = table.act(i, d)
-                if e == d:
-                    out[d] = out.get(d, 0) - (x << loop)
-                else:
-                    out[d] = out.get(d, 0) + (x << keep)
-                    out[e] = out.get(e, 0) + (x << through)
-            state = {d: x for d, x in out.items() if x}
-    except SizeLimitError:
-        # A guarded fold interned up to MAX_TL_COST's worth of diagrams that
-        # no later word may need; dropping the table frees them.
-        discard_table(n)
-        raise
+    for done, g in enumerate(b.letters):
+        while done == safe and bits < proven:
+            room = _room(state, bits, n, window)
+            safe += room
+            if not room:
+                wider = min(2 * bits, proven)
+                state = {d: _widen(x, bits, wider) for d, x in state.items()}
+                bits = wider
+        if _fold_cost(len(state), n, bits, window) > MAX_TL_COST:
+            # The fold interned up to MAX_TL_COST's worth of diagrams that no
+            # later word may need; dropping the table frees them.
+            discard_table(n)
+            raise SizeLimitError(
+                f"TL product of {length} letters on {n} strands exceeds the "
+                f"{MAX_TL_COST} cost guard at {len(state)} live diagrams"
+            )
+        # A^3 rho(sigma_i) = B^2*1 + B*U_i, A^3 rho(sigma_i^-1) = B*1 + B^2*U_i.
+        # When d caps the points U_i caps, d·U_i = delta d and the two
+        # terms are one: (B^2 - B^2 - 1) d = -d, or (B - B^3 - B) d = -B^3 d.
+        i = abs(g)
+        action = table.actions[i]
+        keep, through, loop = (2 * bits, bits, 0) if g > 0 else (bits, 2 * bits, 3 * bits)
+        out: dict[int, int] = {}
+        for d, x in state.items():
+            e = action.get(d)
+            if e is None:
+                e = table.act(i, d)
+            if e == d:
+                out[d] = out.get(d, 0) - (x << loop)
+            else:
+                out[d] = out.get(d, 0) + (x << keep)
+                out[e] = out.get(e, 0) + (x << through)
+        state = {d: x for d, x in out.items() if x}
     return table, state, bits
 
 

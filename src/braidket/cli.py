@@ -258,7 +258,15 @@ def main(argv: list[str] | None = None) -> int:
     if options is not None and (args := _direct(options, argv[1:])) is not None:
         args.command = argv[0]
         return _run(args)
-    return _run(parser.parse_args(argv))
+    try:
+        try:
+            args = parser.parse_args(argv)
+        finally:  # -h exits from inside parse_args, before _run's flush
+            sys.stdout.flush()
+    except BrokenPipeError:  # help to a closed stdout, as in _run (3.10's argparse raises it)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return _run(args)
 
 
 def _run(args: argparse.Namespace) -> int:

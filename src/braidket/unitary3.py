@@ -44,10 +44,10 @@ same numpy matmul of the same float factors.  The stack after the lookup is
 therefore the stack after those two halvings, bit for bit, and so is rho(b);
 the lookup saves three quarters of the 2x2 products.
 
-A block of k <= 8 letters, which is every word the trace formula is run on
+A word of k <= 8 letters, which is every word the trace formula is run on
 in bulk, goes without numpy's index arithmetic: the table indices of its
 first four letters (head) and of the rest (tail) are computed in Python, and
-the block is tables[k-1][head], copied, or tables[3][head] @ tables[k-5][tail].
+rho(b) is tables[k-1][head], copied, or tables[3][head] @ tables[k-5][tail].
 That is the halving's product too: its stack is then those two entries, and
 halving a stack of two is one matmul of the same two matrices, through the
 same BLAS zgemm call, so the bits are the same.  For such words numpy's
@@ -92,9 +92,8 @@ _BLOCK = 1 << 10
 #: 32,000-letter words of the benchmark's qsim-long workload, is one group.
 _GROUP = 32
 
-#: Row of UnitarySetup.factors for letter g, at g + 2, and the same map as an
-#: array for blocks of more than 8 letters.  No letter is 0, so its entry is
-#: out of range.
+#: Row of UnitarySetup.factors for letter g, at g + 2, also as an array for
+#: the blocks of longer words.  No letter is 0, so its entry is out of range.
 _ROW = (3, 1, 4, 0, 2)
 _FACTOR_ROW = np.array(_ROW)
 
@@ -112,7 +111,7 @@ def _table_index(letters: tuple[int, ...]) -> int:
 
 def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left[i] @ right[j] for every i and j, at index i * len(right) + j."""
-    return np.repeat(left, len(right), axis=0) @ np.tile(right, (len(left), 1, 1))
+    return (left[:, None] @ right[None]).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -224,28 +223,23 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
     """
     if b.strands != 3:
         raise ValueError(f"unitary representation needs 3 strands, got {b.strands}")
-    letters = b.letters
-    if not letters:
-        return np.eye(2, dtype=complex)
-    # Every block but the last is full, and they are halved _GROUP at a time,
-    # each group's letters read on from where the last group's ended.
-    full = (len(letters) - 1) // _BLOCK
-    block_products = []
-    ahead = iter(letters)
-    for done in range(0, full, _GROUP):
-        stack = _block_stack(ahead, setup, min(_GROUP, full - done), _BLOCK)
-        block_products.extend(_pairwise_product(stack))
-    block = letters[full * _BLOCK :]
-    if len(block) <= 4:  # one lookup, copied out of the cached table
-        block_products.append(setup.tables[len(block) - 1][_table_index(block)].copy())
-    elif len(block) <= 8:  # two lookups and the product the halving makes of them
-        head = setup.tables[3][_table_index(block[:4])]
-        block_products.append(head @ setup.tables[len(block) - 5][_table_index(block[4:])])
-    else:
-        block_products.append(_pairwise_product(_block_stack(block, setup, 1, len(block)))[0])
+    letters, tables = b.letters, setup.tables
+    if (k := len(letters)) <= min(8, _BLOCK):  # one block, read from the tables
+        if not k:
+            return np.eye(2, dtype=complex)
+        if k <= 4:  # one lookup, copied out of the cached table
+            return tables[k - 1][_table_index(letters)].copy()
+        # two lookups and the product the halving makes of them
+        return tables[3][_table_index(letters[:4])] @ tables[k - 5][_table_index(letters[4:])]
+    # Full blocks go _GROUP at a time, then the last block, all from one iterator.
+    full, rest = divmod(k - 1, _BLOCK)
+    groups = [(min(_GROUP, full - done), _BLOCK) for done in range(0, full, _GROUP)]
+    block_products, ahead = [], iter(letters)
+    for blocks, size in [*groups, (1, rest + 1)]:
+        block_products.extend(_pairwise_product(_block_stack(ahead, setup, blocks, size)))
     product = block_products[0]
     for count, block_product in enumerate(block_products[1:], start=2):
-        product = _polar_step(product @ block_product, min(count * _BLOCK, len(letters)))
+        product = _polar_step(product @ block_product, min(count * _BLOCK, k))
     return product
 
 

@@ -72,6 +72,8 @@ class TestParsing:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             BraidWord(2, (2,))
+        with pytest.raises(ValueError, match="^strand count must be at least 1$"):
+            BraidWord(0, ())
 
     @pytest.mark.parametrize(
         "text, message",

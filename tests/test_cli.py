@@ -79,6 +79,11 @@ class TestBracketCommand:
         assert code == 1
         assert "token 1" in err
 
+    @pytest.mark.parametrize("strands, word", [("0", ""), ("-2", "1")])
+    def test_strand_count_below_1_is_a_parse_error(self, capsys, strands, word):
+        code, out, err = run_cli(capsys, ["bracket", "--strands", strands, "--word", word])
+        assert (code, out, err) == (1, "", "error: strand count must be at least 1\n")
+
     def test_requires_one_source(self, capsys):
         code, _, err = run_cli(capsys, ["bracket", "--strands", "2"])
         assert code == 1
@@ -172,6 +177,25 @@ class TestBracketCommand:
             code, out, err = run_cli(capsys, [verb, "--pd", str(path)])
             assert (code, out) == (1, "")
             assert "is not a JSON integer" in err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"crossings": [{"slots": [1, 1, 2], "sign": 1}]}, "a crossing has exactly four slots"),
+            (
+                {"crossings": [{"slots": [1, 1, 2, 2, 3], "sign": 1}]},
+                "a crossing has exactly four slots",
+            ),
+            ({"crossings": [], "free_loops": -1}, "free loop count cannot be negative"),
+        ],
+        ids=["3-slots", "5-slots", "negative-free-loops"],
+    )
+    def test_malformed_pd_diagram_is_a_parse_error(self, capsys, tmp_path, data, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        for verb in ("bracket", "jones"):
+            code, out, err = run_cli(capsys, [verb, "--pd", str(path)])
+            assert (code, out, err) == (1, "", f"error: malformed diagram JSON: {message}\n")
 
     def test_successive_calls_keep_their_own_flags(self, capsys, tmp_path):
         path = tmp_path / "trefoil.json"
@@ -875,11 +899,12 @@ class TestArgv:
 
 
 class TestClosedStdout:
-    """A command whose stdout is closed exits 1 without a traceback, whether
-    print writes through at once or at the last flush."""
+    """A command whose stdout is closed exits 1 without a traceback, and help
+    written to a closed stdout exits 0 without one, whether print writes
+    through at once or at the last flush."""
 
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_exits_1_quietly(self, unbuffered):
+    @staticmethod
+    def run_closed(argv, unbuffered):
         src = str(Path(braidket.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         env.pop("PYTHONUNBUFFERED", None)
@@ -889,9 +914,19 @@ class TestClosedStdout:
         os.close(read)
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "braidket.cli", "jones", "--pd", TestArgv.TREFOIL],
+                [sys.executable, "-m", "braidket.cli", *argv],
                 stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
             )
         finally:
             os.close(write)
-        assert (done.returncode, done.stderr) == (1, b"")
+        return done.returncode, done.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_exits_1_quietly(self, unbuffered):
+        assert self.run_closed(["jones", "--pd", TestArgv.TREFOIL], unbuffered) == (1, b"")
+
+    # Help exits from inside argparse, before the command's own flush.
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["-h"], ["bracket", "-h"]])
+    def test_help_exits_0_quietly(self, argv, unbuffered):
+        assert self.run_closed(argv, unbuffered) == (0, b"")

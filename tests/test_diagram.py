@@ -437,6 +437,10 @@ class TestAddCurl:
         with pytest.raises(ValueError):
             add_curl(LinkDiagram((), 0), 1)
 
+    def test_zero_sign_rejected(self):
+        with pytest.raises(ValueError, match=r"^curl sign must be \+1 or -1$"):
+            add_curl(UNKNOT, 0)
+
     @given(
         braid_words(min_strands=1, max_strands=6, max_length=20),
         st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3),

@@ -126,6 +126,10 @@ class TestEvolve:
         with pytest.raises(ValueError, match="out of range"):
             evolve(5, np.eye(2))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="^operator must be a square matrix$"):
+            evolve(0, np.ones((2, 3)))
+
 
 class TestSampling:
     def test_deterministic_state_gives_all_counts(self):
@@ -249,6 +253,10 @@ class TestSampling:
     def test_rejects_shots_outside_the_counter_range(self, first_shot, shots):
         with pytest.raises(ValueError, match="range"):
             sample_shots(HALF, shots, 1, first_shot=first_shot)
+
+    def test_rejects_no_shots(self):
+        with pytest.raises(ValueError, match="^need at least one shot$"):
+            sample_shots(HALF, 0, 1)
 
     def test_last_counter_value_accepted(self):
         record = sample_shots(HALF, 5, 1, first_shot=2**64 - 5)

@@ -63,6 +63,19 @@ class TestDiagramValidation:
         with pytest.raises(ValueError):
             TLDiagram(2, (1, 2, 3, 0))
 
+    @pytest.mark.parametrize(
+        "n, pairing, message",
+        [
+            (0, (), "strand count must be at least 1"),
+            (2, (1, 0), "pairing must list 4 points"),
+            (2, (5, 0, 3, 2), "point 0 paired outside range: 5"),
+        ],
+    )
+    def test_rejects_malformed_pairing(self, n, pairing, message):
+        with pytest.raises(ValueError) as raised:
+            TLDiagram(n, pairing)
+        assert str(raised.value) == message
+
 
 class TestMultiplication:
     def test_u_squared(self):

@@ -317,17 +317,19 @@ CRITERION_07_THETAS = [math.pi / 10, -math.pi / 10, math.pi / 8, -math.pi / 8, m
 
 class TestProductTables:
     """rho_unitary starts each block from the products of 4 letters, then of
-    the 1-3 left over, and a block of at most 8 letters is the product of at
+    the 1-3 left over, and a word of at most 8 letters is the product of at
     most two such lookups; its bits must be those of the blocked pairwise
     product from single letters."""
 
-    # 1,020-1,030 straddle the first boundary of the real block size.
-    LENGTHS = [*range(13), *range(1020, 1031), 4099]
+    # 1,020-1,032 straddle the first boundary of the real block size, and
+    # end in a last block of up to 8 letters after one full block; 2,049-2,056
+    # end in one of every length from 1 to 8 after two.
+    LENGTHS = [*range(13), *range(1020, 1033), *range(2049, 2057), 4099]
 
     # Every angle with the real block size.  The small blocks, which cost a
     # projection every few letters, run at the three angles of
-    # TestBlockedProduct, where 1,020-1,030 cross no boundary of theirs that
-    # 0-12 do not.  Blocks of 8 letters are the longest that take two
+    # TestBlockedProduct, where the longer LENGTHS cross no boundary of
+    # theirs that 0-12 do not.  Blocks of 8 letters are the longest that take two
     # lookups and one product, blocks of 9 the shortest that take the
     # halving; up to two blocks, every length of the last block is tried.
     @pytest.mark.parametrize(
