@@ -21,18 +21,21 @@ rewrites a word of 4 or more strands to a shorter one on no more strands
 a later sigma_i^-e across letters j with |j - i| >= 2, which commute with
 it), the same across the word's end (conjugation), and destabilization of a
 top or bottom generator used once, which deletes that letter and its strand
-and leaves a curl -A^(+-3).  It does so only when a bound on (n, L) alone
-proves that the given word passes both ``MAX_TL_COST`` checks, so every word
-the guards stop reaches them as given.  Words of at most 3 strands are
-traced as given: TL_3 has 5 diagrams, so the rewrite would cost more than it
-saves.  ``bracket_via_trace``, ``rho_tl`` and the other representations take
-the word as given, so the tests check the rewrite against them.
+and leaves a curl -A^(+-3).  Last, a word that is c^k with 2 <= k < n, up
+to far commutation, for a period c that uses each generator once with one
+sign e, becomes (sigma_1 ... sigma_(k-1))^n on k strands with a curl of
+e(n - k): both close to the torus link T(n, k) = T(k, n).  The rewrite runs
+only when a bound on (n, L) alone proves that the given word passes both
+``MAX_TL_COST`` checks, so every word the guards stop reaches them as
+given.  Words of at most 3 strands are traced as given: TL_3 has 5
+diagrams, so the rewrite would cost more than it saves.
+``bracket_via_trace``, ``rho_tl`` and the other representations take the
+word as given, so the tests check the rewrite against them.
 
 Then ``closure_bracket`` picks the cheaper of two exact engines for the
 shortened word.  Every cut of the fold carries 2n open ends, while a closure
 contracted crossing by crossing in the greedy order of
-``diagram._contraction_steps`` may carry far fewer: the torus words
-(sigma_1 ... sigma_(n-1))^k close to T(n, k) = T(k, n).  So the closure is
+``diagram._contraction_steps`` may carry far fewer.  So the closure is
 contracted when it passes the contraction's size guards and its widest cut
 has at most as many open ends as the word has strands; otherwise the word is
 traced.  The curl multiplies either engine's bracket.
@@ -111,11 +114,18 @@ def _parse_tokens(tokens: list[str], strands: int, distinct: set[str] | None = N
     if strands < 1:
         raise ParseError("strand count must be at least 1")
     try:
-        # A long word repeats a few tokens: int() runs once on each.
+        # A long word repeats a few tokens: int() runs once on each, and
+        # each value is range-checked once, so the word skips
+        # BraidWord.__post_init__'s passes over its letters.
         value = {token: int(token) for token in (set(tokens) if distinct is None else distinct)}
-        return BraidWord(strands, tuple(map(value.__getitem__, tokens)))
     except ValueError:
         pass
+    else:
+        if all(0 < abs(g) < strands for g in value.values()):
+            word = object.__new__(BraidWord)
+            object.__setattr__(word, "strands", strands)
+            object.__setattr__(word, "letters", tuple(map(value.__getitem__, tokens)))
+            return word
     # Only a word that fails walks its tokens, to name the first bad one.
     for pos, token in enumerate(tokens, start=1):
         try:
@@ -262,7 +272,9 @@ def _simplify(b: BraidWord) -> tuple[BraidWord, int]:
     w on no more strands and letters than b (module docstring).
 
     An untouched top or bottom strand is a free loop: it stays as an
-    untouched top strand, so the trace counts it as it does in b.
+    untouched top strand, so the trace counts it as it does in b.  The
+    torus move runs once, after the others: (sigma_1 ... sigma_(k-1))^n
+    has n > k turns of k-1 letters, so no move applies to it.
     """
     letters, strands, free, curl = list(b.letters), b.strands, 0, 0
     while True:
@@ -294,7 +306,21 @@ def _simplify(b: BraidWord) -> tuple[BraidWord, int]:
                 letters = [g - 1 if g > 0 else g + 1 for g in letters]
             strands -= 1
         if (len(letters), strands) == before:
-            return BraidWord(strands + free, tuple(letters)), curl
+            break
+    # c^k, for a period c that uses each generator once with one sign e, up
+    # to far commutation: sigma_i^e and sigma_(i+1)^e alternate, k of each,
+    # for every i.  Its closure is the torus link T(n, k) = T(k, n), the
+    # closure of (sigma_1 ... sigma_(k-1))^n: c is conjugate to
+    # sigma_1 ... sigma_(n-1), and the writhe drops by e(n - k).
+    sign = 1 if letters and letters[0] > 0 else -1
+    k, rest = divmod(len(letters), strands - 1) if strands > 2 else (0, 1)
+    pairs = ([g for g in letters if g == sign * i or g == sign * (i + 1)] for i in range(1, strands - 1))
+    if not rest and 2 <= k < strands and all(
+        len(p) == 2 * k and p[0] != p[1] and p == p[:2] * k for p in pairs
+    ):
+        curl += sign * (strands - k)
+        letters, strands = [sign * i for i in range(1, k)] * strands, k
+    return BraidWord(strands + free, tuple(letters)), curl
 
 
 def _push(stack: list[int], g: int, floor: int = 0) -> None:

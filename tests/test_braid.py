@@ -419,19 +419,35 @@ class TestSimplify:
             # the ten conjugations turn the eight letters left by one more.
             ((4, (-1, 2, 1, 2, 1, 3, 2, 3, 1, 3)), (4, (1, 2, 1, 3, 2, 3, 3, 2)), 0),
             # A top generator used once, of either sign, leaves with its strand.
-            ((4, (1, 2, 1, 2, 3)), (3, (1, 2, 1, 2)), 1),
-            ((4, (1, 2, 1, 2, -3)), (3, (1, 2, 1, 2)), -1),
+            ((4, (1, -2, 1, -2, 3)), (3, (1, -2, 1, -2)), 1),
+            ((4, (1, -2, 1, -2, -3)), (3, (1, -2, 1, -2)), -1),
             # So does a bottom one, and the other indices move down.
-            ((4, (3, 2, 3, 2, 1)), (3, (2, 1, 2, 1)), 1),
-            ((4, (3, 2, 3, 2, -1)), (3, (2, 1, 2, 1)), -1),
+            ((4, (3, -2, 3, -2, 1)), (3, (2, -1, 2, -1)), 1),
+            ((4, (3, -2, 3, -2, -1)), (3, (2, -1, 2, -1)), -1),
             # Generators used twice stay.
             ((4, (1, 2, 1, 2, 3, 2, -3)), (4, (1, 2, 1, 2, 3, 2, -3)), 0),
             ((4, (1, 2, -1, 3, 2, 3)), (4, (1, 2, -1, 3, 2, 3)), 0),
             # sigma_4 and sigma_1 are unused: strands 5 and 1 are free loops;
             # the bottom one moves to the top and the rest move down.
-            ((5, (2, 3, 2, 3)), (5, (1, 2, 1, 2)), 0),
+            ((5, (2, -3, 2, -3)), (5, (1, -2, 1, -2)), 0),
             # Every generator once: one strand left, four positive curls.
             ((5, (1, 2, 3, 4)), (1, ()), 4),
+            # c^k with a period c that uses every generator once, of one
+            # sign, in any order, and 2 <= k < n: T(n, k) = T(k, n), so the
+            # word becomes (sigma_1 ... sigma_(k-1))^n on k strands, and the
+            # curl gains +-(n - k).
+            ((5, (1, 2, 3, 4) * 3), (3, (1, 2) * 5), 2),
+            ((5, (-4, -3, -2, -1) * 3), (3, (-1, -2) * 5), -2),
+            ((5, (3, 1, 4, 2) * 2), (2, (1,) * 5), 3),
+            # After destabilization, of (1 2)^2 on the three strands left;
+            # the untouched strands stay at the top.
+            ((4, (1, 2, 1, 2, 3)), (2, (1, 1, 1)), 2),
+            ((6, (2, 3, 2, 3)), (5, (1, 1, 1)), 1),
+            # No move: k = n, a period that misses sigma_2 and repeats
+            # sigma_1, and a period of mixed signs.
+            ((4, (1, 2, 3) * 4), (4, (1, 2, 3) * 4), 0),
+            ((4, (1, 3, 1) * 2), (4, (1, 3, 1) * 2), 0),
+            ((4, (1, -2, 3) * 2), (4, (1, -2, 3) * 2), 0),
         ],
     )
     def test_hand_checked_rewrites(self, word, simplified, curl):
@@ -511,17 +527,32 @@ class TestClosureBracket:
         return calls
 
     def test_narrow_torus_closure_is_contracted(self, engines):
-        # T(9, 3) = T(3, 9): the greedy sweep of its 24 crossings keeps at
-        # most 6 ends open, where the TL_9 fold carries 3,281 diagrams.
-        word = torus_word(9, 3)
+        # (sigma_1 ... sigma_7 sigma_8^-1)^3, the torus word of T(9, 3) with
+        # its top crossings changed, has a period of mixed signs, so it keeps
+        # its 9 strands. The greedy sweep of its 24 crossings keeps at most
+        # 6 ends open, where the TL_9 fold carries 3,281 diagrams.
+        word = BraidWord(9, (1, 2, 3, 4, 5, 6, 7, -8) * 3)
         bracket, engine = closure_bracket(word)
         assert (bracket, engine) == (bracket_via_trace(word), "contracted")
         assert engines["_closure"] == [word]
         assert len(engines["_contract"]) == 1 and engines["_fold"] == [word]
 
+    @pytest.mark.parametrize("word", [torus_word(9, 3), BraidWord(9, tuple(range(8, 0, -1)) * 3)])
+    def test_torus_words_run_on_their_fewer_strands(self, engines, word):
+        # T(9, 3) = T(3, 9), the closure of (sigma_1 sigma_2)^9 with a
+        # writhe 6 lower; the half-twist flip (sigma_8 ... sigma_1)^3
+        # closes to the same link. The greedy sweep keeps 6 > 3 ends open,
+        # so the 3-strand word is traced.
+        fewer = BraidWord(3, (1, 2) * 9)
+        assert braidket.braid._simplify(word) == (fewer, 6)
+        assert closure_bracket(word) == (bracket_via_trace(word), "trace")
+        assert engines["_closure"] == [fewer] and engines["_contract"] == []
+        assert engines["_fold"] == [fewer, word]
+
     def test_closure_wider_than_its_strands_is_traced(self, engines):
-        # The greedy sweep of (sigma_1 ... sigma_5)^4 keeps 8 ends open.
-        word = torus_word(6, 4)
+        # The greedy sweep of (sigma_1 ... sigma_4 sigma_5^-1)^4 keeps 8 ends
+        # open; its period's mixed signs keep it on 6 strands.
+        word = BraidWord(6, (1, 2, 3, 4, -5) * 4)
         steps = braidket.braid._contraction_steps(braidket.braid._closure(word)[0])
         assert max(len(frontier) for _, frontier in steps) == 8
         assert closure_bracket(word) == (bracket_via_trace(word), "trace")
@@ -538,8 +569,9 @@ class TestClosureBracket:
         [
             # 32 of its 34 strands are free loops, past the 28-loop guard.
             (BraidWord(35, (1, 2, 1)), BraidWord(34, (1, 1))),
-            # 30 letters, past the 28-crossing guard.
-            (torus_word(7, 5), torus_word(7, 5)),
+            # 30 letters, past the 28-crossing guard: a period of mixed signs
+            # keeps them on 7 strands.
+            (BraidWord(7, (1, 2, 3, 4, 5, -6) * 5), BraidWord(7, (1, 2, 3, 4, 5, -6) * 5)),
         ],
     )
     def test_words_past_a_contraction_guard_are_traced(self, engines, word, simplified):
@@ -563,8 +595,75 @@ def torus_variants(p: int, q: int) -> list[BraidWord]:
     ]
 
 
+@st.composite
+def torus_type_words(draw):
+    """``(word, k)``: c^k on n strands, 2 <= k < n, for a period c that uses
+    each generator once in a drawn order with one drawn sign, conjugated by
+    a letter, given a cancelling pair and perhaps stabilized at the top or
+    the bottom, so ``_simplify`` must expose c^k first.  In half the words
+    c^k is spoiled, so that c repeats a generator or mixes signs, or two
+    neighbouring letters swap places; k is then None."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(2, n - 1))
+    sign = draw(st.sampled_from((1, -1)))
+    period = [sign * g for g in draw(st.permutations(range(1, n)))]
+    letters = period * k
+    defect = draw(st.sampled_from((None, None, None, "repeat", "sign", "swap")))
+    if defect == "swap":
+        # The last two neighbours that do not commute, if c has such a pair.
+        at = max(
+            (j for j in range(1, n - 1) if abs(abs(letters[j]) - abs(letters[j - 1])) == 1), default=1
+        )
+        at += (n - 1) * draw(st.integers(0, k - 1))
+        letters[at - 1], letters[at] = letters[at], letters[at - 1]
+    elif defect is not None:
+        at = draw(st.integers(0, n - 2))
+        period[at] = period[at - 1] if defect == "repeat" else -period[at]
+        letters = period * k
+    k = None if defect else k
+    alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+    g, h = draw(st.sampled_from(alphabet)), draw(st.sampled_from(alphabet))
+    letters = [g, *letters, -g]
+    at = draw(st.integers(0, len(letters)))
+    letters[at:at] = [h, -h]
+    stabilize = draw(st.sampled_from((None, 1, -1)))
+    if stabilize is not None:
+        if draw(st.booleans()):
+            letters = [x + (1 if x > 0 else -1) for x in letters]
+        else:
+            stabilize *= n
+        letters.insert(draw(st.integers(0, len(letters))), stabilize)
+        n += 1
+    return BraidWord(n, tuple(letters)), k
+
+
 class TestTorusKnots:
     """closure_bracket against the closed form of V(T(p, q)) (conftest)."""
+
+    @given(torus_type_words())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_torus_type_words_equal_the_trace(self, case):
+        word, k = case
+        if k is not None:
+            assert braidket.braid._simplify(word)[0].strands == k
+        assert closure_bracket(word)[0] == bracket_via_trace(word)
+
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(3, 8) for q in range(2, p)])
+    def test_both_spellings_of_a_torus_link(self, p, q):
+        # T(p, q) = T(q, p): the p-strand and q-strand words and their
+        # half-twist flips give one f and V, the closed form for a knot; so
+        # do their mirrors, among themselves.
+        words = [torus_word(p, q), torus_word(q, p)]
+        words += [BraidWord(w.strands, tuple(w.strands - g for g in w.letters)) for w in words]
+        for mirror in (1, -1):
+            invariants = set()
+            for word in (BraidWord(w.strands, tuple(mirror * g for g in w.letters)) for w in words):
+                bracket, _ = closure_bracket(word)
+                assert bracket == bracket_via_trace(word)
+                invariants.add(normalize_bracket(bracket, exponent_sum(word)))
+            assert len(invariants) == 1
+            if gcd(p, q) == 1 and mirror == 1:
+                assert invariants.pop()[1] == torus_knot_jones(p, q)
 
     @pytest.mark.parametrize(
         "p, q",
@@ -590,15 +689,18 @@ class TestTorusKnots:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_stabilized_words_are_contracted_with_their_curl(self, sign):
-        # (sigma_1 ... sigma_8)^2 closes to the knot T(9, 2) = T(2, 9).
+        # (sigma_1 ... sigma_8)^2 closes to the knot T(9, 2) = T(2, 9): its
+        # stabilization runs as sigma_1^9 on 2 strands, with a curl of 7
+        # from the torus move and one of +-1 from the destabilization.
         knot = BraidWord(10, torus_word(9, 2).letters + (9 * sign,))
-        bracket, engine = closure_bracket(knot)
-        assert engine == "contracted"
+        assert braidket.braid._simplify(knot) == (BraidWord(2, (1,) * 9), 7 + sign)
+        bracket, _ = closure_bracket(knot)
         assert normalize_bracket(bracket, exponent_sum(knot))[1] == torus_knot_jones(9, 2)
-        # (sigma_1 ... sigma_8)^3 closes to the 3-component link T(9, 3),
-        # where the knot formula does not apply: sigma_9^(+-1) must multiply
-        # the bracket of the trace by -A^(+-3).
-        base = torus_word(9, 3)
+        # (sigma_1 ... sigma_7 sigma_8^-1)^3, a period of mixed signs, closes
+        # to a link that the knot formula does not cover and keeps its 9
+        # strands: sigma_9^(+-1) must multiply the bracket of the trace by
+        # -A^(+-3).
+        base = BraidWord(9, (1, 2, 3, 4, 5, 6, 7, -8) * 3)
         link = BraidWord(10, base.letters + (9 * sign,))
         expected = LaurentPoly.monomial(3 * sign, -1) * bracket_via_trace(base)
         assert closure_bracket(link) == (expected, "contracted")

@@ -295,8 +295,9 @@ class TestBracketCommand:
         "strands, word, engine, patched",
         [
             (3, "1 -2 1", "trace", "bracket_via_trace"),
-            # The closure of (sigma_1 ... sigma_4)^2 sweeps at most 4 open ends.
-            (5, "1 2 3 4 1 2 3 4", "contracted", "_contract"),
+            # The closure of (sigma_1 sigma_2 sigma_3 sigma_4^-1)^2 sweeps at
+            # most 4 open ends; its period's mixed signs keep its 5 strands.
+            (5, "1 2 3 -4 1 2 3 -4", "contracted", "_contract"),
         ],
     )
     def test_check_mismatch_names_the_engine(self, capsys, monkeypatch, strands, word, engine, patched):
@@ -315,7 +316,7 @@ class TestBracketCommand:
             # 32 free loops after _simplify, past the contraction's 28-loop guard.
             (35, "1 2 1"),
             # 30 letters after _simplify, past its 28-crossing guard.
-            (7, " ".join(["1 2 3 4 5 6"] * 5)),
+            (7, " ".join(["1 2 3 4 5 -6"] * 5)),
         ],
     )
     def test_words_past_a_contraction_guard_print_the_trace(self, capsys, strands, word):
