@@ -35,10 +35,10 @@ word as given, so the tests check the rewrite against them.
 Then ``closure_bracket`` picks the cheaper of two exact engines for the
 shortened word.  Every cut of the fold carries 2n open ends, while a closure
 contracted crossing by crossing in the greedy order of
-``diagram._contraction_steps`` may carry far fewer.  So the closure is
-contracted when it passes the contraction's size guards and its widest cut
-has at most as many open ends as the word has strands; otherwise the word is
-traced.  The curl multiplies either engine's bracket.
+``diagram._contraction_steps`` may carry far fewer.  So a closure within
+the contraction's size guards is swept until a cut has more open ends than
+the word has strands, and then the word is traced; a closure swept to the
+end is contracted.  The curl multiplies either engine's bracket.
 """
 
 from __future__ import annotations
@@ -247,12 +247,10 @@ def closure_bracket(b: BraidWord) -> tuple[LaurentPoly, str]:
         return bracket_via_trace(b), "trace"
     w, curl = _simplify(b)
     slots, free_loops = _closure(w)
-    steps = None if _oversize(len(slots), free_loops) else _contraction_steps(slots)
-    if steps is not None and max((len(frontier) for _, frontier in steps), default=0) <= w.strands:
-        bracket, engine = _contract(steps, free_loops), "contracted"
-    else:
-        bracket, engine = bracket_via_trace(w), "trace"
-    return writhe_factor(-curl) * bracket, engine
+    steps = None if _oversize(len(slots), free_loops) else _contraction_steps(slots, w.strands)
+    if steps is None:
+        return writhe_factor(-curl) * bracket_via_trace(w), "trace"
+    return writhe_factor(-curl) * _contract(steps, free_loops), "contracted"
 
 
 def _within_guards(n: int, length: int) -> bool:
@@ -278,7 +276,6 @@ def _simplify(b: BraidWord) -> tuple[BraidWord, int]:
     """
     letters, strands, free, curl = list(b.letters), b.strands, 0, 0
     while True:
-        before = len(letters), strands
         stack: list[int] = []
         for g in letters:
             _push(stack, g)
@@ -287,7 +284,7 @@ def _simplify(b: BraidWord) -> tuple[BraidWord, int]:
         while head < min(turn, len(stack)):
             head += 1
             _push(stack, stack[head - 1], head)
-        letters = stack[head:]
+        letters, prior = stack[head:], strands
         while strands > 1:
             # The top generator, then the bottom one: if used at most once,
             # it goes, and its strand with it (or moves to the top, free).
@@ -305,7 +302,9 @@ def _simplify(b: BraidWord) -> tuple[BraidWord, int]:
             if i == 1:
                 letters = [g - 1 if g > 0 else g + 1 for g in letters]
             strands -= 1
-        if (len(letters), strands) == before:
+        # The stack leaves no far pair and the turn no pair across the end,
+        # so only a strand gone can let another cancellation fire.
+        if strands == prior:
             break
     # c^k, for a period c that uses each generator once with one sign e, up
     # to far commutation: sigma_i^e and sigma_(i+1)^e alternate, k of each,

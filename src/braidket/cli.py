@@ -48,6 +48,13 @@ EXIT_MISMATCH = 3
 EXIT_ANGLE = 4
 EXIT_VERIFY = 5
 
+#: The most characters ``--pd`` reads, so a file such as /dev/zero stops at
+#: a size guard instead of filling memory.  A diagram the contraction takes
+#: has at most 28 crossings, whose 112 slots hold labels of at most 4,300
+#: digits (the default sys.get_int_max_str_digits): under 0.5 MB of JSON,
+#: about an eighth of the bound.
+MAX_PD_CHARS = 4_000_000
+
 
 # Built once per process: main may be called many times in one interpreter.
 @lru_cache(maxsize=None)
@@ -137,13 +144,17 @@ def _direct(options: dict[str, argparse.Action], tokens: list[str]) -> argparse.
 
 def _read_diagram(path: str) -> LinkDiagram:
     try:
+        # A bounded read of a text file takes it in small chunks; one of a
+        # binary file would allocate the whole bound first.
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(MAX_PD_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise ParseError(f"PD file is not valid UTF-8: {exc}") from exc
     except (OSError, ValueError) as exc:
         # open() raises ValueError on a path it cannot take, such as one holding a NUL byte.
         raise ParseError(f"cannot read PD file: {exc}") from exc
+    if len(text) > MAX_PD_CHARS:
+        raise SizeLimitError(f"PD file exceeds the {MAX_PD_CHARS}-character guard")
     try:
         data = json.loads(text)
     except ValueError as exc:

@@ -87,11 +87,11 @@ class LinkDiagram:
         return sorted({s for c in self.crossings for s in c.slots})
 
 
-def _other_ends(crossings: tuple[Crossing, ...]) -> list[int]:
+def _other_ends(crossings: tuple[tuple[int, int, int, int], ...]) -> list[int]:
     """For each slot position 4*c + s, the position at the other end of its arc."""
     other = [0] * (4 * len(crossings))
     first_end: dict[int, int] = {}
-    for p, label in enumerate(s for c in crossings for s in c.slots):
+    for p, label in enumerate(s for slots in crossings for s in slots):
         q = first_end.pop(label, None)
         if q is None:
             first_end[label] = p
@@ -107,7 +107,7 @@ def _faces_and_components(crossings: tuple[Crossing, ...]) -> tuple[int, int]:
     next slot counterclockwise".  By Euler's formula (N vertices, 2N edges) a
     planar code has N + 2 faces per component.
     """
-    other = _other_ends(crossings)
+    other = _other_ends(tuple(c.slots for c in crossings))
     joined = DisjointSet(len(crossings))
     for p, q in enumerate(other):
         joined.union(p // 4, q // 4)
@@ -160,7 +160,7 @@ def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
     n = len(diagram.crossings)
     if (error := _oversize(n, diagram.free_loops, MAX_STATE_SUM_CROSSINGS)) is not None:
         raise SizeLimitError(error)
-    ends = _other_ends(diagram.crossings)
+    ends = _other_ends(tuple(c.slots for c in diagram.crossings))
     states: list[StateSummary] = []
     made: dict[tuple[int, int], StateSummary] = {}  # one summary per (A count, loops)
 
@@ -213,34 +213,34 @@ def bracket_state_sum(diagram: LinkDiagram) -> LaurentPoly:
 
 def _contraction_steps(
     crossings: tuple[tuple[int, int, int, int], ...],
-) -> list[tuple[tuple[int, int, int, int], tuple[int, ...]]]:
+    width: int | None = None,
+) -> list[tuple[tuple[int, int, int, int], tuple[int, ...]]] | None:
     """Crossings' slots in contraction order, each with the sorted open arc
-    labels (met once so far) after it.  Each next crossing shares the most
-    labels with the open ones, ties going to the lowest index.
+    labels (met once so far) after it, or None as soon as more than
+    ``width`` labels are open.  Each next crossing shares the most labels
+    with the open ones, ties going to the lowest index.
 
     ``shared[i]`` counts the open labels of crossing i; a label opens at one
     end of its arc and raises the count of the crossing at the other end,
     and once that crossing is contracted the count no longer matters.
     """
-    holders: dict[int, list[int]] = {}
-    for i, slots in enumerate(crossings):
-        for s in slots:
-            holders.setdefault(s, []).append(i)
+    other = _other_ends(crossings)
     shared = [0] * len(crossings)
     frontier: set[int] = set()
     steps = []
     for _ in crossings:
         best = shared.index(max(shared))
-        shared[best] = -1
         slots = crossings[best]
-        for s in slots:
+        for p, s in enumerate(slots, start=4 * best):
             if s in frontier:
                 frontier.remove(s)
             else:
                 frontier.add(s)
-                for i in holders[s]:
-                    if i != best:
-                        shared[i] += 1
+                shared[other[p] // 4] += 1
+        # Last, as a curl's label raises its own crossing's count.
+        shared[best] = -1
+        if width is not None and len(frontier) > width:
+            return None
         steps.append((slots, tuple(sorted(frontier))))
     return steps
 

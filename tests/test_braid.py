@@ -29,7 +29,7 @@ from braidket.braid import closure_bracket
 from braidket.errors import ParseError, SizeLimitError
 from braidket.laurent import _ones, _room, _times_delta, _unpack, _widen
 from braidket.matrixrep import exact_factor
-from braidket.diagram import normalize_bracket, writhe_factor
+from braidket.diagram import _contraction_steps, _oversize, normalize_bracket, writhe_factor
 from conftest import braid_words, random_words, torus_knot_jones
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
@@ -391,6 +391,48 @@ class TestBracketViaTrace:
             assert bracket_via_trace(conjugated) == bracket_via_trace(word)
 
 
+@st.composite
+def torus_type_words(draw):
+    """``(word, k)``: c^k on n strands, 2 <= k < n, for a period c that uses
+    each generator once in a drawn order with one drawn sign, conjugated by
+    a letter, given a cancelling pair and perhaps stabilized at the top or
+    the bottom, so ``_simplify`` must expose c^k first.  In half the words
+    c^k is spoiled, so that c repeats a generator or mixes signs, or two
+    neighbouring letters swap places; k is then None."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(2, n - 1))
+    sign = draw(st.sampled_from((1, -1)))
+    period = [sign * g for g in draw(st.permutations(range(1, n)))]
+    letters = period * k
+    defect = draw(st.sampled_from((None, None, None, "repeat", "sign", "swap")))
+    if defect == "swap":
+        # The last two neighbours that do not commute, if c has such a pair.
+        at = max(
+            (j for j in range(1, n - 1) if abs(abs(letters[j]) - abs(letters[j - 1])) == 1), default=1
+        )
+        at += (n - 1) * draw(st.integers(0, k - 1))
+        letters[at - 1], letters[at] = letters[at], letters[at - 1]
+    elif defect is not None:
+        at = draw(st.integers(0, n - 2))
+        period[at] = period[at - 1] if defect == "repeat" else -period[at]
+        letters = period * k
+    k = None if defect else k
+    alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+    g, h = draw(st.sampled_from(alphabet)), draw(st.sampled_from(alphabet))
+    letters = [g, *letters, -g]
+    at = draw(st.integers(0, len(letters)))
+    letters[at:at] = [h, -h]
+    stabilize = draw(st.sampled_from((None, 1, -1)))
+    if stabilize is not None:
+        if draw(st.booleans()):
+            letters = [x + (1 if x > 0 else -1) for x in letters]
+        else:
+            stabilize *= n
+        letters.insert(draw(st.integers(0, len(letters))), stabilize)
+        n += 1
+    return BraidWord(n, tuple(letters)), k
+
+
 class TestSimplify:
     """The braid and Markov moves closure_bracket applies before either engine."""
 
@@ -407,6 +449,19 @@ class TestSimplify:
             assert bracket == bracket_state_sum(closure)
         if len(word.letters) <= 28:
             assert bracket == bracket_by_contraction(closure)
+
+    @given(
+        st.one_of(
+            braid_words(min_strands=1, max_strands=9, max_length=40),
+            torus_type_words().map(lambda case: case[0]),
+        )
+    )
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_a_simplified_word_is_a_fixed_point(self, word):
+        # _simplify stops after the first pass that removes no strand, so a
+        # word it returns must admit no further move.
+        simplified = braidket.braid._simplify(word)[0]
+        assert braidket.braid._simplify(simplified) == (simplified, 0)
 
     @pytest.mark.parametrize(
         "word, simplified, curl",
@@ -511,6 +566,27 @@ class TestClosureBracket:
         assert engine in ("trace", "contracted")
         assert bracket == bracket_via_trace(word)
 
+    @given(
+        st.one_of(
+            braid_words(min_strands=1, max_strands=9, max_length=30),
+            torus_words(),
+            torus_type_words().map(lambda case: case[0]),
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_contracts_exactly_when_the_whole_sweep_fits(self, word):
+        # The rule from the full greedy sweep, which closure_bracket stops as
+        # soon as it is wider than the word's strands.
+        n = word.strands
+        fits = False
+        if n > 3 and braidket.braid._within_guards(n, len(word.letters)):
+            simplified = braidket.braid._simplify(word)[0]
+            slots, free_loops = braidket.braid._closure(simplified)
+            steps = _contraction_steps(slots)
+            widest = max((len(frontier) for _, frontier in steps), default=0)
+            fits = _oversize(len(slots), free_loops) is None and widest <= simplified.strands
+        assert closure_bracket(word)[1] == ("contracted" if fits else "trace")
+
     @pytest.fixture
     def engines(self, monkeypatch):
         """The words ``_fold`` and the closures ``_closure`` are called with,
@@ -593,48 +669,6 @@ def torus_variants(p: int, q: int) -> list[BraidWord]:
         BraidWord(p + 1, w + (p,)),
         BraidWord(p + 1, w + (-p,)),
     ]
-
-
-@st.composite
-def torus_type_words(draw):
-    """``(word, k)``: c^k on n strands, 2 <= k < n, for a period c that uses
-    each generator once in a drawn order with one drawn sign, conjugated by
-    a letter, given a cancelling pair and perhaps stabilized at the top or
-    the bottom, so ``_simplify`` must expose c^k first.  In half the words
-    c^k is spoiled, so that c repeats a generator or mixes signs, or two
-    neighbouring letters swap places; k is then None."""
-    n = draw(st.integers(3, 6))
-    k = draw(st.integers(2, n - 1))
-    sign = draw(st.sampled_from((1, -1)))
-    period = [sign * g for g in draw(st.permutations(range(1, n)))]
-    letters = period * k
-    defect = draw(st.sampled_from((None, None, None, "repeat", "sign", "swap")))
-    if defect == "swap":
-        # The last two neighbours that do not commute, if c has such a pair.
-        at = max(
-            (j for j in range(1, n - 1) if abs(abs(letters[j]) - abs(letters[j - 1])) == 1), default=1
-        )
-        at += (n - 1) * draw(st.integers(0, k - 1))
-        letters[at - 1], letters[at] = letters[at], letters[at - 1]
-    elif defect is not None:
-        at = draw(st.integers(0, n - 2))
-        period[at] = period[at - 1] if defect == "repeat" else -period[at]
-        letters = period * k
-    k = None if defect else k
-    alphabet = [s * i for i in range(1, n) for s in (1, -1)]
-    g, h = draw(st.sampled_from(alphabet)), draw(st.sampled_from(alphabet))
-    letters = [g, *letters, -g]
-    at = draw(st.integers(0, len(letters)))
-    letters[at:at] = [h, -h]
-    stabilize = draw(st.sampled_from((None, 1, -1)))
-    if stabilize is not None:
-        if draw(st.booleans()):
-            letters = [x + (1 if x > 0 else -1) for x in letters]
-        else:
-            stabilize *= n
-        letters.insert(draw(st.integers(0, len(letters))), stabilize)
-        n += 1
-    return BraidWord(n, tuple(letters)), k
 
 
 class TestTorusKnots:

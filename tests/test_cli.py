@@ -386,6 +386,37 @@ class TestBracketCommand:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "") and "free loops" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_pd_file_exits_at_the_guard(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["jones", "--pd", "/dev/zero"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: PD file exceeds the {braidket.cli.MAX_PD_CHARS}-character guard\n"
+
+    def test_pd_guard_bound_still_loads(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "padded.json"
+        text = json.dumps(TREFOIL_PD)
+        monkeypatch.setattr(braidket.cli, "MAX_PD_CHARS", len(text) + 10)
+        path.write_text(text + " " * 10)
+        code, out, _ = run_cli(capsys, ["bracket", "--pd", str(path)])
+        assert (code, out) == (0, "A^7 - A^3 - A^-5\n")
+        path.write_text(text + " " * 11)
+        assert run_cli(capsys, ["bracket", "--pd", str(path)])[:2] == (2, "")
+
+    def test_widest_accepted_pd_file_is_far_under_the_guard(self, capsys, tmp_path):
+        # MAX_CROSSINGS crossings, each of whose 112 slots holds a label of
+        # 4,300 digits.
+        word = BraidWord(3, tuple(random.Random(1).choice((1, -1, 2, -2)) for _ in range(28)))
+        data = diagram_to_json(closure_to_diagram(word))
+        for crossing in data["crossings"]:
+            crossing["slots"] = [10**4299 + s for s in crossing["slots"]]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data, indent=2))
+        assert len(path.read_text()) < braidket.cli.MAX_PD_CHARS // 8
+        code, out, _ = run_cli(capsys, ["bracket", "--pd", str(path)])
+        assert (code, out) == (0, f"{bracket_via_trace(word)}\n")
+
     @pytest.mark.parametrize("verb", ["bracket", "jones"])
     def test_wide_empty_word_exits_at_the_trace_guard(self, capsys, verb):
         start = time.perf_counter()

@@ -383,6 +383,15 @@ class TestContractionSteps:
         code = tuple(c.slots for c in diagram.crossings)
         assert _contraction_steps(code) == contraction_steps_oracle(code)
 
+    @given(moved_closures())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_width_stops_the_sweep_once_it_is_exceeded(self, diagram):
+        code = tuple(c.slots for c in diagram.crossings)
+        steps = _contraction_steps(code)
+        widest = max((len(frontier) for _, frontier in steps), default=0)
+        for width in range(widest + 2):
+            assert _contraction_steps(code, width) == (steps if widest <= width else None)
+
 
 class TestWrithe:
     def test_positive_trefoil(self):
