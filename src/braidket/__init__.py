@@ -8,10 +8,12 @@ tensor representation, and (numerically, for three strands) the trace of the
 unitary representation.
 
 Only that last path uses numpy: ``unitary3``, the shot sampler ``qsim`` built
-on it, and ``verify``, whose suites check it.  These three are registered
-lazily (``importlib.util.LazyLoader``): each sits in ``sys.modules`` and as an
-attribute here, but its code, numpy included, runs on its first attribute
-access.  A process that computes only exact brackets never loads numpy.
+on it, and ``verify``, whose suites check it.  These three and the symbolic
+matrix representations of ``matrixrep``, which the CLI's ``bracket`` and
+``jones`` never run, are registered lazily (``importlib.util.LazyLoader``):
+each sits in ``sys.modules`` and as an attribute here, but its code, numpy
+included, runs on its first attribute access.  A process that computes only
+exact brackets never loads numpy.
 """
 
 import importlib.util
@@ -58,17 +60,6 @@ from .laurent import (
     LaurentPoly,
     to_jones_variable,
 )
-from .matrixrep import (
-    ElementaryTensors,
-    SymbolicMatrix,
-    burau_generator,
-    burau_rho,
-    elementary_tensors,
-    rho_matrix,
-    tl_tensor_image,
-    u_tensor,
-    z_amplitude,
-)
 from .tl import (
     TLDiagram,
     TLElement,
@@ -92,10 +83,23 @@ def _lazy(name: str):
     return module
 
 
-unitary3, qsim, verify = _lazy("unitary3"), _lazy("qsim"), _lazy("verify")
+matrixrep, unitary3, qsim, verify = map(_lazy, ("matrixrep", "unitary3", "qsim", "verify"))
 
 #: Names re-exported from the lazy modules, resolved by ``__getattr__``.
 _LAZY_NAMES = dict.fromkeys(
+    (
+        "ElementaryTensors",
+        "SymbolicMatrix",
+        "burau_generator",
+        "burau_rho",
+        "elementary_tensors",
+        "rho_matrix",
+        "tl_tensor_image",
+        "u_tensor",
+        "z_amplitude",
+    ),
+    "matrixrep",
+) | dict.fromkeys(
     ("UnitarySetup", "bracket_from_trace", "rho_unitary", "unitary_generators"), "unitary3"
 ) | dict.fromkeys(
     (

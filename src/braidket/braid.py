@@ -43,9 +43,9 @@ end is contracted.  The curl multiplies either engine's bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import Record, set_field
 from .diagram import Crossing, LinkDiagram, _contract, _contraction_steps, _oversize, writhe_factor
 from .errors import InvariantError, ParseError, SizeLimitError
 from .laurent import (
@@ -81,22 +81,20 @@ __all__ = [
 MAX_TL_COST = 5_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class BraidWord:
-    strands: int
-    letters: tuple[int, ...]
+class BraidWord(Record):
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: tuple[int, ...]):
+        set_field(self, "strands", strands)
+        set_field(self, "letters", letters)
+        if strands < 1:
             raise ValueError("strand count must be at least 1")
         # Three C passes; a set of the letters would collide on nearly every
         # insert, as hash(-1) == hash(-2) in CPython.
-        letters, top = self.letters, self.strands - 1
+        top = strands - 1
         if letters and (min(letters) < -top or max(letters) > top or 0 in letters):
             g = next(g for g in letters if g == 0 or abs(g) > top)
-            raise ValueError(
-                f"letter {g} invalid for {self.strands} strands (need 1 <= |letter| <= {top})"
-            )
+            raise ValueError(f"letter {g} invalid for {strands} strands (need 1 <= |letter| <= {top})")
 
     def __str__(self) -> str:
         return " ".join(str(g) for g in self.letters)
@@ -116,15 +114,15 @@ def _parse_tokens(tokens: list[str], strands: int, distinct: set[str] | None = N
     try:
         # A long word repeats a few tokens: int() runs once on each, and
         # each value is range-checked once, so the word skips
-        # BraidWord.__post_init__'s passes over its letters.
+        # BraidWord.__init__'s passes over its letters.
         value = {token: int(token) for token in (set(tokens) if distinct is None else distinct)}
     except ValueError:
         pass
     else:
         if all(0 < abs(g) < strands for g in value.values()):
             word = object.__new__(BraidWord)
-            object.__setattr__(word, "strands", strands)
-            object.__setattr__(word, "letters", tuple(map(value.__getitem__, tokens)))
+            set_field(word, "strands", strands)
+            set_field(word, "letters", tuple(map(value.__getitem__, tokens)))
             return word
     # Only a word that fails walks its tokens, to name the first bad one.
     for pos, token in enumerate(tokens, start=1):

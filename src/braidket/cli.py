@@ -14,12 +14,11 @@ Exit codes: 0 success, 1 parse error or closed stdout, 2 size guard,
 
 from __future__ import annotations
 
-import argparse
-import json
+import gc
 import os
-import re
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import qsim, unitary3, verify
 from .braid import _parse_tokens, closure_bracket, closure_to_diagram, exponent_sum, parse_braid
@@ -55,91 +54,119 @@ EXIT_VERIFY = 5
 #: about an eighth of the bound.
 MAX_PD_CHARS = 4_000_000
 
+#: The default of an option that must be given.
+_REQUIRED = object()
+
+_INPUT_OPTIONS = {
+    "--strands": (int, None, "strand count for braid input"),
+    "--word": (str, None, "braid word, e.g. '1 1 1'"),
+    "--pd": (str, None, "path to a PD diagram JSON file"),
+    "--json": (bool, False, "emit JSON instead of text"),
+    "--check": (
+        bool, False, "cross-check the trace or contracted bracket against the brute-force state sum"
+    ),
+}
+_QSIM_OPTIONS = {
+    "--theta": (float, _REQUIRED, "braiding angle in radians; write a negative one as --theta=-4.5e-05"),
+    "--word": (str, _REQUIRED, "3-strand braid word"),
+    "--prepare": (int, 0, "basis index to prepare"),
+    "--shots": (int, 100000, None),
+    "--seed": (int, 0, None),
+    "--json": (bool, False, "accepted; output is always JSON"),
+}
+
+#: Each command's help and its options, by option string: (type, default,
+#: help).  A type of bool marks a flag, and an option's dest is its name
+#: without "--".  main reads common argv from this table alone (``_direct``);
+#: the argparse parsers are built from it for the rest.
+_COMMANDS = {
+    "bracket": ("compute the bracket output for a link", _INPUT_OPTIONS),
+    "jones": ("compute the jones output for a link", _INPUT_OPTIONS),
+    "qsim": ("run the 3-strand braiding computer", _QSIM_OPTIONS),
+    "verify": ("run the relation suites", {"--n": (int, 3, "strand bound (2..5)")}),
+}
+
 
 # Built once per process: main may be called many times in one interpreter.
 @lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
-    """The top-level parser and, for each command, its options' actions by
-    option string (``-h`` not among them)."""
+def _parsers():
+    """The top-level argparse parser, built from ``_COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="braidket")
     sub = parser.add_subparsers(dest="command", required=True)
-    actions: dict[str, list[argparse.Action]] = {}
-
-    for verb in ("bracket", "jones"):
-        p = sub.add_parser(verb, help=f"compute the {verb} output for a link")
-        actions[verb] = [
-            p.add_argument("--strands", type=int, help="strand count for braid input"),
-            p.add_argument("--word", type=str, help="braid word, e.g. '1 1 1'"),
-            p.add_argument("--pd", type=str, help="path to a PD diagram JSON file"),
-            p.add_argument("--json", action="store_true", help="emit JSON instead of text"),
-            p.add_argument(
-                "--check",
-                action="store_true",
-                help="cross-check the trace or contracted bracket against the brute-force state sum",
-            ),
-        ]
-
-    q = sub.add_parser("qsim", help="run the 3-strand braiding computer")
-    theta_help = "braiding angle in radians; write a negative one as --theta=-4.5e-05"
-    actions["qsim"] = [
-        q.add_argument("--theta", type=float, required=True, help=theta_help),
-        q.add_argument("--word", type=str, required=True, help="3-strand braid word"),
-        q.add_argument("--prepare", type=int, default=0, help="basis index to prepare"),
-        q.add_argument("--shots", type=int, default=100000),
-        q.add_argument("--seed", type=int, default=0),
-        q.add_argument("--json", action="store_true", help="accepted; output is always JSON"),
-    ]
-
-    v = sub.add_parser("verify", help="run the relation suites")
-    actions["verify"] = [v.add_argument("--n", type=int, default=3, help="strand bound (2..5)")]
-    options = {
-        verb: {option: action for action in group for option in action.option_strings}
-        for verb, group in actions.items()
-    }
-    return parser, options
+    for command, (text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for option, (kind, default, note) in options.items():
+            if kind is bool:
+                p.add_argument(option, action="store_true", help=note)
+            elif default is _REQUIRED:
+                p.add_argument(option, type=kind, required=True, help=note)
+            else:
+                p.add_argument(option, type=kind, default=default, help=note)
+    return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser alone, by the name benchmark/tests calls."""
-    return _parsers()[0]
+def _build_parser():
+    """The top-level parser, by the name benchmark/tests calls."""
+    return _parsers()
 
 
-# A token argparse reads as an option's value on every Python from 3.10 on:
-# one not starting with "-", a negative integer or decimal, or a word with a
-# space such as "-1 2 -1".  "-4.5e-05" is not one: argparse's negative-number
-# rule reads it as an option up to 3.13.0 and as a value in some later
-# releases.
-_VALUE = re.compile(r"-(\d+|\d*\.\d+|\d.* .*)")
+def _is_value(token: str) -> bool:
+    r"""Whether argparse reads ``token`` as an option's value on every Python
+    from 3.10 on: one not starting with "-", a negative integer or decimal,
+    or a word with a space such as "-1 2 -1" (the regular expression
+    ``-(\d+|\d*\.\d+|\d.* .*)``, whose digits are str.isdecimal's and
+    whose "." is any character but a newline).  "-4.5e-05" is not one:
+    argparse's negative-number rule reads it as an option up to 3.13.0 and
+    as a value in some later releases."""
+    if token[:1] != "-":
+        return True
+    rest = token[1:]
+    whole, _, fraction = rest.partition(".")
+    return (
+        rest.isdecimal()
+        or (fraction.isdecimal() and (not whole or whole.isdecimal()))
+        or (rest[:1].isdecimal() and " " in rest and "\n" not in rest)
+    )
 
 
-def _direct(options: dict[str, argparse.Action], tokens: list[str]) -> argparse.Namespace | None:
+def _direct(options: dict[str, tuple], tokens: list[str]) -> SimpleNamespace | None:
     """The namespace ``parse_args`` gives a command's ``tokens``, or None
     where argparse might read them otherwise.  Each token must be one of the
     command's option strings, none given twice, each but a flag followed by
-    a value that ``_VALUE`` and the option's type accept, and every required
-    option must be given."""
+    a value that ``_is_value`` and the option's type accept, and every
+    required option must be given."""
     given = {}
     rest = iter(tokens)
     for token in rest:
-        action = options.get(token)
-        if action is None or action.dest in given:
+        spec = options.get(token)
+        if spec is None or token in given:
             return None
-        if action.nargs == 0:
-            given[action.dest] = action.const
+        kind = spec[0]
+        if kind is bool:
+            given[token] = True
             continue
         value = next(rest, None)
-        if value is None or (value.startswith("-") and _VALUE.fullmatch(value) is None):
+        if value is None or not _is_value(value):
             return None
         try:
-            given[action.dest] = action.type(value)
-        except (TypeError, ValueError):
+            given[token] = kind(value)
+        except ValueError:
             return None
     values = {}
-    for action in options.values():
-        if action.required and action.dest not in given:
+    for option, (_, default, _) in options.items():
+        value = given.get(option, default)
+        if value is _REQUIRED:
             return None
-        values[action.dest] = given.get(action.dest, action.default)
-    return argparse.Namespace(**values)
+        values[option[2:]] = value
+    return SimpleNamespace(**values)
+
+
+def _print_json(data) -> None:
+    import json
+
+    print(json.dumps(data))
 
 
 def _read_diagram(path: str) -> LinkDiagram:
@@ -155,6 +182,8 @@ def _read_diagram(path: str) -> LinkDiagram:
         raise ParseError(f"cannot read PD file: {exc}") from exc
     if len(text) > MAX_PD_CHARS:
         raise SizeLimitError(f"PD file exceeds the {MAX_PD_CHARS}-character guard")
+    import json
+
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -194,7 +223,7 @@ def _bracket_and_writhe(args) -> tuple[LaurentPoly, int]:
 def cmd_bracket(args) -> int:
     bracket, _ = _bracket_and_writhe(args)
     if args.json:
-        print(json.dumps({"bracket": bracket.to_json()}))
+        _print_json({"bracket": bracket.to_json()})
     else:
         print(bracket)
     return EXIT_OK
@@ -204,8 +233,7 @@ def cmd_jones(args) -> int:
     bracket, w = _bracket_and_writhe(args)
     f, v = normalize_bracket(bracket, w)
     if args.json:
-        data = {"bracket": bracket.to_json(), "writhe": w, "f": f.to_json(), "V": v.to_json()}
-        print(json.dumps(data))
+        _print_json({"bracket": bracket.to_json(), "writhe": w, "f": f.to_json(), "V": v.to_json()})
     else:
         print(f"bracket: {bracket}\nwrithe: {w}\nf: {f}\nV: {v}")
     return EXIT_OK
@@ -237,7 +265,7 @@ def cmd_qsim(args) -> int:
         "estimates": [[pairs[i][j][0] for j in range(2)] for i in range(2)],
         "exact": [[pairs[i][j][1] for j in range(2)] for i in range(2)],
     }
-    print(json.dumps(report))
+    _print_json(report)
     return EXIT_OK
 
 
@@ -258,20 +286,19 @@ _HANDLERS = {"bracket": cmd_bracket, "jones": cmd_jones, "qsim": cmd_qsim, "veri
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _parsers()
     if argv is None:
         argv = sys.argv[1:]
-    # argparse costs about as much as a small command's own work.  A known
-    # command's tokens that _direct reads as argparse would, on every Python
-    # it runs on, skip it; anything else, every help text and usage error
-    # included, takes the full top-level parse.
-    options = commands.get(argv[0]) if argv else None
-    if options is not None and (args := _direct(options, argv[1:])) is not None:
+    # argparse costs about as much as a small command's own work, and more
+    # to import.  A known command's tokens that _direct reads as argparse
+    # would, on every Python it runs on, skip it; anything else, every help
+    # text and usage error included, takes the full top-level parse.
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None and (args := _direct(command[1], argv[1:])) is not None:
         args.command = argv[0]
         return _run(args)
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parsers().parse_args(argv)
         finally:  # -h exits from inside parse_args, before _run's flush
             sys.stdout.flush()
     except BrokenPipeError:  # help to a closed stdout, as in _run (3.10's argparse raises it)
@@ -280,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     return _run(args)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args) -> int:
     """The parsed command's handler, its errors mapped to exit codes."""
     try:
         code = _HANDLERS[args.command](args)
@@ -306,6 +333,13 @@ def _run(args: argparse.Namespace) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+
+
+# What the import built (modules, classes, tables) lives as long as the
+# process.  Frozen, no later collection walks it, and the collector's counts
+# start from zero: when the first collection of a command comes no longer
+# depends on how many objects the import happened to allocate.
+gc.freeze()
 
 
 if __name__ == "__main__":

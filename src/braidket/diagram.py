@@ -23,8 +23,9 @@ substitution A = t^(-1/4) turns f into the Jones polynomial.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from itertools import chain
 
+from ._record import Record, set_field
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
 from .laurent import DELTA, JonesPoly, LaurentPoly, _times_delta, _unpack, to_jones_variable
@@ -51,32 +52,32 @@ MAX_CROSSINGS = 28
 MAX_STATE_SUM_CROSSINGS = 16
 
 
-@dataclass(frozen=True, slots=True)
-class Crossing:
-    slots: tuple[int, int, int, int]
-    sign: int
+class Crossing(Record):
+    __slots__ = ("slots", "sign")
 
-    def __post_init__(self):
-        if len(self.slots) != 4:
+    def __init__(self, slots: tuple[int, int, int, int], sign: int):
+        set_field(self, "slots", slots)
+        set_field(self, "sign", sign)
+        if len(slots) != 4:
             raise ValueError("a crossing has exactly four slots")
-        if self.sign not in (-1, 1):
-            raise ValueError(f"crossing sign must be +1 or -1, got {self.sign}")
+        if sign not in (-1, 1):
+            raise ValueError(f"crossing sign must be +1 or -1, got {sign}")
 
 
-@dataclass(frozen=True, slots=True)
-class LinkDiagram:
-    crossings: tuple[Crossing, ...]
-    free_loops: int = 0
+class LinkDiagram(Record):
+    __slots__ = ("crossings", "free_loops")
 
-    def __post_init__(self):
-        if self.free_loops < 0:
+    def __init__(self, crossings: tuple[Crossing, ...], free_loops: int = 0):
+        set_field(self, "crossings", crossings)
+        set_field(self, "free_loops", free_loops)
+        if free_loops < 0:
             raise ValueError("free loop count cannot be negative")
-        counts = Counter(s for c in self.crossings for s in c.slots)
+        counts = Counter(s for c in crossings for s in c.slots)
         bad = [label for label, k in counts.items() if k != 2]
         if bad:
             raise ValueError(f"arc labels must occur exactly twice; bad: {sorted(bad)}")
-        faces, components = _faces_and_components(self.crossings)
-        if faces != len(self.crossings) + 2 * components:
+        faces, components = _faces_and_components(crossings)
+        if faces != len(crossings) + 2 * components:
             raise ValueError(f"the PD code is not planar ({faces} faces, {components} components)")
 
     @property
@@ -91,7 +92,7 @@ def _other_ends(crossings: tuple[tuple[int, int, int, int], ...]) -> list[int]:
     """For each slot position 4*c + s, the position at the other end of its arc."""
     other = [0] * (4 * len(crossings))
     first_end: dict[int, int] = {}
-    for p, label in enumerate(s for slots in crossings for s in slots):
+    for p, label in enumerate(chain.from_iterable(crossings)):
         q = first_end.pop(label, None)
         if q is None:
             first_end[label] = p
@@ -125,11 +126,13 @@ def _faces_and_components(crossings: tuple[Crossing, ...]) -> tuple[int, int]:
     return faces, joined.component_count()
 
 
-@dataclass(frozen=True, slots=True)
-class StateSummary:
-    a_count: int
-    b_count: int
-    loops: int
+class StateSummary(Record):
+    __slots__ = ("a_count", "b_count", "loops")
+
+    def __init__(self, a_count: int, b_count: int, loops: int):
+        set_field(self, "a_count", a_count)
+        set_field(self, "b_count", b_count)
+        set_field(self, "loops", loops)
 
 
 def _oversize(crossings: int, free_loops: int, max_crossings: int = MAX_CROSSINGS) -> str | None:

@@ -31,8 +31,8 @@ exponents as one int, its value at B = 2^bits.  Its rules live here:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Mapping
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
 
 from .errors import ExactDivisionError
 

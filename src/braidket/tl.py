@@ -24,9 +24,9 @@ it comes from outside, a caller's ``TLDiagram(...)``, and where
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ._record import Record, set_field
 from .errors import SizeLimitError
 from .laurent import DELTA, LaurentPoly, ONE
 
@@ -46,15 +46,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TLDiagram:
+class TLDiagram(Record):
     """A planar pairing of 2n points; ``pairing[p]`` is the partner of p."""
 
-    n: int
-    pairing: tuple[int, ...]
+    __slots__ = ("n", "pairing")
 
-    def __post_init__(self):
-        n, pairing = self.n, self.pairing
+    def __init__(self, n: int, pairing: tuple[int, ...]):
+        set_field(self, "n", n)
+        set_field(self, "pairing", pairing)
         if n < 1:
             raise ValueError("strand count must be at least 1")
         size = 2 * n
@@ -148,21 +147,23 @@ def _glue(top: TLDiagram, bottom: TLDiagram) -> tuple[TLDiagram, int]:
     return TLDiagram(n, pairing), loops
 
 
-@dataclass(eq=True)
-class TLElement:
-    """A formal Laurent-weighted sum of TL_n basis diagrams."""
+class TLElement(Record):
+    """A formal Laurent-weighted sum of TL_n basis diagrams; unlike the
+    package's other records, mutable and unhashable."""
 
-    n: int
-    combo: dict[TLDiagram, LaurentPoly] = field(default_factory=dict)
+    __slots__ = ("n", "combo")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
-    def __post_init__(self):
+    def __init__(self, n: int, combo: dict[TLDiagram, LaurentPoly] | None = None):
         cleaned = {}
-        for diagram, coeff in self.combo.items():
-            if diagram.n != self.n:
+        for diagram, coeff in (combo or {}).items():
+            if diagram.n != n:
                 raise ValueError("all diagrams must share the element's strand count")
             if not coeff.is_zero:
                 cleaned[diagram] = coeff
-        self.combo = cleaned
+        self.n, self.combo = n, cleaned
 
     @classmethod
     def identity(cls, n: int) -> "TLElement":

@@ -3,12 +3,15 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidket
 import braidket.braid
@@ -784,7 +787,7 @@ class TestVerifyCommand:
 
 def parse_then_run(argv):
     """The oracle for main: the full top-level parse, then the handler."""
-    return braidket.cli._run(braidket.cli._parsers()[0].parse_args(argv))
+    return braidket.cli._run(braidket.cli._parsers().parse_args(argv))
 
 
 class TestArgv:
@@ -928,6 +931,17 @@ class TestArgv:
             self.outcome(capsys, main, argv)
             assert calls, argv
             calls.clear()
+
+    #: The oracle: the value test as a regular expression, which main reads
+    #: without importing re; a "-"-led token is a value when it matches.
+    VALUE = re.compile(r"-(\d+|\d*\.\d+|\d.* .*)")
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(st.text(st.sampled_from("-. \n09\u0663\U0001d7d9eax"), max_size=8))
+    def test_value_test_matches_the_regular_expression(self, text):
+        for token in (text, "-" + text):
+            expected = not token.startswith("-") or self.VALUE.fullmatch(token) is not None
+            assert braidket.cli._is_value(token) == expected, repr(token)
 
 
 class TestClosedStdout:

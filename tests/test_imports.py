@@ -48,11 +48,11 @@ VERIFY_SUITES = (
 )
 
 
-def run_fresh(script, *argv):
+def run_fresh(script, *argv, flags=()):
     """stdout of ``script`` run in a fresh interpreter that imports src/."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    command = [sys.executable, "-c", script, *argv]
+    command = [sys.executable, *flags, "-c", script, *argv]
     done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60, check=True)
     return done.stdout
 
@@ -91,6 +91,68 @@ loaded = sorted({"fractions", "decimal", "numbers"} & set(sys.modules))
 print(out.getvalue().splitlines()[-1], loaded)
 """
     assert run_fresh(script) == "V: -t^(1/2) - t^(5/2) []\n"
+
+
+def test_cli_import_freezes_what_it_built():
+    # gc.get_objects() lists no frozen object.
+    script = """
+import gc
+import braidket.cli
+tracked = {id(o) for o in gc.get_objects()}
+print(gc.get_freeze_count() > 0, id(braidket.cli.main) in tracked, id(braidket.tl.TLDiagram) in tracked)
+"""
+    assert run_fresh(script) == "True False False\n"
+
+
+# Which modules each command loads that were not loaded before braidket
+# was imported; a lazily registered module counts once its code has run.
+# Run without the site module, so that no start-up hook preloads a module
+# this test looks for.
+LOADS_SCRIPT = """
+import contextlib, io, sys
+before = set(sys.modules)
+import braidket, braidket.cli
+lazy = type(braidket.qsim)
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = braidket.cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    loaded = {name for name, module in sys.modules.items() if type(module) is not lazy}
+    return [code, out.getvalue(), err.getvalue(), sorted(loaded - before)]
+
+runs = [
+    run("bracket", "--strands", "3", "--word", "1 1 1"),
+    run("jones", "--strands", "2", "--word", "1 1"),
+    run("jones", "--pd", sys.argv[1]),
+    run("bracket", "--nope"),
+]
+import json
+print(json.dumps(runs))
+"""
+
+#: Modules that bracket and jones never need: a class decorator with its
+#: inspect and ast, the argument parser, the annotation types, and the
+#: symbolic matrix representations.
+NEVER_LOADED = {"dataclasses", "inspect", "ast", "argparse", "typing", "braidket.matrixrep"}
+
+
+def test_bracket_and_jones_load_only_what_they_run():
+    stdout = run_fresh(LOADS_SCRIPT, str(ROOT / "examples" / "trefoil_pd.json"), flags=["-S"])
+    bracket, jones_braid, jones_pd, nope = json.loads(stdout)
+    for code, out, err, loaded in (bracket, jones_braid, jones_pd):
+        assert (code, err) == (0, "") and out
+        assert not NEVER_LOADED & set(loaded), loaded
+    for *_, loaded in (bracket, jones_braid):
+        assert not {"json", "re"} & set(loaded), loaded
+    # A PD file is read with json, which itself imports re.
+    assert "json" in jones_pd[3]
+    usage = "usage: braidket [-h] {bracket,jones,qsim,verify} ...\n"
+    assert nope[:3] == [2, "", usage + "braidket: error: unrecognized arguments: --nope\n"]
+    assert "argparse" in nope[3]
 
 
 #: Every name the package exported before its numpy-backed modules became
@@ -163,7 +225,7 @@ def test_exports_resolve_to_their_module(module, name):
 
 
 def test_lazy_modules_are_registered():
-    for name in ("qsim", "unitary3", "verify"):
+    for name in ("matrixrep", "qsim", "unitary3", "verify"):
         assert sys.modules[f"braidket.{name}"] is getattr(braidket, name)
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         braidket.nonesuch

@@ -1,0 +1,158 @@
+"""The value classes behave as the frozen dataclasses they replace did.
+
+Every repr text and validation message below was recorded from the
+dataclass versions of these classes.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from braidket import (
+    A,
+    BraidWord,
+    Crossing,
+    LaurentPoly,
+    LinkDiagram,
+    StateSummary,
+    TLDiagram,
+    TLElement,
+    generator_diagram,
+)
+
+TREFOIL = LinkDiagram((Crossing((1, 5, 2, 4), 1), Crossing((3, 1, 4, 6), 1), Crossing((5, 3, 6, 2), 1)))
+CUP = TLDiagram(2, (1, 0, 3, 2))
+
+#: One instance of each class, its fields in order, and its repr.
+CASES = [
+    (BraidWord(3, (1, -2, 1)), (3, (1, -2, 1)), "BraidWord(strands=3, letters=(1, -2, 1))"),
+    (Crossing((1, 2, 2, 1), -1), ((1, 2, 2, 1), -1), "Crossing(slots=(1, 2, 2, 1), sign=-1)"),
+    (
+        TREFOIL,
+        (TREFOIL.crossings, 0),
+        "LinkDiagram(crossings=(Crossing(slots=(1, 5, 2, 4), sign=1), Crossing(slots=(3, 1, 4, 6), "
+        "sign=1), Crossing(slots=(5, 3, 6, 2), sign=1)), free_loops=0)",
+    ),
+    (StateSummary(2, 1, 3), (2, 1, 3), "StateSummary(a_count=2, b_count=1, loops=3)"),
+    (CUP, (2, (1, 0, 3, 2)), "TLDiagram(n=2, pairing=(1, 0, 3, 2))"),
+    (
+        TLElement(2, {CUP: A, generator_diagram(2, 0): LaurentPoly.zero()}),
+        (2, {CUP: A}),
+        "TLElement(n=2, combo={TLDiagram(n=2, pairing=(1, 0, 3, 2)): LaurentPoly(A^1)})",
+    ),
+]
+IDS = [type(case[0]).__name__ for case in CASES]
+FROZEN = [case for case in CASES if not isinstance(case[0], TLElement)]
+
+
+@pytest.mark.parametrize("value, fields, text", CASES, ids=IDS)
+class TestAsDataclasses:
+    def test_fields_and_repr(self, value, fields, text):
+        assert tuple(getattr(value, name) for name in type(value).__match_args__) == fields
+        assert repr(value) == text
+
+    def test_equal_only_to_the_same_class(self, value, fields, text):
+        cls = type(value)
+        assert value == cls(*fields) and not value != cls(*fields)
+        assert value != fields and value.__eq__(fields) is NotImplemented
+        assert value != object()
+
+        class Sub(cls):
+            __slots__ = ()
+
+        assert value != Sub(*fields) and Sub(*fields) != value
+        assert repr(Sub(*fields)) == Sub.__qualname__ + text[len(cls.__name__) :]
+
+    def test_copy_and_pickle_round_trip(self, value, fields, text):
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(other) is type(value) and other == value and repr(other) == text
+
+
+@pytest.mark.parametrize("value, fields, text", FROZEN, ids=IDS[:-1])
+def test_frozen_and_hashed_by_field_tuple(value, fields, text):
+    assert hash(value) == hash(fields)
+    name = type(value).__match_args__[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(value, name, 1)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.other = 1
+    assert repr(value) == text
+
+
+def test_tl_element_is_mutable_and_unhashable():
+    element = TLElement(2)
+    assert element == TLElement(n=2, combo={}) and repr(element) == "TLElement(n=2, combo={})"
+    with pytest.raises(TypeError, match="unhashable type: 'TLElement'"):
+        hash(element)
+    element.n = 3
+    element.combo[CUP] = A
+    assert (element.n, element.combo) == (3, {CUP: A})
+    del element.combo
+    with pytest.raises(AttributeError):
+        element.combo
+
+
+def test_keyword_and_default_construction():
+    assert BraidWord(strands=2, letters=(1,)) == BraidWord(2, (1,))
+    assert Crossing(sign=1, slots=(1, 1, 2, 2)) == Crossing((1, 1, 2, 2), 1)
+    assert LinkDiagram(TREFOIL.crossings) == LinkDiagram(crossings=TREFOIL.crossings, free_loops=0)
+    assert LinkDiagram((), 2).free_loops == 2
+    assert StateSummary(loops=1, a_count=0, b_count=2) == StateSummary(0, 2, 1)
+    assert TLDiagram(pairing=(1, 0), n=1) == TLDiagram(1, (1, 0))
+    assert TLElement(2).combo == {} and TLElement(n=2, combo={CUP: A}).combo == {CUP: A}
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BraidWord(0, ()), "strand count must be at least 1"),
+        (lambda: BraidWord(3, (1, 3)), "letter 3 invalid for 3 strands (need 1 <= |letter| <= 2)"),
+        (lambda: BraidWord(3, (0,)), "letter 0 invalid for 3 strands (need 1 <= |letter| <= 2)"),
+        (lambda: BraidWord(3, (-3,)), "letter -3 invalid for 3 strands (need 1 <= |letter| <= 2)"),
+        (lambda: Crossing((1, 2, 3), 1), "a crossing has exactly four slots"),
+        (lambda: Crossing((1, 2, 2, 1), 0), "crossing sign must be +1 or -1, got 0"),
+        (lambda: LinkDiagram((), -1), "free loop count cannot be negative"),
+        (
+            lambda: LinkDiagram((Crossing((1, 2, 3, 4), 1),)),
+            "arc labels must occur exactly twice; bad: [1, 2, 3, 4]",
+        ),
+        (
+            lambda: LinkDiagram((Crossing((1, 2, 1, 2), 1),)),
+            "the PD code is not planar (1 faces, 1 components)",
+        ),
+        (lambda: TLDiagram(0, ()), "strand count must be at least 1"),
+        (lambda: TLDiagram(2, (1, 0, 3)), "pairing must list 4 points"),
+        (lambda: TLDiagram(2, (1, 0, 3, 4)), "pairing is not an involution"),
+        (lambda: TLDiagram(2, (0, 1, 3, 2)), "point 0 paired with itself"),
+        (lambda: TLDiagram(2, (1, 2, 3, 0)), "pairing is not an involution"),
+        (lambda: TLDiagram(2, (3, 2, 1, 0)), "pairing has crossing arcs"),
+        (lambda: TLElement(3, {CUP: A}), "all diagrams must share the element's strand count"),
+    ],
+)
+def test_validation_messages(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LinkDiagram(), "LinkDiagram.__init__() missing 1 required positional argument: 'crossings'"),
+        (lambda: BraidWord(3), "BraidWord.__init__() missing 1 required positional argument: 'letters'"),
+        (lambda: TLElement(), "TLElement.__init__() missing 1 required positional argument: 'n'"),
+        (
+            lambda: StateSummary(1, 2),
+            "StateSummary.__init__() missing 1 required positional argument: 'loops'",
+        ),
+        (lambda: BraidWord(3, (), 4), "BraidWord.__init__() takes 3 positional arguments but 4 were given"),
+        (lambda: LinkDiagram((), 1, x=2), "LinkDiagram.__init__() got an unexpected keyword argument 'x'"),
+    ],
+)
+def test_signatures(make, message):
+    with pytest.raises(TypeError) as caught:
+        make()
+    assert str(caught.value) == message
