@@ -1,6 +1,6 @@
 """The shared base of the package's small value classes.
 
-A subclass lists its fields, two or more, in ``__slots__`` and sets them in
+A subclass lists its fields, one or more, in ``__slots__`` and sets them in
 its own ``__init__`` through ``set_field``.  The base gives it
 what ``@dataclass(frozen=True)`` would: equality between instances of the
 same class, field by field; the hash of the field tuple; the repr
@@ -23,8 +23,9 @@ class Record:
         # as a plain subclass of a dataclass does.
         if Record in cls.__bases__:
             cls.__match_args__ = cls.__slots__
-            # attrgetter of two or more names returns their values as a tuple.
-            cls._values = attrgetter(*cls.__slots__)
+            # attrgetter of one name returns the bare value, not a 1-tuple.
+            get = attrgetter(*cls.__slots__)
+            cls._values = get if len(cls.__slots__) > 1 else staticmethod(lambda self: (get(self),))
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -28,6 +28,7 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import NamedTuple
 
+from ._record import Record, set_field
 from .braid import BraidWord
 from .errors import SizeLimitError
 from .laurent import A, A_INV, LaurentPoly, ONE, ZERO
@@ -49,7 +50,7 @@ MAX_TENSOR_STRANDS = 6
 MAX_TENSOR_WORD = 12
 
 
-class SymbolicMatrix:
+class SymbolicMatrix(Record):
     """Square matrix with LaurentPoly entries, stored as its nonzero entries.
 
     ``entries`` maps (row, column) to a nonzero polynomial; the constructor
@@ -60,8 +61,8 @@ class SymbolicMatrix:
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim: int, entries: dict[tuple[int, int], LaurentPoly]):
-        self.dim = dim
-        self.entries = {index: e for index, e in entries.items() if not e.is_zero}
+        set_field(self, "dim", dim)
+        set_field(self, "entries", {index: e for index, e in entries.items() if not e.is_zero})
 
     @classmethod
     def zeros(cls, dim: int) -> "SymbolicMatrix":
@@ -120,15 +121,6 @@ class SymbolicMatrix:
                 for (i2, j2), b in other.entries.items()
             },
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolicMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
-        return f"SymbolicMatrix({body})"
 
 
 def trace_product(x: SymbolicMatrix, y: SymbolicMatrix) -> LaurentPoly:

@@ -38,11 +38,11 @@ a point mass and no word is drawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from ._record import Record, set_field
 from .braid import BraidWord, bracket_via_trace
 from .errors import InvariantError, SizeLimitError
 from .unitary3 import _NORM_TOL, UnitarySetup, _unitarity_excess, rho_unitary
@@ -76,16 +76,14 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _FINALIZER = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None))
 
 
-@dataclass(frozen=True)
-class QState:
+class QState(Record):
     """A unit vector of complex amplitudes."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+    def __init__(self, amplitudes: np.ndarray):
+        set_field(self, "amplitudes", np.asarray(amplitudes, dtype=complex))
+        norm_sq = float(np.sum(self.probabilities()))
         if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm^2 = {norm_sq} deviates from 1")
 
@@ -97,14 +95,14 @@ class QState:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    shots: int
-    counts: tuple[int, ...]
-    seed: int
+class ShotRecord(Record):
+    __slots__ = ("shots", "counts", "seed")
 
-    def __post_init__(self):
-        if sum(self.counts) != self.shots:
+    def __init__(self, shots: int, counts: tuple[int, ...], seed: int):
+        set_field(self, "shots", shots)
+        set_field(self, "counts", counts)
+        set_field(self, "seed", seed)
+        if sum(counts) != shots:
             raise ValueError("counts must sum to the shot total")
 
     def merge(self, other: "ShotRecord") -> "ShotRecord":
@@ -237,16 +235,18 @@ def short_word_table(
     return words, moduli, values
 
 
-@dataclass(frozen=True)
-class PhaseLossWitness:
+class PhaseLossWitness(Record):
     """Two braid words the sampler cannot tell apart but the bracket can."""
 
-    word_a: BraidWord
-    word_b: BraidWord
-    moduli_gap: float
-    bracket_gap: float
-    bracket_a: complex
-    bracket_b: complex
+    __slots__ = ("word_a", "word_b", "moduli_gap", "bracket_gap", "bracket_a", "bracket_b")
+
+    def __init__(self, word_a, word_b, moduli_gap, bracket_gap, bracket_a, bracket_b):
+        set_field(self, "word_a", word_a)
+        set_field(self, "word_b", word_b)
+        set_field(self, "moduli_gap", moduli_gap)
+        set_field(self, "bracket_gap", bracket_gap)
+        set_field(self, "bracket_a", bracket_a)
+        set_field(self, "bracket_b", bracket_b)
 
 
 def find_phase_loss_witness(

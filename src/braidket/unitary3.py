@@ -59,11 +59,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import Record, set_field
 from .braid import BraidWord, exponent_sum
 from .errors import InvalidAngleError, InvariantError
 
@@ -114,26 +114,30 @@ def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left[:, None] @ right[None]).reshape(-1, 2, 2)
 
 
-@dataclass(frozen=True)
-class UnitarySetup:
-    theta: float
-    a: complex  # e^(i*theta), the numeric value substituted for A
-    delta: float
-    u1: np.ndarray
-    u2: np.ndarray
-    #: rho(sigma_1), rho(sigma_1^-1), rho(sigma_2), rho(sigma_2^-1), stacked.
-    factors: np.ndarray
-    #: tables[k-1] holds rho of every word of k = 1..4 letters, at the index
-    #: whose base-4 digits are the letters' rows of ``factors``, bracketed as
-    #: _pairwise_product brackets them: f f, (f f) f and (f f)(f f).
-    tables: tuple[np.ndarray, ...] = field(init=False, repr=False)
+class UnitarySetup(Record):
+    #: ``a`` = e^(i*theta) is the value substituted for A.  ``factors`` stacks
+    #: rho(sigma_1), rho(sigma_1^-1), rho(sigma_2), rho(sigma_2^-1), and
+    #: ``tables[k-1]`` holds rho of every word of k = 1..4 letters, at the
+    #: index whose base-4 digits are the letters' rows of ``factors``,
+    #: bracketed as _pairwise_product brackets them: f f, (f f) f and (f f)(f f).
+    __slots__ = ("theta", "a", "delta", "u1", "u2", "factors", "tables")
 
-    def __post_init__(self) -> None:
-        pairs = _products(self.factors, self.factors)
-        tables = (self.factors, pairs, _products(pairs, self.factors), _products(pairs, pairs))
+    def __init__(self, theta, a, delta, u1, u2, factors):
+        set_field(self, "theta", theta)
+        set_field(self, "a", a)
+        set_field(self, "delta", delta)
+        set_field(self, "u1", u1)
+        set_field(self, "u2", u2)
+        set_field(self, "factors", factors)
+        pairs = _products(factors, factors)
+        tables = (factors, pairs, _products(pairs, factors), _products(pairs, pairs))
         for table in tables:
             table.flags.writeable = False
-        object.__setattr__(self, "tables", tables)
+        set_field(self, "tables", tables)
+
+    def __reduce__(self):
+        # The six constructor arguments; the tables are built again.
+        return type(self), self._values(self)[:-1]
 
 
 @lru_cache(maxsize=64)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, set_field
 from .braid import BraidWord, bracket_via_trace, closure_bracket, closure_to_diagram, rho_tl
 from .diagram import bracket_by_contraction, bracket_state_sum
 from .errors import SizeLimitError
@@ -39,11 +39,13 @@ _TOL = 1e-12  # tolerance of the numeric suites
 _THETAS = [0.0, math.pi / 10, -math.pi / 10, math.pi / 8, -math.pi / 8, math.pi / 6]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class SuiteResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
 
 def _tl_gen(n: int, i: int) -> TLElement:

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -24,6 +23,7 @@ import braidket.verify
 from braidket import (
     DELTA,
     BraidWord,
+    UnitarySetup,
     bracket_via_trace,
     closure_to_diagram,
     diagram_to_json,
@@ -629,7 +629,7 @@ class TestQsimCommand:
             setup = unitary_generators(theta)
             factors = setup.factors.copy()
             factors[2] *= 1 + 1e-9
-            return dataclasses.replace(setup, factors=factors)
+            return UnitarySetup(setup.theta, setup.a, setup.delta, setup.u1, setup.u2, factors)
 
         monkeypatch.setattr(braidket.unitary3, "_BLOCK", 3)
         monkeypatch.setattr(braidket.unitary3, "unitary_generators", wrong)

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import itertools
 import math
 import random
@@ -9,6 +8,7 @@ import pytest
 
 from braidket import (
     BraidWord,
+    UnitarySetup,
     bracket_from_trace,
     bracket_via_trace,
     closure_to_diagram,
@@ -240,7 +240,7 @@ class TestBlockedProduct:
         setup = unitary_generators(0.2)
         factors = setup.factors.copy()
         factors[2] *= 1 + 1e-9  # rho(sigma_2), off unitary by 2e-9
-        wrong = dataclasses.replace(setup, factors=factors)
+        wrong = UnitarySetup(setup.theta, setup.a, setup.delta, setup.u1, setup.u2, factors)
         word = BraidWord(3, (1, -1, 1, 2, -1, 1, 2))
         with pytest.raises(InvariantError, match="first 6 letters is not unitary"):
             rho_unitary(word, wrong)
@@ -253,7 +253,7 @@ class TestBlockedProduct:
         setup = unitary_generators(0.2)
         factors = setup.factors.copy()
         factors[2] *= 1 + 1e-9
-        wrong = dataclasses.replace(setup, factors=factors)
+        wrong = UnitarySetup(setup.theta, setup.a, setup.delta, setup.u1, setup.u2, factors)
         assert wrong.tables[0] is factors
         for table, old_table in zip(wrong.tables[1:], setup.tables[1:]):
             assert not table.flags.writeable
