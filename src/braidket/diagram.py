@@ -76,9 +76,11 @@ class LinkDiagram(Record):
         bad = [label for label, k in counts.items() if k != 2]
         if bad:
             raise ValueError(f"arc labels must occur exactly twice; bad: {sorted(bad)}")
-        faces, components = _faces_and_components(crossings)
+        other = _other_ends(tuple(c.slots for c in crossings))
+        faces, components = _faces_and_components(other)
         if faces != len(crossings) + 2 * components:
             raise ValueError(f"the PD code is not planar ({faces} faces, {components} components)")
+        _check_orientation(crossings, other)
 
     @property
     def is_empty(self) -> bool:
@@ -101,15 +103,15 @@ def _other_ends(crossings: tuple[tuple[int, int, int, int], ...]) -> list[int]:
     return other
 
 
-def _faces_and_components(crossings: tuple[Crossing, ...]) -> tuple[int, int]:
-    """Faces and connected components of the 4-valent graph of a PD code.
+def _faces_and_components(other: list[int]) -> tuple[int, int]:
+    """Faces and connected components of the 4-valent graph of a PD code,
+    given as the ``_other_ends`` of its slots.
 
     A face is a cycle of "follow the arc to its other end, then step to the
     next slot counterclockwise".  By Euler's formula (N vertices, 2N edges) a
     planar code has N + 2 faces per component.
     """
-    other = _other_ends(tuple(c.slots for c in crossings))
-    joined = DisjointSet(len(crossings))
+    joined = DisjointSet(len(other) // 4)
     for p, q in enumerate(other):
         joined.union(p // 4, q // 4)
     faces = 0
@@ -124,6 +126,36 @@ def _faces_and_components(crossings: tuple[Crossing, ...]) -> tuple[int, int]:
             q = other[p]
             p = q - q % 4 + (q + 1) % 4
     return faces, joined.component_count()
+
+
+def _check_orientation(crossings: tuple[Crossing, ...], other: list[int]) -> None:
+    """Raise ValueError unless one orientation of the link's components
+    gives every crossing its sign.
+
+    A sign is +1 exactly when the under strand runs s0 -> s2 and the over
+    strand s3 -> s1, or both run the other way: a strand entering at slot s
+    fits the sign when the other strand enters at s ^ 3 (+1) or s ^ 1 (-1).
+    A component runs straight through a crossing (position p to p ^ 2) and
+    then along the arc from there.  Each walk starts where its strand fits a
+    strand walked before, or anywhere when no walked strand meets it, and
+    checks every crossing whose other strand was walked already.
+    """
+    entered: list[bool | None] = [None] * len(other)
+    todo = list(reversed(range(len(other))))
+    while todo:
+        p = todo.pop()
+        while entered[p] is None:
+            entered[p], entered[p ^ 2] = True, False
+            crossing = crossings[p // 4]
+            fit = p ^ (3 if crossing.sign > 0 else 1)
+            if entered[fit] is None:
+                todo.append(fit)
+            elif not entered[fit]:
+                raise ValueError(
+                    f"crossing {p // 4} with slots {crossing.slots} has a sign "
+                    "that fits no orientation of the link"
+                )
+            p = other[p ^ 2]
 
 
 class StateSummary(Record):

@@ -163,6 +163,19 @@ class TestBracketCommand:
             assert (code, out) == (1, "")
             assert "not planar" in err
 
+    def test_pd_signs_that_fit_no_orientation_are_a_parse_error(self, capsys, tmp_path):
+        # The trefoil with one sign flipped printed a V of half-integer powers.
+        path = tmp_path / "flipped.json"
+        data = json.loads(json.dumps(TREFOIL_PD))
+        data["crossings"][0]["sign"] = 1
+        path.write_text(json.dumps(data))
+        error = (
+            "error: malformed diagram JSON: crossing 0 with slots (1, 4, 2, 5) has a sign "
+            "that fits no orientation of the link\n"
+        )
+        for argv in (["jones"], ["bracket"], ["jones", "--check"], ["bracket", "--check"]):
+            assert run_cli(capsys, [*argv, "--pd", str(path)]) == (1, "", error)
+
     @pytest.mark.parametrize(
         "crossing, free_loops",
         [

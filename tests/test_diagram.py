@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -207,6 +208,64 @@ class TestDiagramValidation:
             else:
                 diagram = add_curl(diagram, 1 if move == "curl+" else -1)
         assert diagram_from_json(json.loads(json.dumps(diagram_to_json(diagram)))) == diagram
+
+
+def strand_components(diagram):
+    """The link component of each crossing's under and over strand, as the
+    class of its arcs: a strand runs from s0 to s2 and from s1 to s3."""
+    joined = DisjointSet(max(diagram.arc_labels(), default=0) + 1)
+    for c in diagram.crossings:
+        joined.union(c.slots[0], c.slots[2])
+        joined.union(c.slots[1], c.slots[3])
+    return [(joined.find(c.slots[0]), joined.find(c.slots[1])) for c in diagram.crossings]
+
+
+def with_signs_flipped(diagram, which):
+    crossings = tuple(
+        Crossing(c.slots, -c.sign if i in which else c.sign) for i, c in enumerate(diagram.crossings)
+    )
+    return LinkDiagram(crossings, diagram.free_loops)
+
+
+class TestOrientation:
+    """A PD code's signs must come from one orientation of its components."""
+
+    def test_trefoil_with_one_sign_flipped_is_rejected(self):
+        message = "crossing 0 with slots (1, 4, 2, 5) has a sign that fits no orientation of the link"
+        slots = ([1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3])
+        trefoil = diagram_from_json({"crossings": [{"slots": s, "sign": -1} for s in slots]})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            with_signs_flipped(trefoil, {0})
+        data = {"crossings": [{"slots": s, "sign": 1 if s == slots[0] else -1} for s in slots]}
+        with pytest.raises(ParseError) as caught:
+            diagram_from_json(data)
+        assert str(caught.value) == f"malformed diagram JSON: {message}"
+
+    @pytest.mark.parametrize("slots, sign", [((1, 1, 2, 2), 1), ((1, 2, 2, 1), -1)])
+    def test_a_kink_has_one_sign(self, slots, sign):
+        # Reversing a kink's one component reverses both its strands, so its slots fix its sign.
+        LinkDiagram((Crossing(slots, sign),))
+        with pytest.raises(ValueError, match="^crossing 0 .* fits no orientation"):
+            LinkDiagram((Crossing(slots, -sign),))
+
+    @given(moved_closures(max_strands=7, max_length=20, max_moves=3))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_closures_and_their_flipped_signs(self, diagram):
+        # moved_closures has loaded the curled, mirrored and shuffled closure.
+        pairs = strand_components(diagram)
+        components = {k for pair in pairs for k in pair}
+        if len(components) == 1:
+            for i in range(len(pairs)):
+                with pytest.raises(ValueError, match=f"^crossing {i} .* fits no orientation"):
+                    with_signs_flipped(diagram, {i})
+        elif len(components) == 2:
+            # Reversing one component flips exactly the crossings between the two.
+            between = {i for i, (under, over) in enumerate(pairs) if under != over}
+            with_signs_flipped(diagram, between)
+            if len(between) > 1:
+                for i in between:
+                    with pytest.raises(ValueError, match="fits no orientation"):
+                        with_signs_flipped(diagram, {i})
 
 
 class TestEnumerateStates:

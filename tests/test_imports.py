@@ -155,6 +155,26 @@ def test_bracket_and_jones_load_only_what_they_run():
     assert "argparse" in nope[3]
 
 
+# What qsim and verify load beyond numpy, which they import first.
+NUMPY_COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+import numpy
+before = set(sys.modules)
+import braidket.cli
+codes = []
+for argv in (["qsim", "--theta", "0.2", "--word", "1 2 -1", "--shots", "1000"], ["verify", "--n", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(braidket.cli.main(argv))
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_qsim_and_verify_never_load_dataclasses():
+    codes, loaded = json.loads(run_fresh(NUMPY_COMMANDS_SCRIPT))
+    assert codes == [0, 0] and "braidket.qsim" in loaded and "braidket.verify" in loaded
+    assert "dataclasses" not in loaded
+
+
 #: Every name the package exported before its numpy-backed modules became
 #: lazy, by the module that defines it.
 EXPORTS = {

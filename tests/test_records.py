@@ -1,28 +1,40 @@
 """The value classes behave as the frozen dataclasses they replace did.
 
 Every repr text and validation message below was recorded from the
-dataclass versions of these classes.
+dataclass versions of these classes, except the reprs of ``SymbolicMatrix``
+(which printed its dense rows) and ``UnitarySetup`` (which hid its tables).
 """
 
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from braidket import (
     A,
+    A_INV,
     BraidWord,
     Crossing,
     LaurentPoly,
     LinkDiagram,
+    PhaseLossWitness,
+    QState,
+    ShotRecord,
     StateSummary,
+    SymbolicMatrix,
     TLDiagram,
     TLElement,
+    UnitarySetup,
     generator_diagram,
+    unitary_generators,
 )
+from braidket.verify import SuiteResult
 
 TREFOIL = LinkDiagram((Crossing((1, 5, 2, 4), 1), Crossing((3, 1, 4, 6), 1), Crossing((5, 3, 6, 2), 1)))
 CUP = TLDiagram(2, (1, 0, 3, 2))
+#: A one-amplitude state, whose array compares to a copy as one bool.
+AMPLITUDES = np.array([1j])
 
 #: One instance of each class, its fields in order, and its repr.
 CASES = [
@@ -41,9 +53,30 @@ CASES = [
         (2, {CUP: A}),
         "TLElement(n=2, combo={TLDiagram(n=2, pairing=(1, 0, 3, 2)): LaurentPoly(A^1)})",
     ),
+    (
+        SuiteResult("tl-relations", False, "U_1^2 != delta U_1 in n=2"),
+        ("tl-relations", False, "U_1^2 != delta U_1 in n=2"),
+        "SuiteResult(name='tl-relations', passed=False, detail='U_1^2 != delta U_1 in n=2')",
+    ),
+    (QState(AMPLITUDES), (AMPLITUDES,), "QState(amplitudes=array([0.+1.j]))"),
+    (ShotRecord(3, (1, 2), 7), (3, (1, 2), 7), "ShotRecord(shots=3, counts=(1, 2), seed=7)"),
+    (
+        PhaseLossWitness(BraidWord(3, (1,)), BraidWord(3, (-1,)), 0.0, 0.5, 1 + 0j, 0.5j),
+        (BraidWord(3, (1,)), BraidWord(3, (-1,)), 0.0, 0.5, 1 + 0j, 0.5j),
+        "PhaseLossWitness(word_a=BraidWord(strands=3, letters=(1,)), word_b=BraidWord(strands=3, "
+        "letters=(-1,)), moduli_gap=0.0, bracket_gap=0.5, bracket_a=(1+0j), bracket_b=0.5j)",
+    ),
+    (
+        SymbolicMatrix(2, {(0, 1): A, (1, 0): -A_INV}),
+        (2, {(0, 1): A, (1, 0): -A_INV}),
+        "SymbolicMatrix(dim=2, entries={(0, 1): LaurentPoly(A^1), (1, 0): LaurentPoly(-A^-1)})",
+    ),
 ]
 IDS = [type(case[0]).__name__ for case in CASES]
 FROZEN = [case for case in CASES if not isinstance(case[0], TLElement)]
+FROZEN_IDS = [type(case[0]).__name__ for case in FROZEN]
+#: Classes with an ndarray or dict field, which therefore have no hash.
+UNHASHABLE = (QState, SymbolicMatrix)
 
 
 @pytest.mark.parametrize("value, fields, text", CASES, ids=IDS)
@@ -69,9 +102,13 @@ class TestAsDataclasses:
             assert type(other) is type(value) and other == value and repr(other) == text
 
 
-@pytest.mark.parametrize("value, fields, text", FROZEN, ids=IDS[:-1])
+@pytest.mark.parametrize("value, fields, text", FROZEN, ids=FROZEN_IDS)
 def test_frozen_and_hashed_by_field_tuple(value, fields, text):
-    assert hash(value) == hash(fields)
+    if isinstance(value, UNHASHABLE):
+        with pytest.raises(TypeError, match="^unhashable type"):
+            hash(value)
+    else:
+        assert hash(value) == hash(fields)
     name = type(value).__match_args__[0]
     with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
         setattr(value, name, 1)
@@ -103,6 +140,43 @@ def test_keyword_and_default_construction():
     assert StateSummary(loops=1, a_count=0, b_count=2) == StateSummary(0, 2, 1)
     assert TLDiagram(pairing=(1, 0), n=1) == TLDiagram(1, (1, 0))
     assert TLElement(2).combo == {} and TLElement(n=2, combo={CUP: A}).combo == {CUP: A}
+    assert SuiteResult("x", True) == SuiteResult(passed=True, name="x", detail="")
+    assert QState(amplitudes=[1.0]).amplitudes.dtype == complex
+    assert ShotRecord(seed=1, shots=2, counts=(2,)) == ShotRecord(2, (2,), 1)
+    assert SymbolicMatrix(entries={(0, 0): A, (1, 1): LaurentPoly.zero()}, dim=2).entries == {(0, 0): A}
+    witness = PhaseLossWitness(bracket_b=0j, bracket_a=1j, bracket_gap=1.0, moduli_gap=0.0, word_b=2, word_a=1)
+    assert witness == PhaseLossWitness(1, 2, 0.0, 1.0, 1j, 0j)
+
+
+def test_unitary_setup_rebuilds_its_tables():
+    # Arrays compare elementwise, so only an instance equals itself; the
+    # copies and the rebuilt setups are compared byte for byte.
+    setup = unitary_generators(0.2)
+    assert UnitarySetup.__match_args__ == ("theta", "a", "delta", "u1", "u2", "factors", "tables")
+    assert setup == setup and not setup != setup
+    assert setup.__eq__(0.2) is NotImplemented and setup != object()
+    arguments = {name: getattr(setup, name) for name in UnitarySetup.__match_args__[:-1]}
+    rebuilt = (
+        copy.copy(setup),
+        copy.deepcopy(setup),
+        pickle.loads(pickle.dumps(setup)),
+        UnitarySetup(*arguments.values()),
+        UnitarySetup(**arguments),
+    )
+    arrays = (setup.u1, setup.u2, setup.factors, *setup.tables)
+    for other in rebuilt:
+        assert type(other) is UnitarySetup
+        assert (other.theta, other.a, other.delta) == (0.2, setup.a, setup.delta)
+        for mine, theirs in zip(arrays, (other.u1, other.u2, other.factors, *other.tables), strict=True):
+            assert (theirs.shape, theirs.tobytes()) == (mine.shape, mine.tobytes())
+        assert other.tables[0] is other.factors
+        assert not any(table.flags.writeable for table in other.tables)
+    head = f"UnitarySetup(theta=0.2, a={setup.a!r}, delta={setup.delta!r}, u1=array("
+    assert repr(setup).startswith(head) and ", tables=(array(" in repr(setup)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'factors'$"):
+        setup.factors = setup.factors
+    with pytest.raises(AttributeError, match="^cannot delete field 'tables'$"):
+        del setup.tables
 
 
 @pytest.mark.parametrize(
@@ -130,6 +204,9 @@ def test_keyword_and_default_construction():
         (lambda: TLDiagram(2, (1, 2, 3, 0)), "pairing is not an involution"),
         (lambda: TLDiagram(2, (3, 2, 1, 0)), "pairing has crossing arcs"),
         (lambda: TLElement(3, {CUP: A}), "all diagrams must share the element's strand count"),
+        (lambda: QState(np.array([1, 1])), "state norm^2 = 2.0 deviates from 1"),
+        (lambda: QState([np.nan]), "state norm^2 = nan deviates from 1"),
+        (lambda: ShotRecord(3, (1, 1), 0), "counts must sum to the shot total"),
     ],
 )
 def test_validation_messages(make, message):
@@ -150,6 +227,17 @@ def test_validation_messages(make, message):
         ),
         (lambda: BraidWord(3, (), 4), "BraidWord.__init__() takes 3 positional arguments but 4 were given"),
         (lambda: LinkDiagram((), 1, x=2), "LinkDiagram.__init__() got an unexpected keyword argument 'x'"),
+        (lambda: QState(), "QState.__init__() missing 1 required positional argument: 'amplitudes'"),
+        (lambda: ShotRecord(1, (1,)), "ShotRecord.__init__() missing 1 required positional argument: 'seed'"),
+        (lambda: SuiteResult("x"), "SuiteResult.__init__() missing 1 required positional argument: 'passed'"),
+        (
+            lambda: PhaseLossWitness(1, 2, 3, 4, 5),
+            "PhaseLossWitness.__init__() missing 1 required positional argument: 'bracket_b'",
+        ),
+        (
+            lambda: UnitarySetup(0.2, 1, 2, 3, 4),
+            "UnitarySetup.__init__() missing 1 required positional argument: 'factors'",
+        ),
     ],
 )
 def test_signatures(make, message):
