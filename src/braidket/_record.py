@@ -7,6 +7,13 @@ same class, field by field; the hash of the field tuple; the repr
 ``Name(field=value, ...)``; and no assignment or deletion after
 ``__init__``.  The dataclasses module costs more to import than the whole
 exact engine takes on a small input, so the package does without it.
+
+A subclass may also name, in ``_derived``, slots that its ``__init__``
+computes from the fields: equality, hashing, the repr, ``__match_args__``
+and pickling skip them, as they skip a dataclass field declared with
+``init=False, repr=False, compare=False``.  And it may name, in
+``_arrays``, fields that hold arrays, which equality compares by value
+(their ``tolist()``) where ``==`` on two arrays would give an array.
 """
 
 from operator import attrgetter
@@ -17,20 +24,30 @@ set_field = object.__setattr__
 
 class Record:
     __slots__ = ()
+    _derived: tuple[str, ...] = ()
+    _arrays: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         # A further subclass compares, hashes and prints these same fields,
         # as a plain subclass of a dataclass does.
         if Record in cls.__bases__:
-            cls.__match_args__ = cls.__slots__
+            fields = tuple(name for name in cls.__slots__ if name not in cls._derived)
+            cls.__match_args__ = fields
+            get = attrgetter(*fields)
             # attrgetter of one name returns the bare value, not a 1-tuple.
-            get = attrgetter(*cls.__slots__)
-            cls._values = get if len(cls.__slots__) > 1 else staticmethod(lambda self: (get(self),))
+            values = get if len(fields) > 1 else lambda self: (get(self),)
+            arrays = {fields.index(name) for name in cls._arrays}
+
+            def compared(self):
+                return [v.tolist() if k in arrays else v for k, v in enumerate(values(self))]
+
+            cls._values = staticmethod(values)
+            cls._compared = staticmethod(compared if arrays else values)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values(self) == self._values(other)
+        return self._compared(self) == self._compared(other)
 
     def __hash__(self):
         return hash(self._values(self))

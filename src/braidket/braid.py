@@ -166,6 +166,7 @@ def _fold(b: BraidWord):
     bits, proven = _widths(n, length)
     table = diagram_table(n)
     state, safe = {table.identity: 1}, 0
+    cap = _live_cap(n, bits, window)
     for done, g in enumerate(b.letters):
         while done == safe and bits < proven:
             room = _room(state, bits, n, window)
@@ -174,7 +175,8 @@ def _fold(b: BraidWord):
                 wider = min(2 * bits, proven)
                 state = {d: _widen(x, bits, wider) for d, x in state.items()}
                 bits = wider
-        if _fold_cost(len(state), n, bits, window) > MAX_TL_COST:
+                cap = _live_cap(n, bits, window)
+        if len(state) > cap:
             # The fold interned up to MAX_TL_COST's worth of diagrams that no
             # later word may need; dropping the table frees them.
             discard_table(n)
@@ -210,6 +212,13 @@ def _widths(n: int, length: int) -> tuple[int, int]:
 def _fold_cost(live: int, n: int, bits: int, window: int) -> int:
     """The fold's cost before a letter (``MAX_TL_COST``)."""
     return 2 * live * (2 * n + bits * window // 64)
+
+
+def _live_cap(n: int, bits: int, window: int) -> int:
+    """The most live diagrams the fold may hold before a letter: as
+    ``_fold_cost`` is linear in their count, it exceeds MAX_TL_COST exactly
+    when the count exceeds this."""
+    return MAX_TL_COST // _fold_cost(1, n, bits, window)
 
 
 def _trace_cost(n: int, length: int, bits: int) -> int:
@@ -346,7 +355,8 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
     n = b.strands
     # The trace's width is never below the fold's first one, so a word too
     # wide to trace stops here, before TL_n's table is built.
-    _check_trace_cost(b, _widths(n, len(b.letters))[0])
+    first = _widths(n, len(b.letters))[0]
+    _check_trace_cost(b, first)
     table, state, bits = _fold(b)
     by_loops = [0] * (n + 1)
     for d, x in state.items():
@@ -355,7 +365,8 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
         raise InvariantError(
             f"trace of {len(b.letters)} letters on {n} strands: a TL diagram closes to no loop"
         )
-    _check_trace_cost(b, bits)
+    if bits > first:
+        _check_trace_cost(b, bits)
     # With delta = -B^-1 (B^2 + 1), Horner's rule over m = n .. 1 gives
     # B^(n-1) <closure(b)> in packed form: each step multiplies by
     # B delta = -(B^2 + 1) and adds B^(n-m) S_m.

@@ -21,7 +21,14 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from . import qsim, unitary3, verify
-from .braid import _parse_tokens, closure_bracket, closure_to_diagram, exponent_sum, parse_braid
+from .braid import (
+    BraidWord,
+    _parse_tokens,
+    closure_bracket,
+    closure_to_diagram,
+    exponent_sum,
+    parse_braid,
+)
 from .diagram import (
     LinkDiagram,
     bracket_by_contraction,
@@ -200,8 +207,9 @@ def _check_state_sum(diagram: LinkDiagram, bracket: LaurentPoly, method: str) ->
         raise MismatchError(f"state sum {via_states} disagrees with {method} bracket {bracket}")
 
 
-def _bracket_and_writhe(args) -> tuple[LaurentPoly, int]:
-    """Bracket and writhe of the one input source: a braid word or a PD file."""
+def _bracket(args) -> tuple[LaurentPoly, BraidWord | LinkDiagram]:
+    """Bracket of the one input source, a braid word or a PD file, and that
+    source."""
     has_word = args.word is not None
     if has_word == (args.pd is not None):
         raise ParseError("provide exactly one input source: --word (with --strands) or --pd")
@@ -210,18 +218,18 @@ def _bracket_and_writhe(args) -> tuple[LaurentPoly, int]:
         bracket = bracket_by_contraction(diagram)
         if args.check:
             _check_state_sum(diagram, bracket, "contracted")
-        return bracket, writhe(diagram)
+        return bracket, diagram
     if args.strands is None:
         raise ParseError("--word requires --strands")
     word = parse_braid(args.word, args.strands)
     bracket, engine = closure_bracket(word)
     if args.check:
         _check_state_sum(closure_to_diagram(word), bracket, engine)
-    return bracket, exponent_sum(word)
+    return bracket, word
 
 
 def cmd_bracket(args) -> int:
-    bracket, _ = _bracket_and_writhe(args)
+    bracket, _ = _bracket(args)
     if args.json:
         _print_json({"bracket": bracket.to_json()})
     else:
@@ -230,7 +238,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    bracket, w = _bracket_and_writhe(args)
+    bracket, source = _bracket(args)
+    w = writhe(source) if isinstance(source, LinkDiagram) else exponent_sum(source)
     f, v = normalize_bracket(bracket, w)
     if args.json:
         _print_json({"bracket": bracket.to_json(), "writhe": w, "f": f.to_json(), "V": v.to_json()})

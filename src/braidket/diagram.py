@@ -28,7 +28,15 @@ from itertools import chain
 from ._record import Record, set_field
 from ._uf import DisjointSet
 from .errors import ParseError, SizeLimitError
-from .laurent import DELTA, JonesPoly, LaurentPoly, _times_delta, _unpack, to_jones_variable
+from .laurent import (
+    DELTA,
+    JonesPoly,
+    LaurentPoly,
+    _over_delta,
+    _times_delta,
+    _unpack,
+    to_jones_variable,
+)
 
 __all__ = [
     "Crossing",
@@ -308,6 +316,8 @@ def _contract(steps: list[tuple[tuple[int, ...], tuple[int, ...]]], free_loops: 
     exponent turns negative.  Each smoothing choice and each loop at most
     doubles the sum of the coefficients' absolute values, as do the k free
     loops of the start value (B delta)^k, so 3N + k + 2 bits hold every digit.
+    Every state closes a loop, so the sum is delta times the bracket, which
+    ``_over_delta`` divides out in packed form.
     """
     n, k = len(steps), free_loops
     bits = 3 * n + k + 2
@@ -333,7 +343,7 @@ def _contract(steps: list[tuple[tuple[int, ...], tuple[int, ...]]], free_loops: 
                 merged[pairing] = merged.get(pairing, 0) + value
         entries, frontier = merged, next_frontier
     (packed,) = entries.values()
-    return _unpack(packed, bits, -5 * n - 2 * k).divexact(DELTA)
+    return _unpack(_over_delta(packed, bits), bits, -5 * n - 2 * k)
 
 
 def writhe(diagram: LinkDiagram) -> int:

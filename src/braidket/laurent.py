@@ -20,9 +20,17 @@ exponents as one int, its value at B = 2^bits.  Its rules live here:
 - Shifts and adds keep that value exact whatever the digits do.
 - ``_times_delta`` multiplies by a closed loop, delta = -B^-1 (1 + B^2), as
   ``-((y + (y << 2*bits)) >> bits)``, exact when y has no constant term.
-- ``_unpack`` and ``_widen`` read the digits by adding 2^(bits-1) to each,
-  which needs every digit below 2^(bits-1) in absolute value: each is then
-  an unsigned field of ``bits`` characters in the binary text of the sum.
+- ``_over_delta`` divides by delta as one exact ``divmod`` by 1 + 2^(2 bits)
+  and a one-digit shift, when the digits' absolute values sum to below
+  2^(bits-1).
+- ``_unpack`` and ``_widen`` need every digit below 2^(bits-1) in absolute
+  value.  ``_unpack`` first moves the common low zero digits into the
+  exponent: their count is the trailing zero bits divided by ``bits``.  A
+  pack of at most 8,192 bits it then reads a digit at a time, each the
+  signed residue of the low ``bits`` bits, subtracted before the shift to
+  the next.  A longer one it reads as ``_widen`` does: adding 2^(bits-1) to
+  every digit makes each an unsigned field of ``bits`` characters in the
+  binary text of the sum, which takes time linear in the digits.
 - ``_room`` checks that bound as a computation goes, for a caller that starts
   at a width narrower than its proven one (``_TRIAL_BITS`` beyond the bits
   it multiplies in at the end) and widens with ``_widen`` when room runs out.
@@ -235,14 +243,36 @@ def _unpack(packed: int, bits: int, low: int) -> LaurentPoly:
     ``packed = sum c_j 2^(bits*j)`` with signed digits
     ``|c_j| < 2^(bits-1)``; the result is ``sum c_j A^(low + 2j)``.
     """
-    text, half = _offset_text(packed, bits), 1 << (bits - 1)
-    zero = format(half, "b")
-    terms = {}
-    for j, start in enumerate(range(len(text) - bits, -1, -bits)):
-        digit = text[start : start + bits]
-        if digit != zero:
-            terms[low + 2 * j] = int(digit, 2) - half
-    return LaurentPoly(terms)
+    terms: dict[int, int] = {}
+    if packed:
+        # Below the lowest nonzero digit c_k every bit is 0, and c_k has
+        # fewer than ``bits`` trailing zero bits, so this counts k exactly.
+        zeros = ((packed & -packed).bit_length() - 1) // bits
+        packed >>= zeros * bits
+        low += 2 * zeros
+    full, half = 1 << bits, 1 << (bits - 1)
+    # Each step of the loop copies the rest of the pack, so its cost grows
+    # with the square of the digit count; up to 128 machine words that is
+    # still cheaper than the binary text, which is linear.
+    if packed.bit_length() <= 8192:
+        while packed:
+            digit = packed & (full - 1)
+            if digit >= half:
+                digit -= full
+            if digit:
+                terms[low] = digit
+            packed = (packed - digit) >> bits
+            low += 2
+    else:
+        text, zero = _offset_text(packed, bits), format(half, "b")
+        for start in range(len(text) - bits, -1, -bits):
+            digit = text[start : start + bits]
+            if digit != zero:
+                terms[low] = int(digit, 2) - half
+            low += 2
+    result = LaurentPoly.__new__(LaurentPoly)
+    result._terms = terms
+    return result
 
 
 def _widen(packed: int, bits: int, wider: int) -> int:
@@ -255,6 +285,21 @@ def _widen(packed: int, bits: int, wider: int) -> int:
 def _times_delta(y: int, bits: int) -> int:
     """delta * y in packed form, for a packed ``y`` with no constant term."""
     return -((y + (y << 2 * bits)) >> bits)
+
+
+def _over_delta(y: int, bits: int) -> int:
+    """y / delta in packed form, which has no constant term, for a packed
+    ``y`` whose digits' absolute values sum to below 2^(bits-1).
+
+    The remainder of y by 1 + B^2 is a + bB with |a|, |b| below 2^(bits-1),
+    so its value a + b 2^bits is a multiple of 1 + 2^(2 bits) only when it is
+    0: the integer division is exact exactly when the polynomial one is.
+    Raises ExactDivisionError when it is not.
+    """
+    quotient, left = divmod(y, 1 + (1 << 2 * bits))
+    if left:
+        raise ExactDivisionError("Laurent division left a remainder")
+    return -quotient << bits
 
 
 #: Digit width, beyond the ``spare`` bits of ``_room``, first tried for a

@@ -80,6 +80,7 @@ class QState(Record):
     """A unit vector of complex amplitudes."""
 
     __slots__ = ("amplitudes",)
+    _arrays = ("amplitudes",)
 
     def __init__(self, amplitudes: np.ndarray):
         set_field(self, "amplitudes", np.asarray(amplitudes, dtype=complex))

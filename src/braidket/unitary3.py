@@ -44,14 +44,16 @@ same numpy matmul of the same float factors.  The stack after the lookup is
 therefore the stack after those two halvings, bit for bit, and so is rho(b);
 the lookup saves three quarters of the 2x2 products.
 
-A word of k <= 8 letters, which is every word the trace formula is run on
-in bulk, goes without numpy's index arithmetic: the table indices of its
-first four letters (head) and of the rest (tail) are computed in Python, and
-rho(b) is tables[k-1][head], copied, or tables[3][head] @ tables[k-5][tail].
-That is the halving's product too: its stack is then those two entries, and
-halving a stack of two is one matmul of the same two matrices, through the
-same BLAS zgemm call, so the bits are the same.  For such words numpy's
-per-call overhead costs more than the one 2x2 product.
+A word of k <= 16 letters, which is every word the trace formula is run on
+in bulk, goes without numpy's index arithmetic: one pass in Python reads
+its letters' rows as the base-4 digits of one int, whose groups of four
+digits index tables[3] and whose last 1 to 4 digits index the table of that
+length.  rho(b) is the one entry, copied, for k <= 4, and otherwise the
+product of its two to four entries as the halving brackets them: A B,
+(A B) C or (A B)(C D).  Halving a stack of two to four entries makes those
+same matmuls of the same matrices, each through the same BLAS zgemm call, so
+the bits are the same.  For such words numpy's per-call overhead costs more
+than the three 2x2 products.
 """
 
 from __future__ import annotations
@@ -101,14 +103,6 @@ _FACTOR_ROW = np.array(_ROW)
 _DIGITS = np.array([64, 16, 4, 1])
 
 
-def _table_index(letters: tuple[int, ...]) -> int:
-    """Index of the product of 1 to 4 letters in UnitarySetup.tables."""
-    index = 0
-    for g in letters:
-        index = 4 * index + _ROW[g + 2]
-    return index
-
-
 def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left[i] @ right[j] for every i and j, at index i * len(right) + j."""
     return (left[:, None] @ right[None]).reshape(-1, 2, 2)
@@ -121,6 +115,8 @@ class UnitarySetup(Record):
     #: index whose base-4 digits are the letters' rows of ``factors``,
     #: bracketed as _pairwise_product brackets them: f f, (f f) f and (f f)(f f).
     __slots__ = ("theta", "a", "delta", "u1", "u2", "factors", "tables")
+    _derived = ("tables",)
+    _arrays = ("u1", "u2", "factors")
 
     def __init__(self, theta, a, delta, u1, u2, factors):
         set_field(self, "theta", theta)
@@ -134,10 +130,6 @@ class UnitarySetup(Record):
         for table in tables:
             table.flags.writeable = False
         set_field(self, "tables", tables)
-
-    def __reduce__(self):
-        # The six constructor arguments; the tables are built again.
-        return type(self), self._values(self)[:-1]
 
 
 @lru_cache(maxsize=64)
@@ -228,13 +220,25 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
     if b.strands != 3:
         raise ValueError(f"unitary representation needs 3 strands, got {b.strands}")
     letters, tables = b.letters, setup.tables
-    if (k := len(letters)) <= min(8, _BLOCK):  # one block, read from the tables
+    if (k := len(letters)) <= min(16, _BLOCK):  # one block, read from the tables
         if not k:
             return np.eye(2, dtype=complex)
+        index = 0  # the letters' rows of factors as base-4 digits, the last lowest
+        for g in letters:
+            index = 4 * index + _ROW[g + 2]
         if k <= 4:  # one lookup, copied out of the cached table
-            return tables[k - 1][_table_index(letters)].copy()
-        # two lookups and the product the halving makes of them
-        return tables[3][_table_index(letters[:4])] @ tables[k - 5][_table_index(letters[4:])]
+            return tables[k - 1][index].copy()
+        # One lookup per four letters, the last of the 1 to 4 left over, and
+        # the products the halving makes of a stack of two to four entries.
+        rest = (k - 1) % 4
+        shift = 2 * (k - 4)
+        first, last = tables[3][index >> shift], tables[rest][index & ((4 << 2 * rest) - 1)]
+        if k <= 8:
+            return first @ last
+        pair = first @ tables[3][(index >> shift - 8) & 255]
+        if k <= 12:
+            return pair @ last
+        return pair @ (tables[3][(index >> shift - 16) & 255] @ last)
     # Full blocks go _GROUP at a time, then the last block, all from one iterator.
     full, rest = divmod(k - 1, _BLOCK)
     groups = [(min(_GROUP, full - done), _BLOCK) for done in range(0, full, _GROUP)]
@@ -250,6 +254,6 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
 def bracket_from_trace(b: BraidWord, setup: UnitarySetup) -> complex:
     """Numeric bracket of the 3-braid closure from the representation trace."""
     rho = rho_unitary(b, setup)
-    return complex(rho[0, 0] + rho[1, 1]) + setup.a ** exponent_sum(b) * (
+    return rho.item(0, 0) + rho.item(1, 1) + setup.a ** exponent_sum(b) * (
         setup.delta**2 - 2.0
     )

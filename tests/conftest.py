@@ -4,7 +4,16 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from braidket import BraidWord, Crossing, JonesPoly, LaurentPoly, LinkDiagram, SymbolicMatrix
+from braidket import (
+    BraidWord,
+    Crossing,
+    JonesPoly,
+    LaurentPoly,
+    LinkDiagram,
+    SymbolicMatrix,
+    add_curl,
+    mirror_diagram,
+)
 
 laurent_polys = st.dictionaries(
     st.integers(-20, 20), st.integers(-9, 9), max_size=6
@@ -74,6 +83,52 @@ def torus_knot_jones(p: int, q: int) -> JonesPoly:
     return JonesPoly({4 * (shift + k): c for k, c in enumerate(quotient) if c})
 
 
+def jones_identity_failure(v: JonesPoly, components: int) -> str | None:
+    """The first of Jones's identities that V, the Jones polynomial of a link
+    of ``components`` components, fails, or None when it passes them all
+    (Jones, Bull. AMS 12, 1985; Lickorish, An Introduction to Knot Theory,
+    ch. 3).  In the quarter exponents q of ``JonesPoly``:
+
+    - V lies in t^((c-1)/2) Z[t, 1/t]: every q = 2(c-1) mod 4;
+    - V(1) = (-2)^(c-1): the coefficients sum to it;
+    - V(e^(2 pi i/3)) = 1: at t^(1/4) = w = e^(2 pi i/3), with S_r the sum of
+      the coefficients whose q = r mod 3, V is (S_0 - S_2) + (S_1 - S_2) w,
+      so S_0 - S_2 = 1 and S_1 = S_2;
+    - V'(1) = 0 for a knot: the sum of q c_q is 0.
+    """
+    terms = v.terms()
+    c = components
+    if any((q - 2 * (c - 1)) % 4 for q, _ in terms):
+        return f"some exponent of t is not (c-1)/2 modulo 1 for c = {c}"
+    if sum(coeff for _, coeff in terms) != (-2) ** (c - 1):
+        return f"V(1) != (-2)^{c - 1}"
+    sums = [0, 0, 0]
+    for q, coeff in terms:
+        sums[q % 3] += coeff
+    if sums[0] - sums[2] != 1 or sums[1] != sums[2]:
+        return "V(e^(2 pi i/3)) != 1"
+    if c == 1 and sum(q * coeff for q, coeff in terms):
+        return "V'(1) != 0 for a knot"
+    return None
+
+
+def braid_components(word: BraidWord) -> int:
+    """Components of the closure of ``word``: the cycles of its permutation."""
+    where = list(range(word.strands))
+    for g in word.letters:
+        i = abs(g)
+        where[i - 1], where[i] = where[i], where[i - 1]
+    seen, cycles = set(), 0
+    for start in range(word.strands):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = where[k]
+    return cycles
+
+
 def add_curl_oracle(diagram: LinkDiagram, sign: int) -> LinkDiagram:
     """``add_curl`` in two paths, the oracle for its one: a bare loop becomes
     a kink of its own, and otherwise a walk over the slots renames the
@@ -101,6 +156,22 @@ def add_curl_oracle(diagram: LinkDiagram, sign: int) -> LinkDiagram:
     kink = (c, c, a, b) if sign > 0 else (a, c, c, b)
     new_crossings.append(Crossing(kink, sign))
     return LinkDiagram(tuple(new_crossings), diagram.free_loops)
+
+
+def moved_and_shuffled(draw, diagram: LinkDiagram, max_moves: int) -> LinkDiagram:
+    """``diagram`` after up to ``max_moves`` curls and mirrors, drawn with
+    hypothesis's ``draw``, with its crossings shuffled and its arcs relabeled
+    among a few more labels than it has."""
+    for move in draw(st.lists(st.sampled_from(["curl+", "curl-", "mirror"]), max_size=max_moves)):
+        if move == "mirror":
+            diagram = mirror_diagram(diagram)
+        else:
+            diagram = add_curl(diagram, 1 if move == "curl+" else -1)
+    labels = diagram.arc_labels()
+    new = dict(zip(labels, draw(st.permutations(range(len(labels) + 3)))))
+    crossings = draw(st.permutations(diagram.crossings))
+    crossings = tuple(Crossing(tuple(new[s] for s in c.slots), c.sign) for c in crossings)
+    return LinkDiagram(crossings, diagram.free_loops)
 
 
 @st.composite

@@ -26,8 +26,8 @@ from braidket import (
     rho_tl,
 )
 from braidket.braid import closure_bracket
-from braidket.errors import ParseError, SizeLimitError
-from braidket.laurent import _ones, _room, _times_delta, _unpack, _widen
+from braidket.errors import ExactDivisionError, ParseError, SizeLimitError
+from braidket.laurent import _ones, _over_delta, _room, _times_delta, _unpack, _widen
 from braidket.matrixrep import exact_factor
 from braidket.diagram import _contraction_steps, _oversize, normalize_bracket, writhe_factor
 from conftest import braid_words, random_words, torus_knot_jones
@@ -216,6 +216,18 @@ class TestPackedFold:
         starts = [bits for bits, state, _ in calls if state == {table.identity: 1}]
         assert starts == [35]
 
+    def test_the_cost_guard_follows_the_widened_digits(self, widening, monkeypatch):
+        # A live diagram costs more at wider digits: 5 of them pass the guard
+        # at 35 and 70 bits but not at 140 under a limit just below their
+        # cost there.
+        word, _ = widening
+        limit = braidket.braid._fold_cost(5, 3, 140, 3 * len(word.letters) + 1)
+        monkeypatch.setattr(braidket.braid, "MAX_TL_COST", limit)
+        assert braidket.braid._fold(word)[2] == 140
+        monkeypatch.setattr(braidket.braid, "MAX_TL_COST", limit - 1)
+        with pytest.raises(SizeLimitError, match="at 5 live diagrams"):
+            braidket.braid._fold(word)
+
     @pytest.mark.parametrize("trial_bits", [1, 6, 20])
     def test_narrow_trial_widths_restart_exactly(self, monkeypatch, trial_bits):
         monkeypatch.setattr(braidket.braid, "_TRIAL_BITS", trial_bits)
@@ -276,6 +288,29 @@ class TestTimesDelta:
         digits = [0, *data.draw(st.lists(digit, max_size=60))]
         y = pack(digits, bits)
         assert _unpack(_times_delta(y, bits), bits, low) == _unpack(y, bits, low) * DELTA
+        assert _over_delta(_times_delta(y, bits), bits) == y
+
+    @given(st.integers(4, 70), st.data(), st.integers(-9, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_division_by_the_loop_value_is_exact_division(self, bits, data, low):
+        # Digits whose absolute values sum to below 2^(bits-1), as _over_delta needs.
+        count = data.draw(st.integers(0, 40))
+        top = ((1 << (bits - 1)) - 1) // max(count, 1)
+        digits = data.draw(st.lists(st.integers(-top, top), min_size=count, max_size=count))
+        y = pack(digits, bits)
+        try:
+            expected = _unpack(y, bits, low).divexact(DELTA)
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError, match="left a remainder"):
+                _over_delta(y, bits)
+        else:
+            assert _unpack(_over_delta(y, bits), bits, low) == expected
+
+    @pytest.mark.parametrize("digits", [[1], [0, 1], [1, 0, 1, 1], [-3, 0, 3], [5, 0, 0, -5, 7]])
+    def test_division_by_the_loop_value_rejects_a_remainder(self, digits):
+        for bits in (4, 16, 64):
+            with pytest.raises(ExactDivisionError, match="left a remainder"):
+                _over_delta(pack(digits, bits), bits)
 
 
 class TestUnpack:
@@ -297,6 +332,50 @@ class TestUnpack:
         digits = [(-7, 7, -7, 0)[j % 4] for j in range(count)]
         packed = sum(c << 4 * j for j, c in enumerate(digits))
         assert _unpack(packed, 4, 0) == LaurentPoly({2 * j: c for j, c in enumerate(digits)})
+
+    @given(packed_digits(), st.integers(0, 300), st.integers(-9, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_leading_runs_of_zero_digits(self, case, zeros, low):
+        # The low zero digits go into the exponent, however many trailing
+        # zero bits the lowest nonzero digit has.
+        bits, digits = case
+        digits = [0] * zeros + digits
+        expected = LaurentPoly({low + 2 * j: c for j, c in enumerate(digits)})
+        assert _unpack(pack(digits, bits), bits, low) == expected
+
+    @pytest.mark.parametrize("bits", [2, 3, 8, 61, 64, 65, 300])
+    def test_negative_top_digits(self, bits):
+        top = (1 << (bits - 1)) - 1
+        for digits in ([-1], [-top], [0, -1], [top, -top], [0, 0, 1, -1], [-top] * 9, [1 << (bits - 2), -1]):
+            expected = LaurentPoly({2 * j - 5: c for j, c in enumerate(digits)})
+            assert _unpack(pack(digits, bits), bits, -5) == expected
+
+    @pytest.mark.parametrize("bits, count", [(2, 3000), (11, 3001), (64, 3000), (300, 3000)])
+    def test_long_packs(self, bits, count):
+        rng = random.Random(f"long:{bits}:{count}")
+        top = (1 << (bits - 1)) - 1
+        digits = [rng.choice((0, 1, -1, top, -top, rng.randint(-top, top))) for _ in range(count)]
+        digits[-1] = -top
+        expected = LaurentPoly({2 * j - 7: c for j, c in enumerate(digits)})
+        assert _unpack(pack(digits, bits), bits, -7) == expected
+        digits[:count // 2] = [0] * (count // 2)
+        expected = LaurentPoly({2 * j - 7: c for j, c in enumerate(digits)})
+        assert _unpack(pack(digits, bits), bits, -7) == expected
+
+    @pytest.mark.parametrize("bits", [2, 7, 64, 100])
+    def test_both_sides_of_the_switch_to_text(self, bits):
+        # A pack of at most 8,192 bits is read a digit at a time, a longer
+        # one from its binary text.
+        top = (1 << (bits - 1)) - 1
+        sides = set()
+        for count in range(8192 // bits - 1, 8192 // bits + 3):
+            for last in (top, -top, 1, -1):
+                digits = [(j * 7919) % (2 * top + 1) - top for j in range(count - 1)] + [last]
+                packed = pack(digits, bits)
+                sides.add(packed.bit_length() <= 8192)
+                expected = LaurentPoly({2 * j: c for j, c in enumerate(digits)})
+                assert _unpack(packed, bits, 0) == expected
+        assert sides == {True, False}
 
 
 class TestRoom:
@@ -325,6 +404,33 @@ class TestCostGuard:
         monkeypatch.setattr(braidket.braid, "MAX_TL_COST", 1_000)
         with pytest.raises(SizeLimitError, match="cost guard"):
             bracket_via_trace(BraidWord(7, (1, 3, 5, 2, 4, 6)))
+
+    def test_live_cap_is_the_cost_boundary(self):
+        cost, limit = braidket.braid._fold_cost, braidket.braid.MAX_TL_COST
+        for n in range(2, 41):
+            for bits in (n + 2, n + 33, n + 64, 2 * n + 128, 1088):
+                for window in (1, 4, 31, 301, 3001):
+                    cap = braidket.braid._live_cap(n, bits, window)
+                    assert cost(cap, n, bits, window) <= limit < cost(cap + 1, n, bits, window)
+                    assert cost(max(cap - 1, 0), n, bits, window) <= limit
+
+    @pytest.mark.parametrize(
+        "word",
+        [BraidWord(5, (1, 3, 2, 4, -1, 3, 2, -4)), BraidWord(7, (1, 3, 5, 2, 4, 6)), BraidWord(4, (1, -3, 2) * 4)],
+    )
+    def test_fold_stops_just_past_its_cap(self, monkeypatch, word):
+        # The fold checks the live count before each letter; at a limit of
+        # exactly the largest of those costs it runs, one below it stops.
+        n, length = word.strands, len(word.letters)
+        bits, window = braidket.braid._widths(n, length)[0], 3 * length + 1
+        live = max(len(braidket.braid._fold(BraidWord(n, word.letters[:j]))[1]) for j in range(length))
+        peak = braidket.braid._fold_cost(live, n, bits, window)
+        monkeypatch.setattr(braidket.braid, "MAX_TL_COST", peak)
+        expected = braidket.braid._fold(word)[1]
+        monkeypatch.setattr(braidket.braid, "MAX_TL_COST", peak - 1)
+        with pytest.raises(SizeLimitError, match=f"at {live} live diagrams"):
+            braidket.braid._fold(word)
+        assert expected
 
     def test_widest_torus_word_fits_ten_times_over(self, monkeypatch):
         # (sigma_1 ... sigma_8)^3 ends with 3,281 live diagrams, the most of

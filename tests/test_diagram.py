@@ -39,7 +39,7 @@ from braidket.diagram import (
     normalize_bracket,
 )
 from braidket.errors import ParseError, SizeLimitError
-from conftest import add_curl_oracle, braid_words, random_words
+from conftest import add_curl_oracle, braid_words, moved_and_shuffled, random_words
 
 UNKNOT = LinkDiagram((), 1)
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
@@ -122,18 +122,8 @@ def moved_closures(draw, max_strands=4, max_length=6, max_moves=3):
     free loops."""
     words = braid_words(max_strands=max_strands, max_length=max_length)
     word = draw(st.one_of(st.just(BraidWord(1, ())), words))
-    diagram = closure_to_diagram(word)
-    moves = st.lists(st.sampled_from(["curl+", "curl-", "mirror"]), max_size=max_moves)
-    for move in draw(moves):
-        if move == "mirror":
-            diagram = mirror_diagram(diagram)
-        else:
-            diagram = add_curl(diagram, 1 if move == "curl+" else -1)
-    labels = diagram.arc_labels()
-    new = dict(zip(labels, draw(st.permutations(range(len(labels) + 3)))))
-    crossings = draw(st.permutations(diagram.crossings))
-    crossings = tuple(Crossing(tuple(new[s] for s in c.slots), c.sign) for c in crossings)
-    return LinkDiagram(crossings, diagram.free_loops + draw(st.integers(0, 2)))
+    diagram = moved_and_shuffled(draw, closure_to_diagram(word), max_moves)
+    return LinkDiagram(diagram.crossings, diagram.free_loops + draw(st.integers(0, 2)))
 
 
 def contraction_steps_oracle(crossings):

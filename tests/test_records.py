@@ -1,8 +1,9 @@
 """The value classes behave as the frozen dataclasses they replace did.
 
 Every repr text and validation message below was recorded from the
-dataclass versions of these classes, except the reprs of ``SymbolicMatrix``
-(which printed its dense rows) and ``UnitarySetup`` (which hid its tables).
+dataclass versions of these classes, except the repr of ``SymbolicMatrix``
+(which printed its dense rows).  Unlike the dataclasses, the classes with
+array fields compare those arrays by value.
 """
 
 import copy
@@ -29,6 +30,7 @@ from braidket import (
     generator_diagram,
     unitary_generators,
 )
+from braidket._record import Record, set_field
 from braidket.verify import SuiteResult
 
 TREFOIL = LinkDiagram((Crossing((1, 5, 2, 4), 1), Crossing((3, 1, 4, 6), 1), Crossing((5, 3, 6, 2), 1)))
@@ -149,13 +151,13 @@ def test_keyword_and_default_construction():
 
 
 def test_unitary_setup_rebuilds_its_tables():
-    # Arrays compare elementwise, so only an instance equals itself; the
-    # copies and the rebuilt setups are compared byte for byte.
+    # The copies and the rebuilt setups equal the setup, and their arrays
+    # are compared byte for byte too.
     setup = unitary_generators(0.2)
-    assert UnitarySetup.__match_args__ == ("theta", "a", "delta", "u1", "u2", "factors", "tables")
+    assert UnitarySetup.__match_args__ == ("theta", "a", "delta", "u1", "u2", "factors")
     assert setup == setup and not setup != setup
     assert setup.__eq__(0.2) is NotImplemented and setup != object()
-    arguments = {name: getattr(setup, name) for name in UnitarySetup.__match_args__[:-1]}
+    arguments = {name: getattr(setup, name) for name in UnitarySetup.__match_args__}
     rebuilt = (
         copy.copy(setup),
         copy.deepcopy(setup),
@@ -165,18 +167,56 @@ def test_unitary_setup_rebuilds_its_tables():
     )
     arrays = (setup.u1, setup.u2, setup.factors, *setup.tables)
     for other in rebuilt:
-        assert type(other) is UnitarySetup
+        assert type(other) is UnitarySetup and other == setup and not other != setup
         assert (other.theta, other.a, other.delta) == (0.2, setup.a, setup.delta)
         for mine, theirs in zip(arrays, (other.u1, other.u2, other.factors, *other.tables), strict=True):
             assert (theirs.shape, theirs.tobytes()) == (mine.shape, mine.tobytes())
         assert other.tables[0] is other.factors
         assert not any(table.flags.writeable for table in other.tables)
     head = f"UnitarySetup(theta=0.2, a={setup.a!r}, delta={setup.delta!r}, u1=array("
-    assert repr(setup).startswith(head) and ", tables=(array(" in repr(setup)
+    assert repr(setup).startswith(head) and "tables" not in repr(setup)
+    assert repr(setup).endswith(f", factors={setup.factors!r})")
     with pytest.raises(AttributeError, match="^cannot assign to field 'factors'$"):
         setup.factors = setup.factors
     with pytest.raises(AttributeError, match="^cannot delete field 'tables'$"):
         del setup.tables
+
+
+def test_array_fields_compare_by_value():
+    pair = QState(np.array([0.6, 0.8]))
+    assert pair == QState(np.array([0.6, 0.8])) and not pair != QState([0.6, 0.8])
+    assert pair != QState(np.array([0.8, 0.6])) and pair != QState(np.array([0.6, 0.8j]))
+    assert pair != QState(np.array([[0.6, 0.8]])) and pair != QState(np.array([1.0]))
+    for other in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+        assert other == pair and repr(other) == "QState(amplitudes=array([0.6+0.j, 0.8+0.j]))"
+    setup = unitary_generators(0.2)
+    assert setup == copy.copy(setup) == unitary_generators.__wrapped__(0.2)
+    assert setup != unitary_generators(0.3) and setup != unitary_generators(-0.2)
+    with pytest.raises(TypeError, match="^unhashable type"):
+        hash(setup)
+
+
+class Doubled(Record):
+    __slots__ = ("value", "double")
+    _derived = ("double",)
+
+    def __init__(self, value):
+        set_field(self, "value", value)
+        set_field(self, "double", 2 * value)
+
+
+def test_derived_slots_are_skipped():
+    item = Doubled(3)
+    assert Doubled.__match_args__ == ("value",) and item.double == 6
+    assert repr(item) == "Doubled(value=3)" and hash(item) == hash((3,))
+    assert item == Doubled(3) and item != Doubled(4)
+    for other in (copy.copy(item), copy.deepcopy(item), pickle.loads(pickle.dumps(item))):
+        assert (type(other), other, other.double) == (Doubled, item, 6)
+    # Equality reads the fields alone, so a derived slot that differs does not count.
+    odd = Doubled(3)
+    set_field(odd, "double", 7)
+    assert odd == item and repr(odd) == repr(item)
+    assert len(repr(unitary_generators(0.2))) < 1000
 
 
 @pytest.mark.parametrize(

@@ -317,26 +317,28 @@ CRITERION_07_THETAS = [math.pi / 10, -math.pi / 10, math.pi / 8, -math.pi / 8, m
 
 class TestProductTables:
     """rho_unitary starts each block from the products of 4 letters, then of
-    the 1-3 left over, and a word of at most 8 letters is the product of at
-    most two such lookups; its bits must be those of the blocked pairwise
+    the 1-3 left over, and a word of at most 16 letters is the product of at
+    most four such lookups; its bits must be those of the blocked pairwise
     product from single letters."""
 
     # 1,020-1,032 straddle the first boundary of the real block size, and
     # end in a last block of up to 8 letters after one full block; 2,049-2,056
     # end in one of every length from 1 to 8 after two.
-    LENGTHS = [*range(13), *range(1020, 1033), *range(2049, 2057), 4099]
+    LENGTHS = [*range(17), *range(1020, 1033), *range(2049, 2057), 4099]
 
     # Every angle with the real block size.  The small blocks, which cost a
     # projection every few letters, run at the three angles of
     # TestBlockedProduct, where the longer LENGTHS cross no boundary of
-    # theirs that 0-12 do not.  Blocks of 8 letters are the longest that take two
-    # lookups and one product, blocks of 9 the shortest that take the
-    # halving; up to two blocks, every length of the last block is tried.
+    # theirs that 0-16 do not.  Blocks of 8, 12 and 16 letters are the
+    # longest that take two, three and four lookups, blocks of 9 and 13 the
+    # shortest that take three and four, and blocks of 17 the shortest that
+    # take the halving; up to two blocks, every length of the last block is
+    # tried.
     @pytest.mark.parametrize(
         "theta, block",
         [
             *((theta, None) for theta in CRITERION_07_THETAS + list(TestBlockedProduct.THETAS)),
-            *itertools.product(TestBlockedProduct.THETAS, (3, 5, 6, 8, 9)),
+            *itertools.product(TestBlockedProduct.THETAS, (3, 5, 6, 8, 9, 12, 13, 16, 17)),
         ],
     )
     def test_bits_match_the_blocked_pairwise_product(self, theta, block, monkeypatch):
@@ -347,7 +349,7 @@ class TestProductTables:
             monkeypatch.setattr(unitary3, "_GROUP", 2)
         setup = unitary_generators(theta)
         rng = random.Random(f"tables:{theta}:{block}")
-        for length in self.LENGTHS if block is None else [*range(max(13, 2 * block + 1)), 4099]:
+        for length in self.LENGTHS if block is None else [*range(max(17, 2 * block + 1)), 4099]:
             letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(length))
             rho = rho_unitary(BraidWord(3, letters), setup)
             assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes(), length
@@ -369,10 +371,18 @@ class TestProductTables:
             rho = rho_unitary(BraidWord(3, letters), setup)
             assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes(), letters
 
+    @pytest.mark.parametrize("theta", CRITERION_07_THETAS)
+    def test_words_of_9_to_16_letters_match_bit_for_bit(self, theta):
+        # Three lookups up to 12 letters, (A B) C; four from 13, (A B)(C D).
+        setup = unitary_generators(theta)
+        for letters in self.short_words(0, range(9, 17), f"sixteen:{theta}")[1:]:
+            rho = rho_unitary(BraidWord(3, letters), setup)
+            assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes(), letters
+
     def test_short_words_are_one_fresh_writable_lookup(self):
-        # Up to 4 letters one lookup, copied; 5 to 8 the product of two.
+        # Up to 4 letters one lookup, copied; 5 to 16 the products of two to four.
         setup = unitary_generators(-0.37)
-        for letters in self.short_words(5, (6, 7, 8), "fresh")[1:]:
+        for letters in self.short_words(5, range(6, 17), "fresh")[1:]:
             rho = rho_unitary(BraidWord(3, letters), setup)
             assert rho.flags.writeable
             assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes()
