@@ -48,14 +48,7 @@ from math import comb
 from ._record import Record, set_field
 from .diagram import Crossing, LinkDiagram, _contract, _contraction_steps, _oversize, writhe_factor
 from .errors import InvariantError, ParseError, SizeLimitError
-from .laurent import (
-    LaurentPoly,
-    _TRIAL_BITS,
-    _room,
-    _times_delta,
-    _unpack,
-    _widen,
-)
+from .laurent import LaurentPoly, _TRIAL_BITS, _room, _unpack, _widen
 from .tl import TLDiagram, TLElement, diagram_table, discard_table
 
 __all__ = [
@@ -160,15 +153,25 @@ def _fold(b: BraidWord):
     letters a narrower width is tried first and checked as the fold goes
     (``_room``); when it runs out of room, the state, exact until then, is
     re-packed at twice the width and the fold goes on from the same letter.
+
+    Each letter reads each live diagram once and skips a coefficient that
+    an earlier letter cancelled to 0, so no letter copies its state to drop
+    the zeros.  They are dropped only where the state's size is read, which
+    is where a zero would change a result: before ``_room``, whose bound
+    grows with the number of diagrams; when the count passes the cost
+    guard's cap, so the guard compares and names live diagrams only; and at
+    the end, so ``rho_tl`` and the trace see live diagrams only.
     """
     n, length = b.strands, len(b.letters)
     window = 3 * length + 1
     bits, proven = _widths(n, length)
     table = diagram_table(n)
+    actions, act = table.actions, table.act
     state, safe = {table.identity: 1}, 0
     cap = _live_cap(n, bits, window)
     for done, g in enumerate(b.letters):
         while done == safe and bits < proven:
+            state = _live(state)
             room = _room(state, bits, n, window)
             safe += room
             if not room:
@@ -177,31 +180,53 @@ def _fold(b: BraidWord):
                 bits = wider
                 cap = _live_cap(n, bits, window)
         if len(state) > cap:
-            # The fold interned up to MAX_TL_COST's worth of diagrams that no
-            # later word may need; dropping the table frees them.
-            discard_table(n)
-            raise SizeLimitError(
-                f"TL product of {length} letters on {n} strands exceeds the "
-                f"{MAX_TL_COST} cost guard at {len(state)} live diagrams"
-            )
+            state = _recount(state, cap, n, length)
         # A^3 rho(sigma_i) = B^2*1 + B*U_i, A^3 rho(sigma_i^-1) = B*1 + B^2*U_i.
         # When d caps the points U_i caps, d·U_i = delta d and the two
         # terms are one: (B^2 - B^2 - 1) d = -d, or (B - B^3 - B) d = -B^3 d.
-        i = abs(g)
-        action = table.actions[i]
-        keep, through, loop = (2 * bits, bits, 0) if g > 0 else (bits, 2 * bits, 3 * bits)
+        if g > 0:
+            i, keep, through, loop = g, 2 * bits, bits, 0
+        else:
+            i, keep, through, loop = -g, bits, 2 * bits, 3 * bits
+        action = actions[i]
         out: dict[int, int] = {}
         for d, x in state.items():
-            e = action.get(d)
-            if e is None:
-                e = table.act(i, d)
-            if e == d:
-                out[d] = out.get(d, 0) - (x << loop)
-            else:
-                out[d] = out.get(d, 0) + (x << keep)
-                out[e] = out.get(e, 0) + (x << through)
-        state = {d: x for d, x in out.items() if x}
-    return table, state, bits
+            if x:
+                e = action.get(d)
+                if e is None:
+                    e = act(i, d)
+                if e == d:
+                    out[d] = out.get(d, 0) - (x << loop)
+                else:
+                    out[d] = out.get(d, 0) + (x << keep)
+                    out[e] = out.get(e, 0) + (x << through)
+        state = out
+    return table, _live(state), bits
+
+
+def _live(state: dict[int, int]) -> dict[int, int]:
+    """The entries of a fold's state whose coefficient is not 0."""
+    return {d: x for d, x in state.items() if x}
+
+
+def _recount(state: dict[int, int], cap: int, n: int, length: int) -> dict[int, int]:
+    """``_live(state)`` for a state of more than ``cap`` entries, when at
+    most ``cap`` of them are live; otherwise the fold's cost guard trips.
+
+    No braid word searched so far held more entries before a letter than
+    live diagrams before or after the letter before it, so zeros have not
+    yet changed where the guard trips; the guard's bound does not rely on
+    that."""
+    state = _live(state)
+    if len(state) > cap:
+        # The fold interned up to MAX_TL_COST's worth of diagrams that no
+        # later word may need; dropping the table frees them.
+        discard_table(n)
+        raise SizeLimitError(
+            f"TL product of {length} letters on {n} strands exceeds the "
+            f"{MAX_TL_COST} cost guard at {len(state)} live diagrams"
+        )
+    return state
 
 
 def _widths(n: int, length: int) -> tuple[int, int]:
@@ -369,10 +394,11 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
         _check_trace_cost(b, bits)
     # With delta = -B^-1 (B^2 + 1), Horner's rule over m = n .. 1 gives
     # B^(n-1) <closure(b)> in packed form: each step multiplies by
-    # B delta = -(B^2 + 1) and adds B^(n-m) S_m.
+    # B delta = -(B^2 + 1), which is _times_delta(packed << bits, bits),
+    # and adds B^(n-m) S_m.
     packed = 0
     for m in range(n, 0, -1):
-        packed = (by_loops[m] << (n - m) * bits) + _times_delta(packed << bits, bits)
+        packed = (by_loops[m] << (n - m) * bits) - (packed + (packed << 2 * bits))
     return _unpack(packed, bits, -3 * len(b.letters) - 2 * n + 2)
 
 

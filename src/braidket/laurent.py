@@ -78,7 +78,8 @@ class LaurentPoly:
 
     def terms(self) -> list[tuple[int, int]]:
         """Terms in descending exponent order."""
-        return sorted(self._terms.items(), key=lambda t: -t[0])
+        # Exponents are unique, so the pairs sort by exponent alone.
+        return sorted(self._terms.items(), reverse=True)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.terms())
@@ -355,10 +356,10 @@ def _render_terms(terms: list[tuple[int, int]], power: Callable[[int], str]) -> 
     """
     parts: list[str] = []
     for exp, coeff in terms:
-        sign, scalar = ("-" if coeff < 0 else "+"), str(abs(coeff))
+        sign, scalar = ("-" if coeff < 0 else "+"), abs(coeff)
         if exp == 0:
-            body = scalar
-        elif scalar == "1":
+            body = str(scalar)
+        elif scalar == 1:
             body = power(exp)
         else:
             body = f"{scalar}*{power(exp)}"

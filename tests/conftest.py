@@ -183,6 +183,29 @@ def braid_words(draw, min_strands=2, max_strands=4, max_length=8):
     return BraidWord(n, letters)
 
 
+@st.composite
+def with_cancelling_pairs(draw, words, max_pairs=3):
+    """A word drawn from ``words`` with 1 to ``max_pairs`` cancelling pairs
+    planted (``plant_cancelling_pairs``); a 1-strand word is left as it is."""
+    word = draw(words)
+    if word.strands < 2:
+        return word
+    rng = draw(st.randoms(use_true_random=False))
+    return plant_cancelling_pairs(rng, word, draw(st.integers(1, max_pairs)))
+
+
+def plant_cancelling_pairs(rng, word, pairs):
+    """``word`` with ``pairs`` pairs sigma_i^e sigma_i^-e inserted at places
+    drawn from ``rng``, so that coefficients of the TL fold cancel to 0
+    mid-word."""
+    alphabet = [s * i for i in range(1, word.strands) for s in (1, -1)]
+    letters = list(word.letters)
+    for _ in range(pairs):
+        at, g = rng.randint(0, len(letters)), rng.choice(alphabet)
+        letters[at:at] = (g, -g)
+    return BraidWord(word.strands, tuple(letters))
+
+
 def random_words(seed, count, max_strands=4, max_length=8, min_strands=2):
     rng = random.Random(seed)
     words = []

@@ -30,7 +30,7 @@ from braidket.errors import ExactDivisionError, ParseError, SizeLimitError
 from braidket.laurent import _ones, _over_delta, _room, _times_delta, _unpack, _widen
 from braidket.matrixrep import exact_factor
 from braidket.diagram import _contraction_steps, _oversize, normalize_bracket, writhe_factor
-from conftest import braid_words, random_words, torus_knot_jones
+from conftest import braid_words, plant_cancelling_pairs, random_words, torus_knot_jones, with_cancelling_pairs
 
 TREFOIL_BRACKET = LaurentPoly({5: -1, -3: -1, -7: 1})
 
@@ -151,7 +151,9 @@ class TestTLRepresentation:
 class TestPackedFold:
     """The packed integer fold against the TLElement reference fold."""
 
-    @given(braid_words(max_strands=6, max_length=12))
+    # Planted pairs sigma_i sigma_i^-1 cancel coefficients to 0 mid-fold,
+    # which the fold keeps until it reads a count or ends.
+    @given(st.one_of(braid_words(max_strands=6, max_length=12), with_cancelling_pairs(braid_words(max_strands=6))))
     @settings(max_examples=80, deadline=None)
     def test_matches_reference_fold(self, word):
         expected = reference_rho(word)
@@ -207,6 +209,16 @@ class TestPackedFold:
         assert [bits for bits, _, room in calls if not room] == [35, 70]
         assert braidket.braid._fold(word)[2] == 140
         assert bracket_via_trace(word) == markov_trace(expected).divexact(DELTA)
+
+    def test_room_sees_live_diagrams_only(self, widening):
+        # _room's bound grows with the diagrams it is given, so a zero left
+        # by a cancelling pair must not reach it.
+        word, calls = widening
+        planted = plant_cancelling_pairs(random.Random(2), word, 30)
+        assert rho_tl(planted) == reference_rho(planted)
+        assert len(calls) > 100
+        assert all(all(state.values()) for _, state, _ in calls)
+        assert [bits for bits, _, room in calls if not room] == [35, 70]
 
     def test_widening_goes_on_from_the_same_letter(self, widening):
         word, calls = widening
@@ -416,7 +428,15 @@ class TestCostGuard:
 
     @pytest.mark.parametrize(
         "word",
-        [BraidWord(5, (1, 3, 2, 4, -1, 3, 2, -4)), BraidWord(7, (1, 3, 5, 2, 4, 6)), BraidWord(4, (1, -3, 2) * 4)],
+        [
+            BraidWord(5, (1, 3, 2, 4, -1, 3, 2, -4)),
+            BraidWord(7, (1, 3, 5, 2, 4, 6)),
+            BraidWord(4, (1, -3, 2) * 4),
+            # Cancelling pairs leave zeros in the state before letters 4, 7,
+            # 8 and 12; before the last, its 10 entries, 2 of them zeros, are
+            # as many as its peak of 10 live diagrams before letter 11.
+            BraidWord(5, (1, 3, -3, 2, 4, -4, -2, 2, 4, 1, -1, 3)),
+        ],
     )
     def test_fold_stops_just_past_its_cap(self, monkeypatch, word):
         # The fold checks the live count before each letter; at a limit of
@@ -431,6 +451,14 @@ class TestCostGuard:
         with pytest.raises(SizeLimitError, match=f"at {live} live diagrams"):
             braidket.braid._fold(word)
         assert expected
+
+    def test_guard_counts_live_diagrams(self):
+        # A letter's zeros stay in the state until a count is read: once its
+        # entries pass the cap, the guard recounts the live ones and names them.
+        state = {0: 5, 1: 0, 2: -3, 3: 0, 4: 1}
+        assert braidket.braid._recount(state, 3, 4, 6) == {0: 5, 2: -3, 4: 1}
+        with pytest.raises(SizeLimitError, match="on 4 strands exceeds the 5000000 cost guard at 3 live diagrams"):
+            braidket.braid._recount(state, 2, 4, 6)
 
     def test_widest_torus_word_fits_ten_times_over(self, monkeypatch):
         # (sigma_1 ... sigma_8)^3 ends with 3,281 live diagrams, the most of

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidket import (
+    DELTA,
     BraidWord,
     JonesPoly,
     bracket_by_contraction,
@@ -19,6 +20,7 @@ from braidket import (
 )
 from braidket.braid import closure_bracket
 from braidket.diagram import MAX_CROSSINGS, MAX_STATE_SUM_CROSSINGS, normalize_bracket
+from braidket.matrixrep import z_amplitude
 from conftest import braid_components, braid_words, jones_identity_failure, moved_and_shuffled
 
 
@@ -42,6 +44,17 @@ def test_every_engine_satisfies_jones_identities(word, data):
         for engine, bracket_of in engines:
             failure = jones_identity_failure(normalize_bracket(bracket_of(diagram), writhe(diagram))[1], c)
             assert failure is None, f"{engine} of the {name}: {failure}"
+
+
+# The cup/cap tensor trace is delta times the bracket; its guards allow at
+# most 6 strands and 12 letters, and 5 x 10 keeps the test well under 2 s.
+@given(st.one_of(st.just(BraidWord(1, ())), braid_words(min_strands=2, max_strands=5, max_length=10)))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_the_tensor_trace_satisfies_jones_identities(word):
+    bracket = z_amplitude(word).divexact(DELTA)
+    failure = jones_identity_failure(normalize_bracket(bracket, exponent_sum(word))[1], braid_components(word))
+    assert failure is None, f"tensor trace: {failure}"
+    assert bracket == bracket_via_trace(word)
 
 
 def test_the_identities_reject_wrong_polynomials():
