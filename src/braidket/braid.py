@@ -48,7 +48,14 @@ from math import comb
 from ._record import Record, set_field
 from .diagram import Crossing, LinkDiagram, _contract, _contraction_steps, _oversize, writhe_factor
 from .errors import InvariantError, ParseError, SizeLimitError
-from .laurent import LaurentPoly, _TRIAL_BITS, _room, _unpack, _widen
+from .laurent import (
+    LaurentPoly,
+    _TRIAL_BITS,
+    _room,
+    _times_delta,
+    _unpack,
+    _widen,
+)
 from .tl import TLDiagram, TLElement, diagram_table, discard_table
 
 __all__ = [
@@ -394,11 +401,10 @@ def bracket_via_trace(b: BraidWord) -> LaurentPoly:
         _check_trace_cost(b, bits)
     # With delta = -B^-1 (B^2 + 1), Horner's rule over m = n .. 1 gives
     # B^(n-1) <closure(b)> in packed form: each step multiplies by
-    # B delta = -(B^2 + 1), which is _times_delta(packed << bits, bits),
-    # and adds B^(n-m) S_m.
+    # B delta = -(B^2 + 1) and adds B^(n-m) S_m.
     packed = 0
     for m in range(n, 0, -1):
-        packed = (by_loops[m] << (n - m) * bits) - (packed + (packed << 2 * bits))
+        packed = (by_loops[m] << (n - m) * bits) + _times_delta(packed << bits, bits)
     return _unpack(packed, bits, -3 * len(b.letters) - 2 * n + 2)
 
 

@@ -213,27 +213,6 @@ def _polar_step(x: np.ndarray, letters: int) -> np.ndarray:
     return (x + inverse_h) / 2
 
 
-def _from_tables(letters: tuple[int, ...], tables: tuple[np.ndarray, ...]) -> np.ndarray:
-    """rho of a word of 1 to 16 letters from ``UnitarySetup.tables`` (module
-    docstring); for at most 4 letters the cached, read-only entry itself."""
-    index = 0  # the letters' rows of factors as base-4 digits, the last lowest
-    for g in letters:
-        index = 4 * index + _ROW[g + 2]
-    if (k := len(letters)) <= 4:
-        return tables[k - 1][index]
-    # One lookup per four letters, the last of the 1 to 4 left over, and
-    # the products the halving makes of a stack of two to four entries.
-    rest = (k - 1) % 4
-    shift = 2 * (k - 4)
-    first, last = tables[3][index >> shift], tables[rest][index & ((4 << 2 * rest) - 1)]
-    if k <= 8:
-        return first @ last
-    pair = first @ tables[3][(index >> shift - 8) & 255]
-    if k <= 12:
-        return pair @ last
-    return pair @ (tables[3][(index >> shift - 16) & 255] @ last)
-
-
 def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
     """Unitary image of a 3-strand braid word: factors A*I + A^-1*U_i,
     multiplied pairwise in blocks (see the module docstring).
@@ -244,8 +223,22 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
     if (k := len(letters)) <= min(16, _BLOCK):  # one block, read from the tables
         if not k:
             return np.eye(2, dtype=complex)
-        rho = _from_tables(letters, tables)
-        return rho.copy() if k <= 4 else rho  # a lookup is copied out of the cache
+        index = 0  # the letters' rows of factors as base-4 digits, the last lowest
+        for g in letters:
+            index = 4 * index + _ROW[g + 2]
+        if k <= 4:  # one lookup, copied out of the cached table
+            return tables[k - 1][index].copy()
+        # One lookup per four letters, the last of the 1 to 4 left over, and
+        # the products the halving makes of a stack of two to four entries.
+        rest = (k - 1) % 4
+        shift = 2 * (k - 4)
+        first, last = tables[3][index >> shift], tables[rest][index & ((4 << 2 * rest) - 1)]
+        if k <= 8:
+            return first @ last
+        pair = first @ tables[3][(index >> shift - 8) & 255]
+        if k <= 12:
+            return pair @ last
+        return pair @ (tables[3][(index >> shift - 16) & 255] @ last)
     # Full blocks go _GROUP at a time, then the last block, all from one iterator.
     full, rest = divmod(k - 1, _BLOCK)
     groups = [(min(_GROUP, full - done), _BLOCK) for done in range(0, full, _GROUP)]
@@ -260,11 +253,7 @@ def rho_unitary(b: BraidWord, setup: UnitarySetup) -> np.ndarray:
 
 def bracket_from_trace(b: BraidWord, setup: UnitarySetup) -> complex:
     """Numeric bracket of the 3-braid closure from the representation trace."""
-    letters = b.letters
-    if b.strands == 3 and 0 < len(letters) <= min(16, _BLOCK):
-        rho = _from_tables(letters, setup.tables)  # only read, so not copied
-    else:
-        rho = rho_unitary(b, setup)
+    rho = rho_unitary(b, setup)
     return rho.item(0, 0) + rho.item(1, 1) + setup.a ** exponent_sum(b) * (
         setup.delta**2 - 2.0
     )

@@ -186,10 +186,8 @@ def braid_words(draw, min_strands=2, max_strands=4, max_length=8):
 @st.composite
 def with_cancelling_pairs(draw, words, max_pairs=3):
     """A word drawn from ``words`` with 1 to ``max_pairs`` cancelling pairs
-    planted (``plant_cancelling_pairs``); a 1-strand word is left as it is."""
+    planted (``plant_cancelling_pairs``)."""
     word = draw(words)
-    if word.strands < 2:
-        return word
     rng = draw(st.randoms(use_true_random=False))
     return plant_cancelling_pairs(rng, word, draw(st.integers(1, max_pairs)))
 

@@ -13,7 +13,6 @@ from braidket import (
     bracket_via_trace,
     closure_to_diagram,
     bracket_state_sum,
-    exponent_sum,
     rho_unitary,
     unitary3,
     unitary_generators,
@@ -379,18 +378,6 @@ class TestProductTables:
         for letters in self.short_words(0, range(9, 17), f"sixteen:{theta}")[1:]:
             rho = rho_unitary(BraidWord(3, letters), setup)
             assert rho.tobytes() == old_rho_unitary(letters, setup).tobytes(), letters
-
-    @pytest.mark.parametrize("theta", CRITERION_07_THETAS)
-    def test_bracket_from_trace_matches_the_trace_formula_bit_for_bit(self, theta):
-        # Words of 1 to 16 letters read the tables without rho_unitary.
-        setup = unitary_generators(theta)
-        rng = random.Random(f"bracket:{theta}")
-        for length in self.LENGTHS:
-            word = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(length)))
-            rho = rho_unitary(word, setup)
-            expected = rho.item(0, 0) + rho.item(1, 1) + setup.a ** exponent_sum(word) * (setup.delta**2 - 2.0)
-            got = bracket_from_trace(word, setup)
-            assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex()), length
 
     def test_short_words_are_one_fresh_writable_lookup(self):
         # Up to 4 letters one lookup, copied; 5 to 16 the products of two to four.
