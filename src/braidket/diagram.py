@@ -121,7 +121,8 @@ def _faces_and_components(other: list[int]) -> tuple[int, int]:
     """
     joined = DisjointSet(len(other) // 4)
     for p, q in enumerate(other):
-        joined.union(p // 4, q // 4)
+        if p < q:
+            joined.union(p // 4, q // 4)
     faces = 0
     seen = [False] * len(other)
     for start in range(len(other)):
@@ -193,45 +194,74 @@ def enumerate_states(diagram: LinkDiagram) -> list[StateSummary]:
 
     Slot s of crossing c is position p = 4*c + s.  The A-smoothing of c
     joins p with p ^ 1 (s0-s1, s2-s3), the B-smoothing p with p ^ 3 (s0-s3,
-    s1-s2).  A depth-first walk smooths crossing N-1 first and c = 0 last,
-    B before A, keeping in ``ends[p]`` the far end of the open path through
-    each open position p; before any smoothing the paths are the arcs.  A
-    chord (x, y) closes a loop when ``ends[x] == y`` and otherwise joins two
-    paths by two writes, undone on the way back, so each state costs O(1)
-    steps amortized.
+    s1-s2); each is kept as ``(a, x, y, u, v)``: its two chords (x, y) and
+    (u, v), and ``a``, what it adds to a state's key (below).  A depth-first
+    walk smooths crossing N-1 first and c = 0 last, B before A, keeping in
+    ``ends[p]`` the far end of the open path through each open position p;
+    before any smoothing the paths are the arcs.  A chord (x, y) closes a
+    loop when ``ends[x] == y`` and otherwise joins the paths ending at x and
+    y by two writes, which restoring ``ends[end] = x`` and ``ends[other] =
+    y`` undoes, the second chord's first.  So each state costs O(1) steps
+    amortized.
+
+    When crossing 0 is the last one left, its four positions are the only
+    open ones, so ``ends`` pairs them among themselves: the first chord
+    closes a loop exactly when the second does too, and otherwise joins the
+    two paths into one that the second chord closes.  Its two states are
+    counted without a call or a write.
+
+    Each crossing closes at most two loops, so a state's loops lie below
+    ``stride`` and the state is kept as one key, its A count times
+    ``stride`` plus its loops, taken from ``interned`` so that the list of
+    2^N keys holds one shared int per distinct key.  Each distinct key gets one
+    ``StateSummary``, shared by every state that has it.
     """
     n = len(diagram.crossings)
     if (error := _oversize(n, diagram.free_loops, MAX_STATE_SUM_CROSSINGS)) is not None:
         raise SizeLimitError(error)
     ends = _other_ends(tuple(c.slots for c in diagram.crossings))
-    states: list[StateSummary] = []
-    made: dict[tuple[int, int], StateSummary] = {}  # one summary per (A count, loops)
+    stride = 2 * n + diagram.free_loops + 1
+    smoothings = [
+        ((0, p, p + 3, p + 1, p + 2), (stride, p, p + 1, p + 2, p + 3)) for p in range(0, 4 * n, 4)
+    ]
+    interned = list(range((n + 1) * stride))
+    keys: list[int] = []
+    append = keys.append
 
-    def walk(c: int, a_count: int, loops: int) -> None:
-        if c < 0:
-            key = (a_count, loops)
-            if key not in made:
-                made[key] = StateSummary(a_count, n - a_count, loops)
-            states.append(made[key])
+    def walk(c: int, key: int, loops: int) -> None:
+        if not c:
+            for a, x, y, _, _ in smoothings[0]:
+                append(interned[key + a + loops + (2 if ends[x] == y else 1)])
             return
-        p = 4 * c
-        for a, chords in ((0, ((p, p + 3), (p + 1, p + 2))), (1, ((p, p + 1), (p + 2, p + 3)))):
-            undo = []
+        for a, x, y, u, v in smoothings[c]:
             closed = loops
-            for x, y in chords:
-                end = ends[x]
-                if end == y:
-                    closed += 1
-                else:
-                    other = ends[y]
-                    ends[end], ends[other] = other, end
-                    undo.append((end, x, other, y))
-            walk(c - 1, a_count + a, closed)
-            for end, x, other, y in reversed(undo):
+            end = ends[x]
+            if end == y:
+                closed += 1
+            else:
+                other = ends[y]
+                ends[end], ends[other] = other, end
+            end2 = ends[u]
+            if end2 == v:
+                closed += 1
+            else:
+                other2 = ends[v]
+                ends[end2], ends[other2] = other2, end2
+            walk(c - 1, key + a, closed)
+            if end2 != v:
+                ends[end2], ends[other2] = u, v
+            if end != y:
                 ends[end], ends[other] = x, y
 
-    walk(n - 1, 0, diagram.free_loops)
-    return states
+    if n:
+        walk(n - 1, 0, diagram.free_loops)
+    else:
+        append(diagram.free_loops)
+    made = {}
+    for key in set(keys):
+        a_count, loops = divmod(key, stride)
+        made[key] = StateSummary(a_count, n - a_count, loops)
+    return list(map(made.__getitem__, keys))
 
 
 def bracket_state_sum(diagram: LinkDiagram) -> LaurentPoly:

@@ -13,9 +13,10 @@ Example::
 JSON form: a list of ``[exponent, real, imag]`` triples in descending
 exponent order; ``imag`` is always 0.
 
-Packed form, shared by the Temperley-Lieb fold in ``braid`` and the PD
-contraction in ``diagram``: a polynomial in B = A^2 with nonnegative
-exponents as one int, its value at B = 2^bits.  Its rules live here:
+Packed form, shared by the Temperley-Lieb fold in ``braid``, the PD
+contraction in ``diagram`` and the tensor product in ``matrixrep``: a
+polynomial in B = A^2 with nonnegative exponents as one int, its value at
+B = 2^bits.  Its rules live here:
 
 - Shifts and adds keep that value exact whatever the digits do.
 - ``_times_delta`` multiplies by a closed loop, delta = -B^-1 (1 + B^2), as
@@ -23,6 +24,9 @@ exponents as one int, its value at B = 2^bits.  Its rules live here:
 - ``_over_delta`` divides by delta as one exact ``divmod`` by 1 + 2^(2 bits)
   and a one-digit shift, when the digits' absolute values sum to below
   2^(bits-1).
+- ``_pack`` writes a polynomial in this form.  The product of two packs is
+  the pack of the product polynomial, which ``_unpack`` reads back while
+  every digit of it stays below 2^(bits-1) in absolute value.
 - ``_unpack`` and ``_widen`` need every digit below 2^(bits-1) in absolute
   value.  ``_unpack`` first moves the common low zero digits into the
   exponent: their count is the trailing zero bits divided by ``bits``.  A
@@ -236,6 +240,12 @@ def _offset_text(packed: int, bits: int) -> str:
     characters a digit and the top one first; it holds every nonzero digit."""
     count = packed.bit_length() // bits + 1
     return format(packed + (_ones(bits, count) << (bits - 1)), f"0{bits * count}b")
+
+
+def _pack(poly: LaurentPoly, bits: int, low: int) -> int:
+    """``sum c_j 2^(bits*j)`` for ``poly = sum c_j A^(low + 2j)``, ``_unpack``'s
+    inverse; every exponent of ``poly`` must be ``low`` plus an even number >= 0."""
+    return sum(c << bits * ((e - low) // 2) for e, c in poly._terms.items())
 
 
 def _unpack(packed: int, bits: int, low: int) -> LaurentPoly:

@@ -20,6 +20,11 @@ is (-1)^k times the same product over M'; eta = -M' M'^t; and
 Tensor index order: strand 1 is the most significant bit of the row/column
 index, i.e. rows and columns are labelled by bit strings in lexicographic
 order.
+
+``rho_matrix`` and ``z_amplitude`` share one product: the letter factors and
+eta^(tensor n), packed once per strand count in the form of ``laurent``,
+multiplied as ints row by row (``_packed_rho``); ``rho_matrix`` unpacks
+every entry, ``z_amplitude`` the trace alone.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import NamedTuple
 from ._record import Record, set_field
 from .braid import BraidWord
 from .errors import SizeLimitError
-from .laurent import A, A_INV, LaurentPoly, ONE, ZERO
+from .laurent import A, A_INV, LaurentPoly, ONE, ZERO, _pack, _unpack
 from .tl import TLDiagram, TLElement, generator_diagram
 
 __all__ = [
@@ -174,34 +179,114 @@ def u_tensor(n: int, i: int) -> SymbolicMatrix:
     return _diagram_tensor_image(generator_diagram(n, i))
 
 
-# At most 2 * (1 + ... + 5) factors under MAX_TENSOR_STRANDS; no method
-# changes a SymbolicMatrix, so every call may share them.
-@lru_cache(maxsize=None)
 def _tensor_factor(n: int, g: int) -> SymbolicMatrix:
     """The letter g's factor A*I + A^-1*U_|g| (A^-1*I + A*U_|g| for g < 0)."""
     return exact_factor(SymbolicMatrix.identity(2**n), u_tensor(n, abs(g)), g)
 
 
-def rho_matrix(b: BraidWord) -> SymbolicMatrix:
-    """Tensor image of a braid word: per-letter factors A*I + A^-1*U_i."""
-    _check_tensor_strands(b.strands)
-    if len(b.letters) > MAX_TENSOR_WORD:
-        raise SizeLimitError(f"tensor word length guarded to {MAX_TENSOR_WORD}")
-    factors = (_tensor_factor(b.strands, g) for g in b.letters)
-    return reduce(mul, factors, SymbolicMatrix.identity(2**b.strands))
-
-
-@lru_cache(maxsize=None)
 def _strand_closer(n: int) -> SymbolicMatrix:
-    """eta^(tensor n), for n within MAX_TENSOR_STRANDS."""
+    """eta^(tensor n)."""
     _, eta, _ = elementary_tensors()
     return reduce(SymbolicMatrix.kron, [eta] * n, SymbolicMatrix.identity(1))
 
 
+def _norm(entry: LaurentPoly) -> int:
+    """The sum of the absolute values of the coefficients."""
+    return sum(abs(c) for _, c in entry)
+
+
+def _row_norm(matrix: SymbolicMatrix) -> int:
+    """The largest sum of the ``_norm`` of a row's entries."""
+    sums = [0] * matrix.dim
+    for (i, _), e in matrix.entries.items():
+        sums[i] += _norm(e)
+    return max(sums)
+
+
+#: A packed matrix: the exponent of A that digit 0 of its entries stands
+#: for, and per row the (column, packed entry) pairs of its nonzero entries.
+_Packed = tuple[int, list[list[tuple[int, int]]]]
+
+
+class _PackedTensors(NamedTuple):
+    bits: int
+    factors: dict[int, _Packed]
+    closer: _Packed
+
+
+# At most MAX_TENSOR_STRANDS entries, each 2 * (n - 1) factors of 2^n rows.
+@lru_cache(maxsize=None)
+def _packed_tensors(n: int) -> _PackedTensors:
+    """Every letter factor of n strands and eta^(tensor n) in the packed
+    form of ``laurent``, at one digit width proven for every word within
+    MAX_TENSOR_WORD.
+
+    A row norm (``_row_norm``) of a product of matrices is at most the
+    product of its factors', so with R the largest one of a factor, every
+    coefficient of rho(b) for k letters is at most R^k in absolute value,
+    and every one of Trace(eta^(tensor n) rho(b)) at most C R^k for C the
+    sum of the closer's ``_norm``s.  With k <= MAX_TENSOR_WORD both lie
+    below 2^(bits-1), as ``_unpack`` needs, when ``bits`` is one more than
+    the bit length of C R^MAX_TENSOR_WORD.
+    """
+    factors = {g: _tensor_factor(n, g) for i in range(1, n) for g in (i, -i)}
+    closer = _strand_closer(n)
+    row_norm = max(map(_row_norm, factors.values()), default=1)
+    closer_norm = sum(map(_norm, closer.entries.values()))
+    bits = (row_norm**MAX_TENSOR_WORD * closer_norm).bit_length() + 1
+
+    def packed(matrix: SymbolicMatrix) -> _Packed:
+        low = min(e.min_exponent() for e in matrix.entries.values())
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(matrix.dim)]
+        for (i, j), e in matrix.entries.items():
+            rows[i].append((j, _pack(e, bits, low)))
+        return low, rows
+
+    return _PackedTensors(bits, {g: packed(f) for g, f in factors.items()}, packed(closer))
+
+
+def _packed_rho(b: BraidWord) -> tuple[_PackedTensors, int, list[dict[int, int]]]:
+    """rho(b) in packed form: the packed tensors of its strand count, the
+    exponent that digit 0 of rho(b)'s entries stands for, and its rows, each
+    a map column -> entry, built a row at a time letter by letter."""
+    _check_tensor_strands(b.strands)
+    if len(b.letters) > MAX_TENSOR_WORD:
+        raise SizeLimitError(f"tensor word length guarded to {MAX_TENSOR_WORD}")
+    packed = _packed_tensors(b.strands)
+    low, factors = 0, []
+    for g in b.letters:
+        factor_low, factor = packed.factors[g]
+        low += factor_low
+        factors.append(factor)
+    rows = []
+    for i in range(2**b.strands):
+        row = {i: 1}
+        for factor in factors:
+            grown: dict[int, int] = {}
+            for k, x in row.items():
+                if x:
+                    for j, y in factor[k]:
+                        grown[j] = grown.get(j, 0) + x * y
+            row = grown
+        rows.append(row)
+    return packed, low, rows
+
+
+def rho_matrix(b: BraidWord) -> SymbolicMatrix:
+    """Tensor image of a braid word: per-letter factors A*I + A^-1*U_i."""
+    packed, low, rows = _packed_rho(b)
+    entries = {
+        (i, j): _unpack(x, packed.bits, low) for i, row in enumerate(rows) for j, x in row.items()
+    }
+    return SymbolicMatrix(2**b.strands, entries)
+
+
 def z_amplitude(b: BraidWord) -> LaurentPoly:
     """Trace(eta^(tensor n) * rho(b)) = delta * <closure(b)>."""
-    rho = rho_matrix(b)  # first, so its guards bound _strand_closer's cache
-    return trace_product(_strand_closer(b.strands), rho)
+    packed, low, rows = _packed_rho(b)
+    closer_low, closer = packed.closer
+    trace = sum(x * rows[j].get(i, 0) for i, row in enumerate(closer) for j, x in row)
+    return _unpack(trace, packed.bits, low + closer_low)
 
 
 def burau_generator(n: int, k: int) -> SymbolicMatrix:

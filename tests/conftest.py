@@ -1,5 +1,7 @@
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from braidket import (
     add_curl,
     mirror_diagram,
 )
+from braidket.matrixrep import _strand_closer, _tensor_factor, trace_product
 
 laurent_polys = st.dictionaries(
     st.integers(-20, 20), st.integers(-9, 9), max_size=6
@@ -61,6 +64,17 @@ I = GaussianInt(0, 1)
 #: The paper's cup/cap matrix M = [[0, iA], [-iA^-1, 0]]; the package
 #: computes with M' = M/i.
 M_I = SymbolicMatrix(2, {(0, 1): LaurentPoly.monomial(1, I), (1, 0): LaurentPoly.monomial(-1, -I)})
+
+
+def tensor_trace_oracle(word: BraidWord) -> tuple[SymbolicMatrix, LaurentPoly]:
+    """rho(b) and Trace(eta^(tensor n) rho(b)) by the ``SymbolicMatrix``
+    product: the letter factors folded by ``*``, then ``trace_product``
+    against the strand closer, as ``matrixrep`` computed them before its
+    packed product."""
+    n = word.strands
+    factors = (_tensor_factor(n, g) for g in word.letters)
+    rho = reduce(mul, factors, SymbolicMatrix.identity(2**n))
+    return rho, trace_product(_strand_closer(n), rho)
 
 
 def torus_knot_jones(p: int, q: int) -> JonesPoly:

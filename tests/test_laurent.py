@@ -26,7 +26,7 @@ from braidket import (
     z_amplitude,
 )
 from braidket.errors import ExactDivisionError
-from braidket.laurent import _t_power
+from braidket.laurent import _pack, _t_power, _unpack
 from conftest import I, M_I, GaussianInt, braid_words, laurent_polys
 
 IA = LaurentPoly.monomial(1, I)
@@ -120,6 +120,16 @@ class TestRingArithmetic:
         if q.is_zero:
             return
         assert (p * q).divexact(q) == p
+
+    @given(laurent_polys, laurent_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_a_product_of_packs_is_the_pack_of_the_product(self, p, q):
+        # Even exponents from -40 up; a product's coefficients are sums of at
+        # most 6 products of two coefficients, so below 6 * 81 < 2^9.
+        p, q = (LaurentPoly({2 * e: c for e, c in f.terms()}) for f in (p, q))
+        bits = 10
+        assert _unpack(_pack(p, bits, -40), bits, -40) == p
+        assert _unpack(_pack(p, bits, -40) * _pack(q, bits, -40), bits, -80) == p * q
 
     def test_divexact_rejects_an_inexact_coefficient(self):
         with pytest.raises(ExactDivisionError):

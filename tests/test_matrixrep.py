@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 
 import pytest
@@ -23,8 +24,13 @@ from braidket import (
     z_amplitude,
 )
 from braidket.errors import SizeLimitError
-from braidket.matrixrep import _diagram_tensor_image, trace_product
-from conftest import I, M_I, random_words
+from braidket.matrixrep import (
+    MAX_TENSOR_STRANDS,
+    MAX_TENSOR_WORD,
+    _diagram_tensor_image,
+    trace_product,
+)
+from conftest import I, M_I, random_words, tensor_trace_oracle
 
 # Entries whose sums and products cancel: A + (-A) = 0, A*A + (iA)*(iA) = 0.
 _ENTRIES = [
@@ -294,6 +300,43 @@ class TestZAmplitude:
     def test_equals_delta_times_bracket(self):
         for word in random_words(37, 25, max_strands=4, max_length=6):
             assert z_amplitude(word) == DELTA * bracket_via_trace(word)
+
+
+def guard_words(seed, count):
+    """``count`` seeded words of MAX_TENSOR_WORD letters on MAX_TENSOR_STRANDS."""
+    rng = random.Random(seed)
+    alphabet = [s * i for i in range(1, MAX_TENSOR_STRANDS) for s in (1, -1)]
+    return [
+        BraidWord(MAX_TENSOR_STRANDS, tuple(rng.choice(alphabet) for _ in range(MAX_TENSOR_WORD)))
+        for _ in range(count)
+    ]
+
+
+class TestPackedProduct:
+    # The longest words on the most strands the guards let in, where the
+    # packed digits hold their largest coefficients.
+    @pytest.mark.parametrize(
+        "word",
+        [
+            BraidWord(MAX_TENSOR_STRANDS, (1, 3, 5) * 4),
+            BraidWord(MAX_TENSOR_STRANDS, (-1, -3, -5) * 4),
+            BraidWord(MAX_TENSOR_STRANDS, (1,) * MAX_TENSOR_WORD),
+            BraidWord(2, (-1,) * MAX_TENSOR_WORD),
+            *guard_words(43, 8),
+        ],
+        ids=str,
+    )
+    def test_matches_the_symbolic_product_at_the_guards(self, word):
+        rho, trace = tensor_trace_oracle(word)
+        assert rho_matrix(word) == rho
+        assert z_amplitude(word) == trace == DELTA * bracket_via_trace(word)
+
+    def test_matches_the_symbolic_product_on_shorter_words(self):
+        words = [BraidWord(1, ()), *random_words(47, 40, max_strands=MAX_TENSOR_STRANDS)]
+        for word in words:
+            rho, trace = tensor_trace_oracle(word)
+            assert rho_matrix(word) == rho
+            assert z_amplitude(word) == trace
 
 
 class TestBurau:
